@@ -11,12 +11,13 @@ from .meanfield import (
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (
     GAMMA, OMEGA, ModeSet, DiagonalizationError, diagonalize_symplectic,
-    build_polariton_matrix, build_phonon_matrix, phonon_bands, soft_mode,
-    symmetry_residuals, negative_modes, mirrored_modes,
+    phonon_bands, soft_mode, symmetry_residuals, negative_modes,
+    mirrored_modes,
 )
 from .coupling import (
     VertexSet, vertex_coefficients, landau_beliaev_couplings,
-    vw_connection_residual, v_reflection_residual, vertex_duality_residuals,
+    soft_mode_couplings, vw_connection_residual, v_reflection_residual,
+    vertex_duality_residuals,
 )
 from .bath import (
     BathSpectrum, BathConstructionError, thermal_occupation,
@@ -24,7 +25,7 @@ from .bath import (
 )
 from .response import (
     Response, BornMarkovResult, NumericsError, self_energy, build_response,
-    spectral_sum_rule, damping_sweep, spectral_scan,
+    spectral_sum_rule, damping_sweep,
 )
 from .continuation import (
     MeromorphicModel, ComplexGrid, Pole, PoleSet, smooth_spectral,

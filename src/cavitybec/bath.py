@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ConfigError
+from .params import ConfigError, ThermoParams
 
 
 class BathConstructionError(RuntimeError):
@@ -59,6 +59,32 @@ class BathSpectrum:
     temperature: float
     epsilon: float
     degeneracy: float = 2.0
+
+    def pole_weights(self, channel: str, params: ThermoParams,
+                     dos_mode: str = "3d"):
+        """(weights, frequencies) of one channel's self-energy poles.
+
+        Sigma^channel(z) = sum_j weights[j] / (z - frequencies[j]) with
+        weights = degeneracy * w_q * |g_q|^2 * N_q^2 / N_c, where w_q = 1
+        for dos_mode '1d' and (q w)^2 / 2 pi for '3d' (w the condensate
+        width).
+        """
+        if channel == "landau":
+            g, n, om = self.g_landau, self.nl, self.omega_l
+        elif channel == "beliaev":
+            g, n, om = self.g_beliaev, self.nb, self.omega_b
+        else:
+            raise ConfigError(
+                f"channel must be 'landau' or 'beliaev', got {channel!r}")
+        if dos_mode == "3d":
+            dos = (self.q * params.condensate_width) ** 2 / (2.0 * np.pi)
+        elif dos_mode == "1d":
+            dos = np.ones_like(self.q)
+        else:
+            raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
+        weights = (self.degeneracy * dos * np.abs(g) ** 2 * n ** 2
+                   / params.atom_number)
+        return weights, om
 
 
 def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,

@@ -30,16 +30,28 @@ ZERO_TOL = 1e-8
 
 
 class DiagonalizationError(RuntimeError):
-    """Defective or non-real Bogoliubov spectrum (instability/criticality)."""
+    """Defective or non-real Bogoliubov spectrum (instability/criticality).
+
+    For a stack of matrices, index is the position of the offending matrix
+    in the flattened stack; for a single matrix it is None.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Positive-frequency normal modes of one 6x6 Bogoliubov matrix.
+    """Positive-frequency normal modes of one 6x6 Bogoliubov matrix, or of
+    every matrix of a stack.
 
     right[:, i] and left[:, i] are the OMEGA-normalized right and left
     eigenvectors of mode i; frequencies ascend.  zero_count is the number
-    of exact zero-frequency directions excluded from the mode list.
+    of exact zero-frequency directions excluded from the mode list.  A
+    stack keeps its leading axes in front of every array: frequencies are
+    (..., n), right and left (..., 6, n), and the mode count n and
+    zero_count are shared by all matrices.
     """
 
     frequencies: np.ndarray
@@ -49,7 +61,8 @@ class ModeSet:
     zero_count: int = 0
 
     def mode(self, i):
-        return self.frequencies[i], self.right[:, i], self.left[:, i]
+        return (self.frequencies[..., i], self.right[..., :, i],
+                self.left[..., :, i])
 
 
 def symmetry_residuals(f: np.ndarray, g_minus: np.ndarray | None = None) -> dict:
@@ -68,54 +81,72 @@ def symmetry_residuals(f: np.ndarray, g_minus: np.ndarray | None = None) -> dict
 def diagonalize_symplectic(m: np.ndarray, sector: str = "",
                            zero_tol: float = ZERO_TOL,
                            real_tol: float = 1e-8) -> ModeSet:
-    """Extract the positive-frequency bosonic modes of a 6x6 matrix.
+    """Extract the positive-frequency bosonic modes of a 6x6 matrix, or of
+    every matrix of a (..., 6, 6) stack in one batched eigensolve.
 
-    Raises DiagonalizationError for non-real spectra (dynamical instability
-    or criticality) and for defective positive-frequency subspaces.
+    Modes ascend in frequency; each right vector is OMEGA-normalized and
+    its largest component made real and positive (the first one on ties).
+    Every check applies to each matrix of a stack.  Raises
+    DiagonalizationError for non-real spectra (dynamical instability or
+    criticality), unpaired +-omega, non-normalizable or defective
+    positive-frequency subspaces, and for a stack whose matrices differ in
+    their number of positive modes; for a stack the message and the
+    error's index name the first offending matrix.
     """
-    vals, vecs = np.linalg.eig(m)
-    scale = max(1.0, np.max(np.abs(vals)))
-    if np.max(np.abs(vals.imag)) > real_tol * scale:
-        raise DiagonalizationError(
-            f"non-real spectrum in sector {sector!r}: "
-            f"max |Im omega| = {np.max(np.abs(vals.imag)):.3e}")
+    m = np.asarray(m)
+    batch = m.shape[:-2]
+
+    def check(bad, describe):
+        # describe(i, where) words the error for the first flagged matrix i
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            where = f" at stack index {i}" if batch else ""
+            raise DiagonalizationError(describe(i, where),
+                                       i if batch else None)
+
+    vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+    im = np.max(np.abs(vals.imag), axis=-1)
+    check(im > real_tol * scale, lambda i, where: (
+        f"non-real spectrum in sector {sector!r}{where}: "
+        f"max |Im omega| = {im[i]:.3e}"))
     omega = vals.real
 
-    zero_mask = np.abs(omega) < zero_tol * scale
-    zero_count = int(np.sum(zero_mask))
-    pos_idx = np.where(~zero_mask & (omega > 0))[0]
-    neg_count = int(np.sum(~zero_mask & (omega < 0)))
-    if len(pos_idx) != neg_count:
-        raise DiagonalizationError(
-            f"unpaired spectrum in sector {sector!r}: {len(pos_idx)} positive "
-            f"vs {neg_count} negative modes")
+    zero_mask = np.abs(omega) < zero_tol * scale[:, None]
+    pos_mask = ~zero_mask & (omega > 0)
+    pos_count = np.sum(pos_mask, axis=-1)
+    neg_count = np.sum(~zero_mask & (omega < 0), axis=-1)
+    check(pos_count != neg_count, lambda i, where: (
+        f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
+        f"positive vs {neg_count[i]} negative modes"))
+    # an empty stack is taken to hold all three pairs
+    n_pos = int(pos_count[0]) if len(pos_count) else 3
+    check(pos_count != n_pos, lambda i, where: (
+        f"positive-mode count differs across the stack in sector "
+        f"{sector!r}{where}: {pos_count[i]}, against {n_pos} at index 0"))
 
-    order = pos_idx[np.argsort(omega[pos_idx])]
-    freqs = []
-    rights = []
-    for i in order:
-        r = vecs[:, i]
-        norm = np.real(np.conj(r) @ OMEGA @ r)
-        if norm <= zero_tol:
-            raise DiagonalizationError(
-                f"non-normalizable positive mode at omega = {omega[i]:.6g} "
-                f"in sector {sector!r} (dynamical instability)")
-        r = r / np.sqrt(norm)
-        k = int(np.argmax(np.abs(r)))
-        phase = r[k] / abs(r[k])
-        r = r / phase
-        freqs.append(omega[i])
-        rights.append(r)
+    order = np.argsort(np.where(pos_mask, omega, np.inf), axis=-1,
+                       kind="stable")[:, :n_pos]
+    freqs = np.take_along_axis(omega, order, axis=-1)
+    right = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    norm = np.real(np.einsum('kam,ab,kbm->km', np.conj(right), OMEGA, right))
+    check(np.any(norm <= zero_tol, axis=-1), lambda i, where: (
+        f"non-normalizable positive mode at omega = "
+        f"{freqs[i][norm[i] <= zero_tol][0]:.6g} in sector {sector!r}{where} "
+        "(dynamical instability)"))
+    right = right / np.sqrt(norm)[:, None, :]
+    top = np.take_along_axis(
+        right, np.argmax(np.abs(right), axis=-2)[:, None, :], axis=-2)
+    right = right / (top / np.abs(top))
 
-    right = np.column_stack(rights) if rights else np.zeros((6, 0), complex)
     # reciprocity check doubles as a defectiveness detector
-    gram = right.conj().T @ OMEGA @ right
-    if rights and np.max(np.abs(gram - np.eye(len(rights)))) > 1e-8:
-        raise DiagonalizationError(
-            f"defective positive-frequency subspace in sector {sector!r}")
-    left = OMEGA @ right
-    return ModeSet(frequencies=np.array(freqs), right=right, left=left,
-                   sector=sector, zero_count=zero_count)
+    gram = np.swapaxes(np.conj(right), -1, -2) @ OMEGA @ right
+    gram_err = np.max(np.abs(gram - np.eye(n_pos)), axis=(-2, -1), initial=0.0)
+    check(gram_err > 1e-8, lambda i, where: (
+        f"defective positive-frequency subspace in sector {sector!r}{where}"))
+    right = right.reshape(batch + (6, n_pos))
+    return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)), right=right,
+                   left=OMEGA @ right, sector=sector, zero_count=6 - 2 * n_pos)
 
 
 def negative_modes(ms: ModeSet) -> ModeSet:
@@ -147,14 +178,6 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
                    zero_count=ms.zero_count)
 
 
-def build_polariton_matrix(p: ThermoParams, mf: MeanField) -> np.ndarray:
-    return ModelExpansion(p, mf).polariton_matrix()
-
-
-def build_phonon_matrix(p: ThermoParams, mf: MeanField, q: float) -> np.ndarray:
-    return ModelExpansion(p, mf).phonon_matrix(q)
-
-
 def _overlap_permutation(prev: ModeSet, cur: ModeSet, threshold=0.5):
     """Match cur modes to prev modes by symplectic eigenvector overlap."""
     n = len(prev.frequencies)
@@ -182,19 +205,25 @@ def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,
                  expansion: ModelExpansion | None = None) -> list[ModeSet]:
     """Diagonalize G(q) over a grid, bands labeled continuously in q.
 
-    Matching starts from the first grid point sorted ascending; across
-    neighbouring q points modes are paired by maximal eigenvector overlap
-    so that band labels survive crossings.  Exact-degeneracy points fall
-    back to ascending order (deterministic).
+    All G(q) are diagonalized in one stacked eigensolve.  Matching starts
+    from the first grid point sorted ascending; across neighbouring q
+    points modes are paired by maximal eigenvector overlap so that band
+    labels survive crossings.  Exact-degeneracy points fall back to
+    ascending order (deterministic).
     """
     exp = expansion or ModelExpansion(p, mf)
+    q_grid = np.asarray(q_grid, dtype=float)
+    try:
+        stack = diagonalize_symplectic(exp.phonon_matrix(q_grid), sector="phonon")
+    except DiagonalizationError as exc:
+        raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
+                                   exc.index) from exc
     out: list[ModeSet] = []
     prev: ModeSet | None = None
-    for q in np.asarray(q_grid, dtype=float):
-        try:
-            ms = diagonalize_symplectic(exp.phonon_matrix(q), sector=f"phonon q={q:g}")
-        except DiagonalizationError as exc:
-            raise DiagonalizationError(f"q = {q:g}: {exc}") from exc
+    for i, q in enumerate(q_grid):
+        ms = ModeSet(frequencies=stack.frequencies[i], right=stack.right[i],
+                     left=stack.left[i], sector=f"phonon q={q:g}",
+                     zero_count=stack.zero_count)
         if prev is not None:
             perm = _overlap_permutation(prev, ms)
             if perm is not None:

@@ -326,16 +326,10 @@ def companion_pole_candidates(resp: Response):
     to seed the Newton search; each candidate is then polished and verified
     on 1/G itself.
     """
-    from .response import _dos_weights
-
-    heads = [resp.omega_s]
     freqs = []
     weights = []
-    bath = resp.bath
-    dos = _dos_weights(bath, resp.params, resp.dos_mode)
-    for g, n, om in ((bath.g_landau, bath.nl, bath.omega_l),
-                     (bath.g_beliaev, bath.nb, bath.omega_b)):
-        w = bath.degeneracy * dos * np.abs(g) ** 2 * n ** 2 / resp.params.atom_number
+    for channel in ("landau", "beliaev"):
+        w, om = resp.bath.pole_weights(channel, resp.params, resp.dos_mode)
         active = w > 0
         freqs.append(om[active])
         weights.append(w[active])
@@ -343,7 +337,7 @@ def companion_pole_candidates(resp: Response):
     weights = np.concatenate(weights)
     m = len(freqs) + 1
     arrow = np.zeros((m, m), dtype=complex)
-    arrow[0, 0] = heads[0]
+    arrow[0, 0] = resp.omega_s
     arrow[0, 1:] = np.sqrt(weights)
     arrow[1:, 0] = np.sqrt(weights)
     arrow[np.arange(1, m), np.arange(1, m)] = freqs
@@ -398,7 +392,6 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_omega: int = 2048,
             raise NumericsError(
                 f"only {len(ps.poles)} poles located at y = {y} "
                 f"(need {n_track}); failed seeds: {ps.failed_seeds}")
-        cand = [pl.z for pl in ps.poles[:n_track + 2]]
         if prev is None:
             chosen = [pl for pl in ps.poles[:n_track]]
         else:

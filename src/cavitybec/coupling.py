@@ -83,6 +83,32 @@ def landau_beliaev_couplings(vs: VertexSet, soft_index: int):
     return g_landau, g_beliaev
 
 
+def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
+                        soft_index: int, phonon_right: np.ndarray):
+    """(gL_q, gB_q) at every q of a stack, from the soft-mode row alone.
+
+    phonon_right holds the right eigenvectors of G(q), shaped (..., 6, n)
+    with bands ascending.  The result equals landau_beliaev_couplings of
+    vertex_coefficients(..., modes(q), mirrored_modes(modes(q)), q) at each
+    q, i.e. O^s_{12}(q) and N^s_{21}(q), but only the soft row of V is
+    contracted:
+
+        V_s[b, g] = sum_a conj(l[a, s]) V[a, b, g],
+        gL = c1^+ (V_s + GAMMA V_s^T GAMMA) c2,    gB = 2 c2^+ GAMMA V_s c1,
+
+    with c1, c2 the eigenvectors of bands 1 and 2 (the two terms of O
+    merged, and the mirrored vectors GAMMA conj(c) of N written out).
+    """
+    v_s = np.einsum('a,abg->bg', np.conj(polariton.left[:, soft_index]),
+                    v_tensor)
+    c1, c2 = phonon_right[..., :, 0], phonon_right[..., :, 1]
+    g_landau = np.einsum('...b,bg,...g->...', np.conj(c1),
+                         v_s + GAMMA @ v_s.T @ GAMMA, c2)
+    g_beliaev = 2.0 * np.einsum('...b,bg,...g->...', np.conj(c2),
+                                GAMMA @ v_s, c1)
+    return g_landau, g_beliaev
+
+
 # -- identity checks -------------------------------------------------------
 
 def vw_connection_residual(v_tensor: np.ndarray, w_tensor: np.ndarray) -> float:

@@ -22,7 +22,6 @@ vector at quasi-momentum q is (b_q, b+_{-q}, c_q, c+_{-q}, s_q, s+_{-q}).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,17 +84,12 @@ _W_VARS = (8, 11, 12, 15, 16, 19)
 _V_VARS = (0, 1, 2, 3, 4, 5)
 
 
-@lru_cache(maxsize=64)
-def _momentum_combos():
-    """All momentum-label 4-tuples with q3 + q4 - q1 - q2 = 0."""
-    out = []
-    for n1 in _MOM_LABELS:
-        for n2 in _MOM_LABELS:
-            for n3 in _MOM_LABELS:
-                for n4 in _MOM_LABELS:
-                    if n3 + n4 - n1 - n2 == 0:
-                        out.append((n1, n2, n3, n4))
-    return tuple(out)
+# all momentum-label 4-tuples (n1, n2, n3, n4) with n3 + n4 - n1 - n2 = 0
+_MOMENTUM_COMBOS = tuple(
+    (n1, n2, n3, n4)
+    for n1 in _MOM_LABELS for n2 in _MOM_LABELS
+    for n3 in _MOM_LABELS for n4 in _MOM_LABELS
+    if n3 + n4 - n1 - n2 == 0)
 
 
 def build_terms(p: ThermoParams, mu: float, q: float):
@@ -142,7 +136,7 @@ def build_terms(p: ThermoParams, mu: float, q: float):
         add(0.25 * u0, 1, 0, s + 1, s)
 
     for x1, x2, x3, x4, weight in _COLLISION_CHANNELS:
-        for n1, n2, n3, n4 in _momentum_combos():
+        for n1, n2, n3, n4 in _MOMENTUM_COMBOS:
             add(weight * g_half,
                 _VAR[(x1, n1)] + 1, _VAR[(x2, n2)] + 1,
                 _VAR[(x3, n3)], _VAR[(x4, n4)])
@@ -226,9 +220,15 @@ class ModelExpansion:
                 g[i, j] = sign * _derivative_value(terms, (dvar, compvar), self._point)
         return g
 
-    def phonon_matrix(self, q: float) -> np.ndarray:
-        """6x6 matrix G(q) of the linearized phonon dynamics, q != 0."""
-        if q == 0.0:
+    def phonon_matrix(self, q) -> np.ndarray:
+        """Matrix G(q) = g0 + q g1 + q^2 g2 of the linearized phonon dynamics.
+
+        A scalar q gives one 6x6 matrix; a 1-D array of n momenta gives
+        the (n, 6, 6) stack.  q = 0 (anywhere in the array) raises
+        ValueError.
+        """
+        q = np.asarray(q, dtype=float)
+        if np.any(q == 0.0):
             raise ValueError("q = 0 is the polariton sector, not a phonon mode")
         if self._g_poly is None:
             mats = [self._phonon_matrix_at(self._terms_q[qr]) for qr in self._qref]
@@ -236,6 +236,7 @@ class ModelExpansion:
             coeffs = np.linalg.solve(vand, np.stack([m.ravel() for m in mats]))
             self._g_poly = [c.reshape(6, 6) for c in coeffs]
         g0, g1, g2 = self._g_poly
+        q = q[..., None, None]
         return g0 + q * g1 + q * q * g2
 
     # -- cubic sector ------------------------------------------------------

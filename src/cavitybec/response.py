@@ -17,11 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import ThermoParams, ConfigError, critical_coupling, momentum_grid
+from .params import ThermoParams, critical_coupling, momentum_grid
 from .meanfield import MeanField, solve_steady_state
 from .hamiltonian import ModelExpansion
-from .bogoliubov import ModeSet, diagonalize_symplectic, mirrored_modes
-from .coupling import vertex_coefficients, landau_beliaev_couplings
+from .bogoliubov import DiagonalizationError, ModeSet, diagonalize_symplectic
+from .coupling import soft_mode_couplings
+# not called here: perfbench/tracer.py wraps it under this module's name
+# and reports its call count, which the array-first path keeps at zero
+from .coupling import vertex_coefficients  # noqa: F401
 from .bath import BathSpectrum, build_bath_spectrum
 
 
@@ -32,25 +35,10 @@ class NumericsError(RuntimeError):
 _Z_CHUNK = 4096  # cap on len(z) * n_q intermediates when evaluating sums
 
 
-def _dos_weights(bath: BathSpectrum, p: ThermoParams, dos_mode: str):
-    if dos_mode == "3d":
-        return (bath.q * p.condensate_width) ** 2 / (2.0 * np.pi)
-    if dos_mode == "1d":
-        return np.ones_like(bath.q)
-    raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
-
-
 def self_energy(channel: str, z, bath: BathSpectrum, p: ThermoParams,
                 dos_mode: str = "3d"):
     """Evaluate Sigma^channel at real or complex z (scalar or array)."""
-    if channel == "landau":
-        g, n, om = bath.g_landau, bath.nl, bath.omega_l
-    elif channel == "beliaev":
-        g, n, om = bath.g_beliaev, bath.nb, bath.omega_b
-    else:
-        raise ConfigError(f"channel must be 'landau' or 'beliaev', got {channel!r}")
-    weights = (bath.degeneracy * _dos_weights(bath, p, dos_mode)
-               * np.abs(g) ** 2 * n ** 2 / p.atom_number)
+    weights, om = bath.pole_weights(channel, p, dos_mode)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(z_arr.shape, dtype=complex)
     step = max(1, _Z_CHUNK // max(1, len(om)))
@@ -122,8 +110,11 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
 
     Bands at -q are the complex conjugates of those at +q, so only the
     positive half of the momentum grid is diagonalized; each entry carries
-    degeneracy 2 in the bath sums.  Band labels are by ascending frequency
-    (the two lowest branches feed the Landau/Beliaev pairs).
+    degeneracy 2 in the bath sums.  The momentum stage is array-first: the
+    stack of all G(q) goes through one diagonalize_symplectic call, and
+    soft_mode_couplings contracts the soft-mode row of V with the stacked
+    eigenvectors for every q at once.  Band labels are by ascending
+    frequency (the two lowest branches feed the Landau/Beliaev pairs).
     """
     if mf is None:
         mf = solve_steady_state(p)
@@ -131,22 +122,20 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
     soft_index = 0  # photon-like branch sits near -Delta_C, far above
     omega_s = float(pol.frequencies[soft_index])
-    v_tensor, w_tensor = exp.interaction_tensors()
+    v_tensor, _ = exp.interaction_tensors()
 
     grid = momentum_grid(p)
     q_half = grid[grid > 0]
-    omega1 = np.empty_like(q_half)
-    omega2 = np.empty_like(q_half)
-    g_l = np.empty(len(q_half), dtype=complex)
-    g_b = np.empty(len(q_half), dtype=complex)
-    for i, q in enumerate(q_half):
-        ms = diagonalize_symplectic(exp.phonon_matrix(q), sector=f"phonon q={q:g}")
-        vs = vertex_coefficients(v_tensor, w_tensor, pol, ms,
-                                 mirrored_modes(ms), q)
-        g_l[i], g_b[i] = landau_beliaev_couplings(vs, soft_index)
-        omega1[i], omega2[i] = ms.frequencies[0], ms.frequencies[1]
+    try:
+        phonons = diagonalize_symplectic(exp.phonon_matrix(q_half),
+                                         sector="phonon")
+    except DiagonalizationError as exc:
+        raise DiagonalizationError(f"q = {q_half[exc.index]:g}: {exc}",
+                                   exc.index) from exc
+    g_l, g_b = soft_mode_couplings(v_tensor, pol, soft_index, phonons.right)
 
-    bath = build_bath_spectrum(q_half, omega1, omega2, g_l, g_b,
+    bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
+                               phonons.frequencies[:, 1], g_l, g_b,
                                p.temperature, p.phonon_damping)
     return Response(params=p, mf=mf, omega_s=omega_s, soft_index=soft_index,
                     polariton=pol, bath=bath, dos_mode=dos_mode)
@@ -228,13 +217,3 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(0.01,),
             })
     return records
 
-
-def spectral_scan(p: ThermoParams, y_values, omega_grid,
-                  dos_mode: str = "3d", workers: int | None = None):
-    """rho(omega) rows for each pump strength; long-format records."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    out = []
-    for y in y_values:
-        resp = build_response(p.with_pump(float(y)), dos_mode=dos_mode)
-        out.append((float(y), resp.spectral(omega_grid), resp))
-    return omega_grid, out

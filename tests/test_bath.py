@@ -65,3 +65,22 @@ def test_band_ordering_violation_is_detected():
         build_bath_spectrum(q, o2, o1, g, g, temperature=0.0, epsilon=0.01)
     with pytest.raises(BathConstructionError):
         build_bath_spectrum(q, -o1, o2, g, g, temperature=0.0, epsilon=0.01)
+
+
+def test_pole_weights_and_their_config_errors():
+    from cavitybec.params import default_params
+    p = default_params()
+    q, omega1, omega2, g = _toy_bands()
+    bath = build_bath_spectrum(q, omega1, omega2, g, 2.0 * g,
+                               temperature=0.0, epsilon=0.01)
+    w, om = bath.pole_weights("beliaev", p, "1d")
+    np.testing.assert_allclose(w, 2.0 * 0.04 * bath.nb ** 2 / p.atom_number,
+                               rtol=1e-14)
+    assert om is bath.omega_b
+    w3, _ = bath.pole_weights("beliaev", p, "3d")
+    np.testing.assert_allclose(
+        w3, w * (q * p.condensate_width) ** 2 / (2.0 * math.pi), rtol=1e-14)
+    with pytest.raises(ConfigError):
+        bath.pole_weights("cherenkov", p, "3d")
+    with pytest.raises(ConfigError):
+        bath.pole_weights("landau", p, "2d")

@@ -81,6 +81,49 @@ def test_instability_is_reported_not_normalized_away():
         diagonalize_symplectic(m, sector="synthetic")
 
 
+def test_stacked_diagonalization_matches_per_matrix():
+    # one batched eigensolve, same arithmetic per matrix: results are equal
+    for frac in (0.4, 1.2):
+        p = P.with_pump(frac * Y_CRIT)
+        exp = ModelExpansion(p, solve_steady_state(p))
+        q = np.concatenate([np.linspace(0.002, 0.5, 25), [-0.31]])
+        stack = diagonalize_symplectic(exp.phonon_matrix(q), sector="stack")
+        assert stack.frequencies.shape == (len(q), 3)
+        assert stack.right.shape == stack.left.shape == (len(q), 6, 3)
+        for i, qi in enumerate(q):
+            one = diagonalize_symplectic(exp.phonon_matrix(qi), sector="one")
+            np.testing.assert_array_equal(stack.frequencies[i], one.frequencies)
+            np.testing.assert_array_equal(stack.right[i], one.right)
+            np.testing.assert_array_equal(stack.left[i], one.left)
+            assert stack.zero_count == one.zero_count == 0
+    # polariton matrices keep their zero pair through the stack
+    fs = [ModelExpansion(pp, solve_steady_state(pp)).polariton_matrix()
+          for pp in (P.with_pump(0.3 * Y_CRIT), P.with_pump(1.3 * Y_CRIT))]
+    stack = diagonalize_symplectic(np.stack(fs), sector="polariton")
+    assert stack.zero_count == 2 and stack.frequencies.shape == (2, 2)
+    for f, freqs in zip(fs, stack.frequencies):
+        np.testing.assert_array_equal(
+            freqs, diagonalize_symplectic(f, sector="one").frequencies)
+
+
+def test_stack_failure_names_the_offending_matrix():
+    exp, _ = _modes(0.8, 0.2)
+    stack = exp.phonon_matrix(np.linspace(0.05, 0.45, 6))
+    bad = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]).astype(complex)
+    bad[0, 1], bad[1, 0] = 5.0, -5.0  # complex eigenvalue pair
+    stack[3] = bad
+    with pytest.raises(DiagonalizationError, match="stack index 3") as info:
+        diagonalize_symplectic(stack, sector="synthetic")
+    assert info.value.index == 3
+    assert "non-real spectrum" in str(info.value)
+    # a matrix with fewer positive modes (the polariton zero pair) than
+    # the first one of the stack
+    stack[3] = exp.polariton_matrix()
+    with pytest.raises(DiagonalizationError, match="stack index 3") as info:
+        diagonalize_symplectic(stack, sector="mixed")
+    assert info.value.index == 3 and "count differs" in str(info.value)
+
+
 def test_phonon_bands_are_continuous_and_ordered():
     p = P.with_pump(0.8 * Y_CRIT)
     mf = solve_steady_state(p)

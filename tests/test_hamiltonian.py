@@ -33,16 +33,25 @@ def test_phonon_matrix_polynomial_matches_direct_build():
     # the cached quadratic-in-q interpolation must agree with a from-scratch
     # construction of the monomial list at arbitrary q
     p, mf, exp = _expansion(1.15)
-    for q in (0.071, 0.29, 0.5):
+    qs = (0.071, 0.29, 0.5)
+    for q in qs:
         direct = exp._phonon_matrix_at(build_terms(p, mf.mu, q))
         np.testing.assert_allclose(exp.phonon_matrix(q), direct,
                                    rtol=0, atol=1e-10)
+    # an array of momenta gives the stack of the scalar evaluations
+    q_arr = np.array([*qs, -0.29])
+    stack = exp.phonon_matrix(q_arr)
+    assert stack.shape == (4, 6, 6)
+    np.testing.assert_array_equal(
+        stack, np.stack([exp.phonon_matrix(q) for q in q_arr]))
 
 
 def test_phonon_matrix_rejects_zero_momentum():
     _, _, exp = _expansion(0.4)
     with pytest.raises(ValueError):
         exp.phonon_matrix(0.0)
+    with pytest.raises(ValueError):
+        exp.phonon_matrix(np.array([0.1, 0.0, 0.2]))
 
 
 def test_free_particle_dispersion_without_interactions():

@@ -3,7 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cavitybec.params import critical_coupling, default_params
+from cavitybec.params import critical_coupling, default_params, momentum_grid
+from cavitybec.meanfield import solve_steady_state
+from cavitybec.hamiltonian import ModelExpansion
+from cavitybec.bogoliubov import diagonalize_symplectic, mirrored_modes
+from cavitybec.coupling import landau_beliaev_couplings, vertex_coefficients
 from cavitybec.bath import build_bath_spectrum
 from cavitybec.response import (
     NumericsError, build_response, self_energy, spectral_sum_rule,
@@ -120,3 +124,43 @@ def test_rates_scale_linearly_with_coupling_weights(resp):
     bm, bm2 = resp.born_markov(), resp2.born_markov()
     assert bm2.delta_b == pytest.approx(s * bm.delta_b, rel=1e-12)
     assert bm2.gamma_b == pytest.approx(s * bm.gamma_b, rel=1e-12)
+
+
+def _per_q_bath(p):
+    """Bands and couplings from one eigensolve and one full vertex set per
+    q: the reference for the array-first momentum stage."""
+    exp = ModelExpansion(p, solve_steady_state(p))
+    pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
+    v_t, w_t = exp.interaction_tensors()
+    grid = momentum_grid(p)
+    rows = []
+    for q in grid[grid > 0]:
+        ms = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon")
+        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms), q)
+        rows.append((ms.frequencies[0], ms.frequencies[1],
+                     *landau_beliaev_couplings(vs, soft_index=0)))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("site_count", [1001, 101])
+@pytest.mark.parametrize("frac", [0.3, 0.8, 1.2])
+def test_array_first_bath_matches_per_q_path(frac, site_count):
+    p = dataclasses.replace(
+        P, site_count=site_count,
+        atom_number=P.atom_number * site_count / P.site_count)
+    p = p.with_pump(frac * critical_coupling(p))
+    bath = build_response(p).bath
+    got = (bath.omega1, bath.omega2, bath.g_landau, bath.g_beliaev)
+    for new, old in zip(got, _per_q_bath(p)):
+        # relative to each table's scale: the smallest |gL| sits ~1e-4
+        # below the largest, where both summation orders lose digits
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+def test_empty_momentum_grid_gives_empty_bath():
+    # one site: no q != 0 on the grid, the soft mode is undamped
+    p = dataclasses.replace(P, site_count=1)
+    resp = build_response(p.with_pump(0.5 * critical_coupling(p)))
+    assert resp.bath.q.shape == resp.bath.g_beliaev.shape == (0,)
+    bm = resp.born_markov()
+    assert bm.gamma_b == bm.gamma_l == 0.0
