@@ -20,7 +20,7 @@ nu = eps — no marching scheme can cross a quasi-dense pole line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -282,7 +282,7 @@ def _newton_zero(inverse_green, z0, h: float, tol: float, max_iter: int):
 def _contour_residue(green, z0, radius: float, n: int = 64):
     theta = 2.0 * np.pi * np.arange(n) / n
     zs = z0 + radius * np.exp(1j * theta)
-    vals = np.array([complex(green(z)) for z in zs])
+    vals = np.asarray(green(zs), dtype=complex)
     return np.mean(vals * radius * np.exp(1j * theta))
 
 
@@ -316,15 +316,20 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
     return PoleSet(poles=poles, failed_seeds=tuple(failed))
 
 
-def companion_pole_candidates(resp: Response):
-    """All poles of the closed-form G as eigenvalues of one matrix.
+_ROW_CHUNK = 64  # root estimates per block: bounds the (block, m) temporaries
 
-    1/G(z) = z - omega_s - sum_q w_q/(z - omega_q) is the characteristic
-    function of the arrowhead matrix [[omega_s, v^T], [v, diag(omega_q)]]
-    with v_q = sqrt(w_q), so its zeros (= all dressed poles, polariton and
-    collective phonon alike) come out of a single dense eigensolve.  Used
-    to seed the Newton search; each candidate is then polished and verified
-    on 1/G itself.
+
+def companion_pole_candidates(resp: Response):
+    """All poles of the closed-form G as the zeros of its secular function.
+
+    1/G(z) = z - omega_s - sum_j w_j/(z - x_j), w_j > 0, is a secular
+    function: its m + 1 zeros (= all dressed poles, polariton and
+    collective phonon alike) are the eigenvalues of the arrowhead matrix
+    [[omega_s, v^T], [v, diag(x)]] with v = sqrt(w).  They are found
+    without forming that matrix, by a simultaneous Aberth-Ehrlich
+    iteration on the secular equation (Bini & Robol, J. Comput. Appl. Math.
+    272, 2014) in O(m^2) work.  Used to seed the Newton search; each
+    candidate is then polished and verified on 1/G itself.
     """
     freqs = []
     weights = []
@@ -333,15 +338,70 @@ def companion_pole_candidates(resp: Response):
         active = w > 0
         freqs.append(om[active])
         weights.append(w[active])
-    freqs = np.concatenate(freqs)
-    weights = np.concatenate(weights)
-    m = len(freqs) + 1
-    arrow = np.zeros((m, m), dtype=complex)
-    arrow[0, 0] = resp.omega_s
-    arrow[0, 1:] = np.sqrt(weights)
-    arrow[1:, 0] = np.sqrt(weights)
-    arrow[np.arange(1, m), np.arange(1, m)] = freqs
-    return np.linalg.eigvals(arrow)
+    return _secular_roots(resp.omega_s, np.concatenate(weights),
+                          np.concatenate(freqs))
+
+
+def _secular_roots(head, weights, freqs, max_iter: int = 100):
+    """All zeros of r(z) = z - head - sum_j weights[j]/(z - freqs[j]).
+
+    weights > 0.  k equal frequencies are first merged into one pole with
+    the summed weight, leaving k - 1 zeros exactly at that frequency.  The
+    remaining zeros start from first-order perturbative guesses and are
+    refined by Aberth-Ehrlich steps on the polynomial r(z) prod_j (z - x_j),
+    written in the form that stays finite where r vanishes; a zero is
+    frozen once its step falls below 1e-15 of its magnitude.  Raises
+    NumericsError if any zero is still moving after max_iter steps.
+    """
+    freqs, inverse, counts = np.unique(np.asarray(freqs, dtype=complex),
+                                       return_inverse=True, return_counts=True)
+    weights = np.bincount(inverse, weights=weights)
+    repeated = np.repeat(freqs, counts - 1)
+    m = len(freqs)
+
+    # first-order guesses: x_j + w_j / (x_j - head - sum_{k != j} w_k/(x_j - x_k))
+    # per bath pole, and the Born-Markov pole head + sum_j w_j/(head - x_j)
+    z = np.empty(m + 1, dtype=complex)
+    for lo in range(0, m, _ROW_CHUNK):
+        x = freqs[lo:lo + _ROW_CHUNK]
+        diff = x[:, None] - freqs
+        terms = np.divide(weights, diff, out=np.zeros_like(diff),
+                          where=diff != 0)
+        z[lo:lo + len(x)] = x + weights[lo:lo + len(x)] / (
+            x - head - terms.sum(axis=1))
+    z[m] = head + (weights / (head - freqs)).sum()
+
+    # a weight too small to move its zero off the pole in floating point
+    # leaves that zero at the pole, where r cannot be evaluated
+    active = np.ones(m + 1, dtype=bool)
+    active[:m] = z[:m] != freqs
+    for _ in range(max_iter):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        step = np.empty(rows.size, dtype=complex)
+        for lo in range(0, rows.size, _ROW_CHUNK):
+            block = rows[lo:lo + _ROW_CHUNK]
+            zb = z[block]
+            inv = 1.0 / (zb[:, None] - freqs)
+            terms = weights * inv
+            f = zb - head - terms.sum(axis=1)
+            df = 1.0 + (terms * inv).sum(axis=1)
+            # Newton step of the polynomial: f / (f' + f sum_j 1/(z - x_j))
+            newton = f / (df + f * inv.sum(axis=1))
+            gaps = zb[:, None] - z
+            gaps[np.arange(len(block)), block] = np.inf  # drops k = i
+            repulsion = (1.0 / gaps).sum(axis=1)
+            step[lo:lo + len(block)] = newton / (1.0 - newton * repulsion)
+        z[rows] -= step
+        # NaN steps stay active, so a breakdown ends in the error below
+        tol = 1e-15 * np.maximum(np.abs(z[rows]), 1.0)
+        active[rows] = ~(np.abs(step) <= tol)
+    if np.any(active):
+        raise NumericsError(
+            f"secular equation: {np.count_nonzero(active)} of {m + 1} zeros "
+            f"not converged after {max_iter} Aberth-Ehrlich steps")
+    return np.concatenate([z, repeated])
 
 
 def spectral_peak_seeds(omega, rho, n_peaks: int = 10):
@@ -380,8 +440,8 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_omega: int = 2048,
         rho = resp.spectral(grid)
         seeds = list(spectral_peak_seeds(grid, rho))
         # collective phonon poles hide in tight pole-zero dipoles on the
-        # bath line; the companion eigensolve locates them all, and the few
-        # most detached ones are handed to Newton for polish + residues
+        # bath line; the secular-equation solve locates them all, and the
+        # few most detached ones are handed to Newton for polish + residues
         cand = companion_pole_candidates(resp)
         cand = cand[(cand.real >= omega_window[0])
                     & (cand.real <= omega_window[1]) & (cand.imag < 0)]

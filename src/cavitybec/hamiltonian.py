@@ -249,19 +249,27 @@ class ModelExpansion:
         W[mu, alpha, beta] multiplies v_alpha w_beta(q) in the equation of
         w_mu(q).  Entries are independent of q.
         """
+        return self.v_tensor(), self.w_tensor()
+
+    def v_tensor(self) -> np.ndarray:
+        """V of interaction_tensors alone: all the damping pipeline needs."""
         v_tensor = np.empty((6, 6, 6), dtype=complex)
         for i, (_, dvar, sign) in enumerate(_POLARITON_ROWS):
             for a, ua in enumerate(_W_DAG_VARS):
                 for b, ub in enumerate(_W_VARS):
                     v_tensor[i, a, b] = 0.5 * self._root_n * sign * _derivative_value(
                         self._terms0, (dvar, ua, ub), self._point)
+        return v_tensor
+
+    def w_tensor(self) -> np.ndarray:
+        """W of interaction_tensors alone."""
         w_tensor = np.empty((6, 6, 6), dtype=complex)
         for i, (_, dvar, sign) in enumerate(_PHONON_ROWS):
             for a, va in enumerate(_V_VARS):
                 for b, wb in enumerate(_W_VARS):
                     w_tensor[i, a, b] = self._root_n * sign * _derivative_value(
                         self._terms0, (dvar, va, wb), self._point)
-        return v_tensor, w_tensor
+        return w_tensor
 
     # -- diagnostics -------------------------------------------------------
 

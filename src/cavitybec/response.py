@@ -122,7 +122,7 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
     soft_index = 0  # photon-like branch sits near -Delta_C, far above
     omega_s = float(pol.frequencies[soft_index])
-    v_tensor, _ = exp.interaction_tensors()
+    v_tensor = exp.v_tensor()
 
     grid = momentum_grid(p)
     q_half = grid[grid > 0]

@@ -21,20 +21,10 @@ from cavitybec.coupling import (vertex_coefficients, vertex_duality_residuals,
 from cavitybec.fockcheck import oracle_residuals
 from cavitybec.response import build_response, damping_sweep, spectral_sum_rule
 from cavitybec.continuation import pole_sweep, reconstruct_meromorphic
+from cavitybec.verify import _random_params
 
 P = default_params()
 Y_CRIT = critical_coupling(P)
-
-
-def _random_params(rng):
-    while True:
-        p = default_params(
-            cavity_detuning=-float(rng.uniform(2.0, 2000.0)),
-            u=float(rng.uniform(0.0, 5.0)),
-            g_coll=float(rng.uniform(0.0, 0.5)),
-        )
-        if -p.cavity_detuning + 2.0 * p.u > 0.5:
-            return p
 
 
 # -- 1 ---------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from cavitybec.continuation import (
-    MeromorphicModel, cauchy_riemann_residual, companion_pole_candidates,
-    continue_green, find_poles, march_cauchy_riemann, pole_sweep,
-    reconstruct_meromorphic, smooth_spectral, spectral_peak_seeds,
+    MeromorphicModel, _secular_roots, cauchy_riemann_residual,
+    companion_pole_candidates, continue_green, find_poles,
+    march_cauchy_riemann, pole_sweep, reconstruct_meromorphic,
+    smooth_spectral, spectral_peak_seeds,
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.response import NumericsError, build_response
@@ -132,3 +135,93 @@ def test_companion_candidates_match_newton_roots():
     seeds = sorted(cand, key=lambda z: z.real)
     for z, s in zip(found, seeds):
         assert z == pytest.approx(s, abs=1e-6)
+
+
+def _arrowhead_eigvals(head, weights, freqs):
+    """Dense oracle: eigenvalues of [[head, v^T], [v, diag(freqs)]],
+    v = sqrt(weights), and the largest |entry| as the scale."""
+    m = len(freqs) + 1
+    arrow = np.zeros((m, m), dtype=complex)
+    arrow[0, 0] = head
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(weights)
+    arrow[np.arange(1, m), np.arange(1, m)] = freqs
+    return np.linalg.eigvals(arrow), np.max(np.abs(arrow))
+
+
+def _matched_deviation(roots, oracle):
+    cost = np.abs(roots[:, None] - oracle[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("site_count, eps, temperature, dos_mode, frac", [
+    (1001, 0.001, 0.0, "3d", 0.78),   # normal phase
+    (1001, 0.03, 0.0, "3d", 1.3),     # ordered phase
+    (101, 0.01, 0.05, "1d", 0.78),    # Landau channel open
+    (101, 0.01, 0.05, "1d", 0.95),    # r(z) rounds to exactly 0 on a step
+])
+def test_secular_roots_match_dense_arrowhead_eigenvalues(
+        site_count, eps, temperature, dos_mode, frac):
+    base = default_params()
+    p = default_params(site_count=site_count,
+                       atom_number=base.atom_number * site_count / base.site_count,
+                       phonon_damping=eps, temperature=temperature)
+    resp = build_response(p.with_pump(frac * critical_coupling(p)),
+                          dos_mode=dos_mode)
+    weights, freqs = [], []
+    for channel in ("landau", "beliaev"):
+        w, om = resp.bath.pole_weights(channel, resp.params, dos_mode)
+        weights.append(w[w > 0])
+        freqs.append(om[w > 0])
+    oracle, scale = _arrowhead_eigvals(resp.omega_s, np.concatenate(weights),
+                                       np.concatenate(freqs))
+    roots = companion_pole_candidates(resp)
+    assert roots.shape == oracle.shape
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+
+
+def test_secular_roots_deflate_coincident_frequencies():
+    freqs = np.array([0.5, 0.8, 0.8, 1.2]) - 0.01j
+    weights = np.array([0.01, 0.02, 0.03, 0.01])
+    roots = _secular_roots(1.0, weights, freqs)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    assert roots.shape == oracle.shape
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+    assert np.count_nonzero(roots == freqs[1]) == 1
+
+
+def test_secular_roots_step_through_an_exact_zero_of_r():
+    # symmetric bath: the head's first guess z = 1 gives r(z) = 0 exactly,
+    # where the naive Newton form 1/(r'/r + ...) divides by zero
+    freqs = np.array([0.75, 1.25], dtype=complex)
+    weights = np.array([0.02, 0.02])
+    roots = _secular_roots(1.0, weights, freqs)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    assert np.all(np.isfinite(roots))
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+
+
+def test_secular_roots_keep_zeros_that_round_onto_their_pole():
+    # weight 1e-20 moves its zero by far less than one ulp of the pole, so
+    # the zero sits on the pole, where r itself cannot be evaluated
+    freqs = np.array([0.5, 0.8, 1.2]) - 0.01j
+    weights = np.array([0.01, 1e-20, 0.01])
+    roots = _secular_roots(1.0, weights, freqs)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+
+
+def test_secular_roots_of_one_pole_bath_are_the_quadratic_roots():
+    # (z - h)(z - x) = w
+    head, weight, freq = 0.9, 0.04, 1.0 - 0.02j
+    disc = np.sqrt((head - freq) ** 2 + 4.0 * weight + 0j)
+    exact = np.array([(head + freq + disc) / 2, (head + freq - disc) / 2])
+    roots = _secular_roots(head, np.array([weight]), np.array([freq]))
+    assert _matched_deviation(roots, exact) <= 1e-14
+
+
+def test_secular_roots_raise_when_the_step_cap_is_exhausted():
+    freqs = np.linspace(0.5, 1.5, 50) - 0.01j
+    weights = np.full(50, 0.01)
+    with pytest.raises(NumericsError, match="not converged after 1 "):
+        _secular_roots(1.0, weights, freqs, max_iter=1)
