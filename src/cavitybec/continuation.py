@@ -26,7 +26,7 @@ import numpy as np
 import scipy.optimize
 
 from .params import ConfigError
-from .response import NumericsError, Response
+from .response import NumericsError, Response, pole_sum
 
 
 # -- branch-point smoothing ------------------------------------------------
@@ -72,15 +72,11 @@ class MeromorphicModel:
 
     def inverse_green(self, z):
         z = np.asarray(z, dtype=complex)
-        out = z - self.c0
         # points exactly on a comb node are poles of 1/G; let them evaluate
-        # to inf without runtime warnings
+        # to non-finite values without runtime warnings
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, len(self.centers), 256):
-                out = out - (self.weights[i:i + 256]
-                             / (z[..., None] - self.centers[i:i + 256]
-                                + 1j * self.eps)).sum(axis=-1)
-        return out
+            return z - self.c0 - pole_sum(z, self.weights, self.centers,
+                                          self.eps)
 
     def green(self, z):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -108,8 +104,7 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
     weights, resid = scipy.optimize.nnls(design, im)
     keep = weights > 0
     centers, weights = centers[keep], weights[keep]
-    re_sum = (weights[None, :] * (omega[:, None] - centers[None, :])
-              / ((omega[:, None] - centers[None, :]) ** 2 + eps ** 2)).sum(axis=1)
+    re_sum = pole_sum(omega, weights, centers, eps).real
     c0 = float(np.mean(omega - np.real(r) - re_sum))
     return MeromorphicModel(c0=c0, centers=centers, weights=weights,
                             eps=eps, fit_residual=float(resid))
@@ -331,15 +326,9 @@ def companion_pole_candidates(resp: Response):
     272, 2014) in O(m^2) work.  Used to seed the Newton search; each
     candidate is then polished and verified on 1/G itself.
     """
-    freqs = []
-    weights = []
-    for channel in ("landau", "beliaev"):
-        w, om = resp.bath.pole_weights(channel, resp.params, resp.dos_mode)
-        active = w > 0
-        freqs.append(om[active])
-        weights.append(w[active])
-    return _secular_roots(resp.omega_s, np.concatenate(weights),
-                          np.concatenate(freqs))
+    weights, centers = resp.active_poles
+    return _secular_roots(resp.omega_s, weights,
+                          centers - 1j * resp.bath.epsilon)
 
 
 def _secular_roots(head, weights, freqs, max_iter: int = 100):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,25 +33,50 @@ class NumericsError(RuntimeError):
     """Numerical failure outside root finding (pole collisions, instability)."""
 
 
-_Z_CHUNK = 4096  # cap on len(z) * n_q intermediates when evaluating sums
+_Z_CHUNK = 64  # rows of z per block: bounds the (block, n_poles) buffers
+
+
+def pole_sum(z, weights, centers, eps: float):
+    """sum_j weights[j] / (z - centers[j] + i eps) for real weights and centers.
+
+    With a = Re z - x_j and b = Im z + eps (the same for every pole), each
+    term is w_j (a - i b) / (a^2 + b^2): one real reciprocal per term, and
+    the two sums are matrix-vector products against the weights.  z is
+    scalar or any array; the result has its shape.  At eps = 0 a z on a
+    center is a pole collision and raises NumericsError.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    weights = np.asarray(weights, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    out = np.empty(flat.shape, dtype=complex)
+    rows = min(_Z_CHUNK, flat.size)
+    a = np.empty((rows, centers.size))
+    inv = np.empty((rows, centers.size))
+    for lo in range(0, flat.size, _Z_CHUNK):
+        zb = flat[lo:lo + _Z_CHUNK]
+        ab, ib = a[:zb.size], inv[:zb.size]
+        b = zb.imag + eps
+        np.subtract(zb.real[:, None], centers, out=ab)
+        np.multiply(ab, ab, out=ib)
+        ib += (b * b)[:, None]
+        if eps == 0.0 and np.any(ib < 1e-24):
+            raise NumericsError(
+                "pole sum evaluated on a pole with epsilon = 0")
+        np.divide(1.0, ib, out=ib)
+        ab *= ib
+        out.real[lo:lo + zb.size] = ab @ weights
+        out.imag[lo:lo + zb.size] = -b * (ib @ weights)
+    return out.reshape(z.shape)
 
 
 def self_energy(channel: str, z, bath: BathSpectrum, p: ThermoParams,
                 dos_mode: str = "3d"):
     """Evaluate Sigma^channel at real or complex z (scalar or array)."""
     weights, om = bath.pole_weights(channel, p, dos_mode)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(z_arr.shape, dtype=complex)
-    step = max(1, _Z_CHUNK // max(1, len(om)))
-    for i in range(0, len(z_arr), step):
-        denom = z_arr[i:i + step, None] - om[None, :]
-        if bath.epsilon == 0.0:
-            hit = np.abs(denom) < 1e-12
-            if np.any(hit):
-                raise NumericsError(
-                    "self-energy evaluated on a bath frequency with epsilon = 0")
-        out[i:i + step] = (weights[None, :] / denom).sum(axis=1)
-    return out if np.ndim(z) else complex(out[0])
+    # every bath pole sits at Im = -epsilon (build_bath_spectrum)
+    out = pole_sum(z, weights, om.real, bath.epsilon)
+    return out if np.ndim(z) else complex(out)
 
 
 @dataclass(frozen=True)
@@ -84,9 +110,26 @@ class Response:
     def self_energy(self, channel, z):
         return self_energy(channel, z, self.bath, self.params, self.dos_mode)
 
+    @cached_property
+    def active_poles(self):
+        """(weights, centers) of both channels' poles with weight > 0.
+
+        Sigma^L(z) + Sigma^B(z) = sum_j weights[j] / (z - centers[j] + i eps);
+        zero-weight poles (the whole Landau channel at T = 0) are dropped.
+        Built once per Response; dataclasses.replace makes a new one.
+        """
+        weights, centers = [], []
+        for channel in ("landau", "beliaev"):
+            w, om = self.bath.pole_weights(channel, self.params, self.dos_mode)
+            active = w > 0
+            weights.append(w[active])
+            centers.append(om.real[active])
+        return np.concatenate(weights), np.concatenate(centers)
+
     def inverse_green(self, z):
-        return (np.asarray(z, dtype=complex) - self.omega_s
-                - self.self_energy("landau", z) - self.self_energy("beliaev", z))
+        z = np.asarray(z, dtype=complex)
+        return z - self.omega_s - pole_sum(z, *self.active_poles,
+                                           self.bath.epsilon)
 
     def green(self, z):
         return 1.0 / self.inverse_green(z)
@@ -147,8 +190,13 @@ def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,
 
     Should come out 1 (the equal-time commutator); the grid spans the
     support with margin `halfwidth` and resolves the Lorentzian scale
-    epsilon.
+    epsilon.  At epsilon = 0 the bath poles are delta peaks that no
+    trapezoid resolves, so NumericsError is raised before any grid is built.
     """
+    if resp.bath.epsilon == 0.0:
+        raise NumericsError(
+            "spectral sum rule needs epsilon > 0: the delta peaks of an "
+            "undamped bath cannot be integrated on a grid")
     eps = max(resp.bath.epsilon, 1e-4)
     if step is None:
         step = eps / 5.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ def _toy_model(eps=0.01):
     weights = np.full(400, 2e-5)
     return MeromorphicModel(c0=1.0, centers=centers, weights=weights,
                             eps=eps, fit_residual=0.0)
+
+
+def test_comb_node_evaluates_without_runtime_warning():
+    model = _toy_model()
+    zs = np.array([model.centers[7] - 1j * model.eps, 0.9 - 0.004j,
+                   1.3 + 0.02j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = model.inverse_green(zs)
+        g = model.green(zs)
+    # the node is a pole of 1/G; the other points are the direct sum
+    assert not np.isfinite(inv[0]) and not np.isfinite(g[0])
+    terms = model.weights / (zs[1:, None] - model.centers + 1j * model.eps)
+    direct = zs[1:] - model.c0 - terms.sum(axis=1)
+    assert np.all(np.abs(inv[1:] - direct)
+                  <= 1e-13 * (np.abs(zs[1:]) + model.c0
+                              + np.abs(terms).sum(axis=1)))
 
 
 def test_reconstruction_recovers_synthetic_meromorphic_function():

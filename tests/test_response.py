@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cavitybec.params import critical_coupling, default_params, momentum_grid
 from cavitybec.meanfield import solve_steady_state
@@ -10,7 +12,8 @@ from cavitybec.bogoliubov import diagonalize_symplectic, mirrored_modes
 from cavitybec.coupling import landau_beliaev_couplings, vertex_coefficients
 from cavitybec.bath import build_bath_spectrum
 from cavitybec.response import (
-    NumericsError, build_response, self_energy, spectral_sum_rule,
+    NumericsError, Response, build_response, pole_sum, self_energy,
+    spectral_sum_rule,
 )
 
 P = default_params()
@@ -164,3 +167,123 @@ def test_empty_momentum_grid_gives_empty_bath():
     assert resp.bath.q.shape == resp.bath.g_beliaev.shape == (0,)
     bm = resp.born_markov()
     assert bm.gamma_b == bm.gamma_l == 0.0
+
+
+def _two_channel_reference(resp, z):
+    """z - omega_s - Sigma^L - Sigma^B by explicit complex division over
+    every bath pole, and the per-point scale |z| + |omega_s| + sum |term|."""
+    z = np.asarray(z, dtype=complex)
+    out = z - resp.omega_s
+    scale = np.abs(z) + abs(resp.omega_s)
+    for channel in ("landau", "beliaev"):
+        w, om = resp.bath.pole_weights(channel, resp.params, resp.dos_mode)
+        terms = w / (z[:, None] - om)
+        out = out - terms.sum(axis=1)
+        scale = scale + np.abs(terms).sum(axis=1)
+    return out, scale
+
+
+# the real axis, above it, between it and the pole line Im z = -eps = -0.01,
+# and below that line
+_PROBES = np.concatenate([np.linspace(-1.0, 4.0, 1001),
+                          np.linspace(0.2, 2.5, 300) + 0.02j,
+                          np.linspace(0.2, 2.5, 300) - 0.004j,
+                          np.linspace(0.2, 2.5, 300) - 0.05j])
+
+
+@pytest.fixture(scope="module")
+def small_params():
+    p = dataclasses.replace(P, site_count=101,
+                            atom_number=P.atom_number * 101 / P.site_count)
+    return p.with_pump(0.78 * critical_coupling(p))
+
+
+@pytest.mark.parametrize("dos_mode", ["1d", "3d"])
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+def test_inverse_green_matches_two_channel_reference(small_params,
+                                                     temperature, dos_mode):
+    p = dataclasses.replace(small_params, temperature=temperature)
+    resp = build_response(p, dos_mode=dos_mode)
+    ref, scale = _two_channel_reference(resp, _PROBES)
+    assert np.all(np.abs(resp.inverse_green(_PROBES) - ref) <= 1e-13 * scale)
+    for k in (5, 1500):  # scalar z, as the Newton pole search passes it
+        got = resp.inverse_green(_PROBES[k])
+        assert np.ndim(got) == 0
+        assert abs(got - ref[k]) <= 1e-13 * scale[k]
+
+
+def test_zero_temperature_table_drops_the_landau_poles(resp):
+    weights, centers = resp.active_poles
+    w_b, om_b = resp.bath.pole_weights("beliaev", resp.params, resp.dos_mode)
+    assert np.all(weights > 0)
+    assert np.array_equal(centers, om_b.real[w_b > 0])
+    assert resp.born_markov().gamma_l == 0.0
+
+
+def test_replaced_bath_rebuilds_the_pole_table(resp):
+    # the path _sweep_point takes: one Response, then replace(bath=...)
+    before = resp.inverse_green(_PROBES)
+    b = resp.bath
+    other = build_bath_spectrum(b.q, b.omega1, b.omega2, 1.5 * b.g_landau,
+                                1.5 * b.g_beliaev, 0.05, 0.03)
+    resp2 = dataclasses.replace(resp, bath=other)
+    ref, scale = _two_channel_reference(resp2, _PROBES)
+    assert np.all(np.abs(resp2.inverse_green(_PROBES) - ref) <= 1e-13 * scale)
+    assert np.array_equal(resp.inverse_green(_PROBES), before)
+    assert len(resp2.active_poles[0]) > len(resp.active_poles[0])
+
+
+def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
+                                                              monkeypatch):
+    def no_scan(self, omega_grid):
+        raise AssertionError("spectral scanned at epsilon = 0")
+
+    b = resp.bath
+    undamped = dataclasses.replace(resp, bath=build_bath_spectrum(
+        b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, 0.0))
+    monkeypatch.setattr(Response, "spectral", no_scan)
+    with pytest.raises(NumericsError, match="epsilon > 0"):
+        spectral_sum_rule(undamped)
+
+
+@st.composite
+def _pole_sums(draw):
+    """(weights >= 0, centers, eps, z) with z off the pole line Im = -eps,
+    in both half-planes; more z than one block of rows."""
+    n = draw(st.integers(0, 40))
+    weights = draw(arrays(float, n, elements=st.floats(0.0, 10.0)))
+    centers = draw(arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    eps = draw(st.floats(0.0, 1.0))
+    m = draw(st.integers(1, 150))
+    re = draw(arrays(float, m, elements=st.floats(-6.0, 6.0)))
+    depth = draw(arrays(float, m, elements=st.floats(1e-3, 5.0)))
+    side = draw(arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
+    return weights, centers, eps, re + 1j * (side * depth - eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pole_sums())
+@example(case=(np.array([]), np.array([]), 0.01, np.array([0.5 + 0.1j])))
+@example(case=(np.array([0.3]), np.array([1.0]), 0.0,
+               np.array([1.0 + 0.2j, 1.0 - 0.2j, 3.0 + 0.0j])))
+def test_pole_sum_matches_direct_complex_sum(case):
+    weights, centers, eps, z = case
+    terms = weights / (z[:, None] - centers + 1j * eps)
+    direct, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    got = pole_sum(z, weights, centers, eps)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - direct) <= 1e-13 * scale)
+    scalar = pole_sum(z[0], weights, centers, eps)
+    assert np.ndim(scalar) == 0
+    assert abs(scalar - direct[0]) <= 1e-13 * scale[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(centers=arrays(float, st.integers(1, 20),
+                      elements=st.floats(-5.0, 5.0)),
+       data=st.data())
+def test_pole_sum_reports_a_collision_at_zero_epsilon(centers, data):
+    k = data.draw(st.integers(0, len(centers) - 1))
+    z = np.array([centers[0] + 0.5j, centers[k], 7.0])
+    with pytest.raises(NumericsError):
+        pole_sum(z, np.ones_like(centers), centers, 0.0)
