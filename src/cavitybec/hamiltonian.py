@@ -9,6 +9,19 @@ This module builds the Hamiltonian as an explicit monomial list and reads
 those coefficients off by exact polynomial differentiation, so no term is
 ever derived by hand.
 
+The quasi-momentum q stays symbolic: each monomial carries its coefficient
+as the q-power triple (c0, c1, c2) of c0 + c1 q + c2 q^2 (q^2 in the kinetic
+energies, 2 i q in the c-s coupling).  The monomial structure does not
+depend on any parameter, so the differentiation is done once per process:
+a table lists, for every entry of F, G, V, W and the mean-field residual,
+the monomials that survive the entry's derivatives, each with its
+multiplicity factor, row sign and leftover variables.  Pairs whose leftover
+variables include a fluctuation slot vanish at the mean field and are
+pruned.  A ModelExpansion then evaluates each entry as the sum over its
+pairs of coefficient x factor x product of the mean-field point over the
+leftover variables, one array reduction per q power; G(q) comes out as the
+exact polynomial g0 + q g1 + q^2 g2.
+
 Variable layout (annihilation amplitude, conjugate) per slot pair::
 
     0,1: a     2,3: b_0   4,5: c_0   6,7: s_0
@@ -22,12 +35,17 @@ vector at quasi-momentum q is (b_q, b+_{-q}, c_q, c+_{-q}, s_q, s+_{-q}).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from .params import ThermoParams
+from .params import ThermoParams, default_params
 
 NVARS = 20
+# slots 0..5 carry the condensate amplitudes; the mean-field point is zero
+# on every slot from here on
+_N_CONDENSATE = 6
 
 # (band, momentum label) -> annihilation variable index; conjugate is +1
 _VAR = {
@@ -38,6 +56,7 @@ _VAR = {
     ("s", +1): 16, ("s", -1): 18,
 }
 
+# momentum label n stands for the quasi-momentum n q
 _MOM_LABELS = (0, +1, -1)
 
 # s-wave collision channels: (band1+, band2+, band3, band4, weight)
@@ -92,40 +111,40 @@ _MOMENTUM_COMBOS = tuple(
     if n3 + n4 - n1 - n2 == 0)
 
 
-def build_terms(p: ThermoParams, mu: float, q: float):
+def build_terms(p: ThermoParams, mu: float):
     """Monomial list of the grand-canonical Hamiltonian restricted to
-    momenta {0, +q, -q}.
+    momenta {0, +q, -q}, with q symbolic.
 
-    Returns a list of (coeff, vars) where vars is a tuple of variable
-    indices with repetition.  Microscopic couplings are reconstructed from
-    the thermodynamic ones at the stored atom number; every extracted
-    matrix element is independent of that choice.
+    Returns a list of (coeffs, vars): vars is a tuple of variable indices
+    with repetition, coeffs the q-power triple (c0, c1, c2) of the
+    coefficient c0 + c1 q + c2 q^2.  Every term is listed whatever its
+    coefficient, so the list has the same structure for every parameter
+    set.  Microscopic couplings are reconstructed from the thermodynamic
+    ones at the stored atom number; every extracted matrix element is
+    independent of that choice.
     """
     n_atoms = float(p.atom_number)
-    box_length = 2.0 * math.pi * p.site_count
     eta = p.y / math.sqrt(2.0 * n_atoms)
     u0 = 4.0 * p.u / n_atoms
     g_half = p.g_coll / (2.0 * n_atoms)  # g / (2L) with g = g_coll * L / N_c
 
     terms = []
 
-    def add(coeff, *vars_):
-        if coeff != 0.0:
-            terms.append((complex(coeff), tuple(vars_)))
+    def add(c0, *vars_, c1=0.0, c2=0.0):
+        terms.append(((complex(c0), complex(c1), complex(c2)), vars_))
 
     # photon energy
     add(-p.cavity_detuning, 1, 0)
 
-    momenta = {0: 0.0, +1: q, -1: -q}
     for lab in _MOM_LABELS:
-        qv = momenta[lab]
         b, c, s = _VAR[("b", lab)], _VAR[("c", lab)], _VAR[("s", lab)]
-        add(qv * qv - mu, b + 1, b)
-        add(1.0 + qv * qv - mu, c + 1, c)
-        add(1.0 + qv * qv - mu, s + 1, s)
-        # kinetic c-s coupling i q k / m = 2 i q
-        add(2.0j * qv, s + 1, c)
-        add(-2.0j * qv, c + 1, s)
+        # kinetic energy (lab q)^2
+        add(-mu, b + 1, b, c2=lab * lab)
+        add(1.0 - mu, c + 1, c, c2=lab * lab)
+        add(1.0 - mu, s + 1, s, c2=lab * lab)
+        # kinetic c-s coupling i (lab q) k / m = 2 i lab q
+        add(0.0, s + 1, c, c1=2.0j * lab)
+        add(0.0, c + 1, s, c1=-2.0j * lab)
         # pump: (sqrt2/2) eta (a+ + a)(b+ c + c+ b)
         for photon in (0, 1):
             add(math.sqrt(2.0) / 2.0 * eta, photon, b + 1, c)
@@ -144,34 +163,109 @@ def build_terms(p: ThermoParams, mu: float, q: float):
     return terms
 
 
-def _derivative_value(terms, dvars, point):
-    """Evaluate a mixed partial derivative of the monomial list at a point.
+# -- derivative table, compiled once ------------------------------------------
 
-    dvars is a sequence of distinct variable indices (each differentiated
-    once); repeated variables inside a monomial contribute their
-    multiplicity factor.
+def _entry_derivatives(rows, *slots):
+    """(derivative variables, row sign) of every entry of a block, in C
+    order: the row's dK-derivative variable, then one variable per
+    further axis."""
+    derivs = [((dvar,), sign) for _, dvar, sign in rows]
+    for axis in slots:
+        derivs = [(dvars + (v,), sign) for dvars, sign in derivs for v in axis]
+    return derivs
+
+
+# block name -> (shape, derivatives of each entry in C order)
+_BLOCKS = {
+    "F": ((6, 6), _entry_derivatives(
+        _POLARITON_ROWS, [c for c, _, _ in _POLARITON_ROWS])),
+    "G": ((6, 6), _entry_derivatives(
+        _PHONON_ROWS, [c for c, _, _ in _PHONON_ROWS])),
+    "V": ((6, 6, 6), _entry_derivatives(_POLARITON_ROWS, _W_DAG_VARS,
+                                        _W_VARS)),
+    "W": ((6, 6, 6), _entry_derivatives(_PHONON_ROWS, _V_VARS, _W_VARS)),
+    "residual": ((3,), _entry_derivatives(_POLARITON_ROWS[::2])),
+}
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Surviving (entry, monomial) pairs of one matrix or tensor.
+
+    leftover[k] lists the variables left after differentiating, in the
+    monomial's order, padded with NVARS (a slot whose point value is 1).
     """
-    total = 0.0 + 0.0j
-    for coeff, vars_ in terms:
-        remaining = list(vars_)
-        factor = 1.0
-        ok = True
-        for dv in dvars:
-            cnt = remaining.count(dv)
-            if cnt == 0:
-                ok = False
-                break
-            factor *= cnt
-            remaining.remove(dv)
-        if not ok:
-            continue
-        val = coeff * factor
-        for v in remaining:
-            val *= point[v]
-            if val == 0.0:
-                break
-        total += val
-    return total
+
+    shape: tuple
+    entry: np.ndarray     # flat entry index, ascending
+    term: np.ndarray      # monomial index, ascending within an entry
+    factor: np.ndarray    # multiplicity x row sign
+    leftover: np.ndarray  # (pairs, max leftover count)
+
+
+def _compile_block(shape, derivs, monomials) -> _Block:
+    """Differentiate every monomial by every entry's variables; keep the
+    pairs whose leftover variables all sit on condensate slots."""
+    by_var = {}
+    for t, vars_ in enumerate(monomials):
+        for v in set(vars_):
+            by_var.setdefault(v, []).append(t)
+    entry, term, factor, leftover = [], [], [], []
+    for e, (dvars, sign) in enumerate(derivs):
+        for t in by_var.get(dvars[0], ()):
+            remaining = list(monomials[t])
+            mult = 1
+            for dv in dvars:
+                cnt = remaining.count(dv)
+                if cnt == 0:
+                    break
+                mult *= cnt
+                remaining.remove(dv)
+            else:
+                if all(v < _N_CONDENSATE for v in remaining):
+                    entry.append(e)
+                    term.append(t)
+                    factor.append(sign * mult)
+                    leftover.append(remaining)
+    width = max(map(len, leftover), default=0)
+    padded = np.full((len(leftover), width), NVARS, dtype=np.intp)
+    for k, rest in enumerate(leftover):
+        padded[k, :len(rest)] = rest
+    return _Block(shape=shape, entry=np.array(entry, dtype=np.intp),
+                  term=np.array(term, dtype=np.intp),
+                  factor=np.array(factor, dtype=float), leftover=padded)
+
+
+@cache
+def _compiled_table() -> tuple[tuple, dict[str, _Block]]:
+    """(monomials, derivative table of every block), compiled once.
+
+    Only the monomials' variables are read.  build_terms lists every
+    monomial whatever its coefficient, so its structure at the default
+    parameters is its structure everywhere; ModelExpansion checks that on
+    every term list it evaluates.
+    """
+    monomials = tuple(vars_ for _, vars_ in build_terms(default_params(), 0.0))
+    return monomials, {name: _compile_block(shape, derivs, monomials)
+                       for name, (shape, derivs) in _BLOCKS.items()}
+
+
+def _reduce(block: _Block, coeffs: np.ndarray,
+            point: np.ndarray) -> np.ndarray:
+    """Entries of one block per q power, shaped (coeffs.shape[1], *shape).
+
+    Each entry is sum over its pairs of coeff x factor x prod point[leftover],
+    accumulated in monomial order.
+    """
+    vals = coeffs[block.term] * block.factor[:, None]
+    for var in block.leftover.T:
+        vals = vals * point[var][:, None]
+    size = math.prod(block.shape)
+    out = np.empty((vals.shape[1], size), dtype=complex)
+    for k, col in enumerate(vals.T):
+        out[k].real = np.bincount(block.entry, col.real, minlength=size)
+        out[k].imag = np.bincount(block.entry, col.imag, minlength=size)
+    return out.reshape((vals.shape[1],) + block.shape)
 
 
 class ModelExpansion:
@@ -188,37 +282,36 @@ class ModelExpansion:
         self.mf = mf
         root_n = math.sqrt(float(p.atom_number))
         self._root_n = root_n
-        point = np.zeros(NVARS, dtype=complex)
+        # one extra slot holding 1 pads the leftover lists of the table
+        point = np.zeros(NVARS + 1, dtype=complex)
         point[0] = root_n * mf.alpha
         point[1] = root_n * np.conj(mf.alpha)
         point[2] = root_n * mf.beta
         point[3] = root_n * np.conj(mf.beta)
         point[4] = root_n * mf.gamma
         point[5] = root_n * np.conj(mf.gamma)
+        point[NVARS] = 1.0
         self._point = point
-        # q only enters quadratically; any three reference values pin G(q)
-        self._qref = (0.11, 0.23, 0.37)
-        self._terms_q = {qr: build_terms(p, mf.mu, qr) for qr in self._qref}
-        self._terms0 = self._terms_q[self._qref[0]]
-        self._g_poly = None
+        terms = build_terms(p, mf.mu)
+        monomials, self._table = _compiled_table()
+        if tuple(vars_ for _, vars_ in terms) != monomials:
+            raise RuntimeError("build_terms listed other monomials than the "
+                               "derivative table was compiled from")
+        self._coeffs = np.array([c for c, _ in terms], dtype=complex)
+
+    def _q0(self, name: str) -> np.ndarray:
+        # F, V, W and the residual involve no q-dependent monomial
+        return _reduce(self._table[name], self._coeffs[:, :1], self._point)[0]
 
     # -- linear sector -----------------------------------------------------
 
     def polariton_matrix(self) -> np.ndarray:
         """6x6 matrix F of the linearized (a, b0, c0) fluctuation dynamics."""
-        f = np.empty((6, 6), dtype=complex)
-        for i, (_, dvar, sign) in enumerate(_POLARITON_ROWS):
-            for j, (compvar, _, _) in enumerate(_POLARITON_ROWS):
-                f[i, j] = sign * _derivative_value(
-                    self._terms0, (dvar, compvar), self._point)
-        return f
+        return self._q0("F")
 
-    def _phonon_matrix_at(self, terms) -> np.ndarray:
-        g = np.empty((6, 6), dtype=complex)
-        for i, (_, dvar, sign) in enumerate(_PHONON_ROWS):
-            for j, (compvar, _, _) in enumerate(_PHONON_ROWS):
-                g[i, j] = sign * _derivative_value(terms, (dvar, compvar), self._point)
-        return g
+    @cached_property
+    def _g_poly(self) -> np.ndarray:
+        return _reduce(self._table["G"], self._coeffs, self._point)
 
     def phonon_matrix(self, q) -> np.ndarray:
         """Matrix G(q) = g0 + q g1 + q^2 g2 of the linearized phonon dynamics.
@@ -230,11 +323,6 @@ class ModelExpansion:
         q = np.asarray(q, dtype=float)
         if np.any(q == 0.0):
             raise ValueError("q = 0 is the polariton sector, not a phonon mode")
-        if self._g_poly is None:
-            mats = [self._phonon_matrix_at(self._terms_q[qr]) for qr in self._qref]
-            vand = np.array([[1.0, qr, qr * qr] for qr in self._qref])
-            coeffs = np.linalg.solve(vand, np.stack([m.ravel() for m in mats]))
-            self._g_poly = [c.reshape(6, 6) for c in coeffs]
         g0, g1, g2 = self._g_poly
         q = q[..., None, None]
         return g0 + q * g1 + q * q * g2
@@ -253,31 +341,15 @@ class ModelExpansion:
 
     def v_tensor(self) -> np.ndarray:
         """V of interaction_tensors alone: all the damping pipeline needs."""
-        v_tensor = np.empty((6, 6, 6), dtype=complex)
-        for i, (_, dvar, sign) in enumerate(_POLARITON_ROWS):
-            for a, ua in enumerate(_W_DAG_VARS):
-                for b, ub in enumerate(_W_VARS):
-                    v_tensor[i, a, b] = 0.5 * self._root_n * sign * _derivative_value(
-                        self._terms0, (dvar, ua, ub), self._point)
-        return v_tensor
+        return 0.5 * self._root_n * self._q0("V")
 
     def w_tensor(self) -> np.ndarray:
         """W of interaction_tensors alone."""
-        w_tensor = np.empty((6, 6, 6), dtype=complex)
-        for i, (_, dvar, sign) in enumerate(_PHONON_ROWS):
-            for a, va in enumerate(_V_VARS):
-                for b, wb in enumerate(_W_VARS):
-                    w_tensor[i, a, b] = self._root_n * sign * _derivative_value(
-                        self._terms0, (dvar, va, wb), self._point)
-        return w_tensor
+        return self._root_n * self._q0("W")
 
     # -- diagnostics -------------------------------------------------------
 
     def meanfield_residual(self) -> np.ndarray:
         """Residual of the stationary mean-field equations, from the same
         polynomial (independent of the hand-coded solver equations)."""
-        res = []
-        for compvar, dvar, sign in _POLARITON_ROWS[::2]:
-            res.append(sign * _derivative_value(self._terms0, (dvar,), self._point)
-                       / self._root_n)
-        return np.array(res)
+        return self._q0("residual") / self._root_n

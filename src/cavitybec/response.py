@@ -21,7 +21,8 @@ import numpy as np
 from .params import ThermoParams, critical_coupling, momentum_grid
 from .meanfield import MeanField, solve_steady_state
 from .hamiltonian import ModelExpansion
-from .bogoliubov import DiagonalizationError, ModeSet, diagonalize_symplectic
+from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
+                         soft_mode)
 from .coupling import soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
@@ -34,6 +35,13 @@ class NumericsError(RuntimeError):
 
 
 _Z_CHUNK = 64  # rows of z per block: bounds the (block, n_poles) buffers
+
+# smallest epsilon whose default sum-rule grid (step epsilon / 5 over a
+# window of ~100 + max omega_B) still resolves the bath Lorentzians
+_SUM_RULE_MIN_EPS = 1e-4
+# largest grid step per Born-Markov width of the polariton pole that keeps
+# the sum rule's error from the refinement window's edges below ~5e-3
+_SUM_RULE_MAX_STEP_PER_WIDTH = 500.0
 
 
 def pole_sum(z, weights, centers, eps: float):
@@ -158,13 +166,13 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     soft_mode_couplings contracts the soft-mode row of V with the stacked
     eigenvectors for every q at once.  Band labels are by ascending
     frequency (the two lowest branches feed the Landau/Beliaev pairs).
+    The soft mode is the one bogoliubov.soft_mode picks.
     """
     if mf is None:
         mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
-    pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
-    soft_index = 0  # photon-like branch sits near -Delta_C, far above
-    omega_s = float(pol.frequencies[soft_index])
+    omega_s, soft_index, pol = soft_mode(p, mf, expansion=exp)
+    omega_s = float(omega_s)
     v_tensor = exp.v_tensor()
 
     grid = momentum_grid(p)
@@ -190,23 +198,37 @@ def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,
 
     Should come out 1 (the equal-time commutator); the grid spans the
     support with margin `halfwidth` and resolves the Lorentzian scale
-    epsilon.  At epsilon = 0 the bath poles are delta peaks that no
-    trapezoid resolves, so NumericsError is raised before any grid is built.
+    epsilon.  Below epsilon = 1e-4 the bath Lorentzians are too narrow for
+    a grid of a few million points (at epsilon = 0 they are delta peaks
+    that no trapezoid resolves), so NumericsError is raised before any
+    grid is built.  The same holds for a dressed polariton pole narrower
+    than the grid can join (an undamped one above all; see below).
     """
-    if resp.bath.epsilon == 0.0:
+    eps = resp.bath.epsilon
+    if eps == 0.0:
         raise NumericsError(
             "spectral sum rule needs epsilon > 0: the delta peaks of an "
             "undamped bath cannot be integrated on a grid")
-    eps = max(resp.bath.epsilon, 1e-4)
+    if eps < _SUM_RULE_MIN_EPS:
+        raise NumericsError(
+            f"spectral sum rule needs epsilon >= {_SUM_RULE_MIN_EPS:g}, got "
+            f"{eps:g}: its grid does not resolve narrower bath Lorentzians")
     if step is None:
         step = eps / 5.0
+    # the dressed polariton pole can be much narrower than epsilon; a
+    # window of +-200 widths at width/10 resolves its Lorentzian, but the
+    # trapezoid from the window's edge to the next grid point overshoots
+    # by up to step / (1.3e5 width), so a pole narrower than
+    # step / _SUM_RULE_MAX_STEP_PER_WIDTH is refused
+    bm = resp.born_markov()
+    width = bm.gamma_l + bm.gamma_b
+    if not width * _SUM_RULE_MAX_STEP_PER_WIDTH >= step:
+        raise NumericsError(
+            f"spectral sum rule cannot resolve the polariton pole: Born-"
+            f"Markov width {width:.3e} against a grid step of {step:.3e}")
     lo = min(0.0, resp.omega_s) - halfwidth
     hi = max(resp.omega_s, float(np.max(resp.bath.omega_b.real))) + halfwidth
     grid = np.arange(lo, hi + step, step)
-    # the dressed polariton pole can be much narrower than epsilon; refine
-    # a window around it so the trapezoid resolves the Lorentzian
-    bm = resp.born_markov()
-    width = max(bm.gamma_l + bm.gamma_b, 1e-9)
     if width < eps:
         center = bm.omega_s + bm.delta_l + bm.delta_b
         fine = np.arange(center - 200.0 * width, center + 200.0 * width,

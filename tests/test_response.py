@@ -5,15 +5,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cavitybec import (
+    BathConstructionError, ConfigError, ConvergenceError, CriticalPointError,
+)
 from cavitybec.params import critical_coupling, default_params, momentum_grid
 from cavitybec.meanfield import solve_steady_state
 from cavitybec.hamiltonian import ModelExpansion
-from cavitybec.bogoliubov import diagonalize_symplectic, mirrored_modes
+from cavitybec.bogoliubov import (DiagonalizationError, diagonalize_symplectic,
+                                  mirrored_modes, soft_mode)
 from cavitybec.coupling import landau_beliaev_couplings, vertex_coefficients
 from cavitybec.bath import build_bath_spectrum
 from cavitybec.response import (
-    NumericsError, Response, build_response, pole_sum, self_energy,
-    spectral_sum_rule,
+    _SUM_RULE_MAX_STEP_PER_WIDTH, NumericsError, Response, build_response,
+    pole_sum, self_energy, spectral_sum_rule,
 )
 
 P = default_params()
@@ -246,6 +250,48 @@ def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
         spectral_sum_rule(undamped)
 
 
+@pytest.mark.parametrize("frac", [0.3, 0.78, 1.2])
+def test_build_response_takes_the_soft_mode_from_soft_mode(frac):
+    p = P.with_pump(frac * Y_CRIT)
+    mf = solve_steady_state(p)
+    omega_s, index, modes = soft_mode(p, mf)
+    resp = build_response(p, mf=mf)
+    assert resp.omega_s == omega_s
+    assert resp.soft_index == index
+    np.testing.assert_array_equal(resp.polariton.frequencies,
+                                  modes.frequencies)
+
+
+def test_empty_polariton_set_raises_a_typed_error(monkeypatch):
+    # an all-zero F has only zero-frequency directions: no soft mode
+    monkeypatch.setattr(ModelExpansion, "polariton_matrix",
+                        lambda self: np.zeros((6, 6), dtype=complex))
+    with pytest.raises(DiagonalizationError, match="no normalizable"):
+        build_response(P.with_pump(0.5 * Y_CRIT))
+
+
+def test_sum_rule_refuses_epsilon_below_its_grid_resolution(monkeypatch):
+    # ε = 1e-5 used to be floored to 1e-4 for the grid step and returned
+    # 1.0093 after a five-million-point scan; 1e-4 is still resolved
+    p = default_params(site_count=101, atom_number=1000)
+    base = build_response(p.with_pump(0.5 * critical_coupling(p)))
+    b = base.bath
+
+    def with_eps(eps):
+        return dataclasses.replace(base, bath=build_bath_spectrum(
+            b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, eps))
+
+    total, _, _ = spectral_sum_rule(with_eps(1e-4))
+    assert total == pytest.approx(1.0, abs=1e-2)
+
+    def no_scan(self, omega_grid):
+        raise AssertionError("spectral scanned below the resolvable epsilon")
+
+    monkeypatch.setattr(Response, "spectral", no_scan)
+    with pytest.raises(NumericsError, match="epsilon >= 0.0001"):
+        spectral_sum_rule(with_eps(1e-5))
+
+
 @st.composite
 def _pole_sums(draw):
     """(weights >= 0, centers, eps, z) with z off the pole line Im = -eps,
@@ -287,3 +333,50 @@ def test_pole_sum_reports_a_collision_at_zero_epsilon(centers, data):
     z = np.array([centers[0] + 0.5j, centers[k], 7.0])
     with pytest.raises(NumericsError):
         pole_sum(z, np.ones_like(centers), centers, 0.0)
+
+
+_TYPED_ERRORS = (BathConstructionError, ConfigError, ConvergenceError,
+                 CriticalPointError, DiagonalizationError, NumericsError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(detuning=st.floats(-2000.0, -2.0), u=st.floats(0.0, 5.0),
+       g_coll=st.floats(0.0, 0.5), frac=st.floats(0.0, 1.6),
+       temperature=st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+       eps=st.floats(2e-3, 0.1), site_count=st.sampled_from([1, 3, 11, 101]))
+@example(detuning=-1000.0, u=0.0, g_coll=0.1, frac=0.5, temperature=0.0,
+         eps=0.01, site_count=101)
+@example(detuning=-2.5, u=1.0, g_coll=0.3, frac=1.3, temperature=0.05,
+         eps=0.02, site_count=101)
+@example(detuning=-1000.0, u=0.0, g_coll=0.1, frac=0.5, temperature=0.0,
+         eps=0.01, site_count=1)
+@example(detuning=-2000.0, u=0.0, g_coll=0.005, frac=0.005, temperature=0.0,
+         eps=0.005, site_count=3)
+def test_pipeline_properties_over_random_parameters(
+        detuning, u, g_coll, frac, temperature, eps, site_count):
+    # the whole pipeline either returns physical numbers or raises one of
+    # the package's typed errors; the atom density is the default one
+    base = default_params(cavity_detuning=detuning, u=u, g_coll=g_coll,
+                          temperature=temperature, phonon_damping=eps,
+                          site_count=site_count,
+                          atom_number=10 * site_count)
+    p = base.with_pump(frac * critical_coupling(base))
+    try:
+        resp = build_response(p)
+        bm = resp.born_markov()
+    except _TYPED_ERRORS:
+        return
+    assert np.all(np.isfinite([bm.omega_s, bm.delta_l, bm.gamma_l,
+                               bm.delta_b, bm.gamma_b]))
+    assert bm.gamma_b >= 0.0
+    if temperature == 0.0:
+        assert bm.gamma_l == 0.0
+    try:
+        total, _, _ = spectral_sum_rule(resp)
+    except NumericsError:
+        # the one refusal open at these epsilon: a polariton pole narrower
+        # than its default grid step eps / 5 can join
+        width = bm.gamma_l + bm.gamma_b
+        assert width * _SUM_RULE_MAX_STEP_PER_WIDTH < resp.bath.epsilon / 5
+        return
+    assert abs(total - 1.0) < 1e-2
