@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from cavitybec import (
-    ModelExpansion, critical_coupling, momentum_grid, default_params,
-    phonon_bands, soft_mode, solve_steady_state, write_table,
+    critical_coupling, momentum_grid, default_params, phonon_bands,
+    soft_mode, solve_steady_state, write_table,
 )
 
 
@@ -27,12 +27,10 @@ def main(out_dir="demo_output"):
     print(f"critical pump y_crit = {y_crit:.6f} (recoil units)")
 
     fracs = np.linspace(0.0, 0.99, 34)
-    rows, prev = [], None
+    rows = []
     for frac in fracs:
         pp = p.with_pump(float(frac) * y_crit)
-        mf = solve_steady_state(pp)
-        omega_s, idx, ms = soft_mode(pp, mf, prev=prev)
-        prev = (ms, idx)
+        omega_s, _, _ = soft_mode(pp, solve_steady_state(pp))
         rows.append({"y_frac": float(frac), "omega_s": float(omega_s)})
     write_table(out / "soft_mode.csv", ["y_frac", "omega_s"], rows,
                 {"command": "demo-soft-mode"})
@@ -47,9 +45,8 @@ def main(out_dir="demo_output"):
     q_grid = momentum_grid(p)
     q_grid = q_grid[q_grid > 0]
     bands = phonon_bands(pp, mf, q_grid)
-    band_rows = [{"q": float(q), "omega1": ms.frequencies[0],
-                  "omega2": ms.frequencies[1], "omega3": ms.frequencies[2]}
-                 for q, ms in zip(q_grid, bands)]
+    band_rows = [{"q": float(q), "omega1": w1, "omega2": w2, "omega3": w3}
+                 for q, (w1, w2, w3) in zip(q_grid, bands.frequencies)]
     write_table(out / "phonon_bands.csv", ["q", "omega1", "omega2", "omega3"],
                 band_rows, {"command": "demo-bands", "y_frac": frac})
     edge = band_rows[-1]

@@ -6,7 +6,7 @@ from .params import (
 )
 from .meanfield import (
     MeanField, ConvergenceError, CriticalPointError,
-    solve_normal_phase, solve_steady_state, sweep_mean_field,
+    solve_normal_phase, solve_steady_state,
 )
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (
@@ -28,10 +28,9 @@ from .response import (
     spectral_sum_rule, damping_sweep,
 )
 from .continuation import (
-    MeromorphicModel, ComplexGrid, Pole, PoleSet, smooth_spectral,
-    reconstruct_meromorphic, continue_green, cauchy_riemann_residual,
-    march_cauchy_riemann, find_poles, companion_pole_candidates,
-    spectral_peak_seeds, pole_sweep,
+    MeromorphicModel, ComplexGrid, Pole, PoleSet, reconstruct_meromorphic,
+    continue_green, cauchy_riemann_residual, march_cauchy_riemann,
+    find_poles, companion_pole_candidates, spectral_peak_seeds, pole_sweep,
 )
 from .fockcheck import coupling_residuals, oracle_residuals
 from .csvio import read_table, write_json_lines, write_table

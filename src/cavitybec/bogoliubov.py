@@ -13,7 +13,7 @@ G(q) have three positive modes, one per band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,84 +178,35 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
                    zero_count=ms.zero_count)
 
 
-def _overlap_permutation(prev: ModeSet, cur: ModeSet, threshold=0.5):
-    """Match cur modes to prev modes by symplectic eigenvector overlap."""
-    n = len(prev.frequencies)
-    ov = np.abs(prev.right.conj().T @ OMEGA @ cur.right)
-    perm = np.full(n, -1)
-    used = set()
-    for i in np.argsort(-ov.max(axis=1)):
-        for j in np.argsort(-ov[i]):
-            if j not in used:
-                perm[i] = j
-                used.add(j)
-                break
-        if ov[i, perm[i]] < threshold:
-            return None
-    return perm
+def phonon_bands(p: ThermoParams, mf: MeanField, q_grid) -> ModeSet:
+    """Phonon modes of G(q) over a grid, in one stacked eigensolve.
 
-
-def _permute(ms: ModeSet, perm) -> ModeSet:
-    return ModeSet(frequencies=ms.frequencies[perm], right=ms.right[:, perm],
-                   left=ms.left[:, perm], sector=ms.sector,
-                   zero_count=ms.zero_count)
-
-
-def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,
-                 expansion: ModelExpansion | None = None) -> list[ModeSet]:
-    """Diagonalize G(q) over a grid, bands labeled continuously in q.
-
-    All G(q) are diagonalized in one stacked eigensolve.  Matching starts
-    from the first grid point sorted ascending; across neighbouring q
-    points modes are paired by maximal eigenvector overlap so that band
-    labels survive crossings.  Exact-degeneracy points fall back to
-    ascending order (deterministic).
+    Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
+    i at every q is the i-th lowest frequency there.  Ascending order is
+    the labelling the bath needs (build_bath_spectrum pairs bands 1 and 2
+    and requires 0 < omega_1 < omega_2 at every q), and the one
+    build_response applies.  A failing G(q) is named by its q.
     """
-    exp = expansion or ModelExpansion(p, mf)
     q_grid = np.asarray(q_grid, dtype=float)
     try:
-        stack = diagonalize_symplectic(exp.phonon_matrix(q_grid), sector="phonon")
+        return diagonalize_symplectic(
+            ModelExpansion(p, mf).phonon_matrix(q_grid), sector="phonon")
     except DiagonalizationError as exc:
         raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
                                    exc.index) from exc
-    out: list[ModeSet] = []
-    prev: ModeSet | None = None
-    for i, q in enumerate(q_grid):
-        ms = ModeSet(frequencies=stack.frequencies[i], right=stack.right[i],
-                     left=stack.left[i], sector=f"phonon q={q:g}",
-                     zero_count=stack.zero_count)
-        if prev is not None:
-            perm = _overlap_permutation(prev, ms)
-            if perm is not None:
-                ms = _permute(ms, perm)
-        out.append(ms)
-        prev = ms
-    return out
 
 
 def soft_mode(p: ThermoParams, mf: MeanField,
-              expansion: ModelExpansion | None = None,
-              prev: tuple[ModeSet, int] | None = None):
-    """Frequency and index of the soft polariton branch.
+              expansion: ModelExpansion | None = None):
+    """Frequency, index and modes of the soft polariton branch.
 
-    Standalone the soft mode is the lower of the two normalizable polariton
-    modes (the photon-like branch sits near -Delta_C).  Along a sweep pass
-    (previous ModeSet, previous index) to track by eigenvector overlap; an
-    overlap below 0.5 with every candidate raises instead of guessing.
+    The soft mode is the lower of the two normalizable polariton modes,
+    index 0 of the ascending ModeSet (the photon-like branch sits near
+    -Delta_C).  The same ascending convention labels the phonon bands, and
+    build_response takes its soft mode from here.
     """
     exp = expansion or ModelExpansion(p, mf)
     ms = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
     if len(ms.frequencies) == 0:
         raise DiagonalizationError("no normalizable polariton modes")
-    if prev is None:
-        idx = 0
-    else:
-        prev_ms, prev_idx = prev
-        r_prev = prev_ms.right[:, prev_idx]
-        ov = np.abs(np.conj(r_prev) @ OMEGA @ ms.right)
-        idx = int(np.argmax(ov))
-        if ov[idx] < 0.5:
-            raise DiagonalizationError(
-                f"ambiguous soft-mode tracking at y = {mf.y}: "
-                f"best overlap {ov[idx]:.3f} < 0.5")
-    return ms.frequencies[idx], idx, ms
+    return ms.frequencies[0], 0, ms

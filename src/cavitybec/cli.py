@@ -49,7 +49,7 @@ RUN_DEFAULTS = {
     "nu_max": 0.1,         # depth of the dumped grid
     "dos_mode": "3d",
     "workers": 1,
-    "seed": 0,             # reserved for property-test reproducibility
+    "seed": 0,             # seeds the random parameter sets verify draws
 }
 
 _SWEEP_DEFAULTS = {
@@ -134,7 +134,7 @@ def cmd_bands(p, run, outdir):
     grid = momentum_grid(pp)
     q_half = grid[grid > 0]
     modes = phonon_bands(pp, mf, q_half)
-    rows = [[q, *ms.frequencies] for q, ms in zip(q_half, modes)]
+    rows = [[q, *omegas] for q, omegas in zip(q_half, modes.frequencies)]
     write_table(outdir / "bands.csv",
                 ["q", "omega1", "omega2", "omega3"], rows,
                 _meta(pp, run, "bands"))
@@ -143,12 +143,9 @@ def cmd_bands(p, run, outdir):
 def cmd_softmode(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "softmode")
     rows = []
-    prev = None
     for y in y_values:
         pp = p.with_pump(float(y))
-        mf = solve_steady_state(pp)
-        omega_s, idx, ms = soft_mode(pp, mf, prev=prev)
-        prev = (ms, idx)
+        omega_s, _, _ = soft_mode(pp, solve_steady_state(pp))
         rows.append([y / y_crit, omega_s])
     write_table(outdir / "softmode.csv", ["y_frac", "omega_s"], rows,
                 _meta(p, run, "softmode"))

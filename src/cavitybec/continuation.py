@@ -25,37 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .params import ConfigError
 from .response import NumericsError, Response, pole_sum
-
-
-# -- branch-point smoothing ------------------------------------------------
-
-def smooth_spectral(omega, rho, width: float, w_floor: float = 1e-8):
-    """Gaussian smoothing of a spectral function plus a uniform weak floor.
-
-    Rounds off branch points (band edges) and mimics phonon modes at all
-    real frequencies coupled extremely weakly to the polariton.  Total
-    spectral weight is preserved.
-    """
-    if width <= 0:
-        raise ConfigError(f"smoothing width must be > 0, got {width}")
-    omega = np.asarray(omega, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    h = omega[1] - omega[0]
-    half = int(np.ceil(6.0 * width / h))
-    x = np.arange(-half, half + 1) * h
-    kernel = np.exp(-0.5 * (x / width) ** 2)
-    kernel /= kernel.sum()
-    smoothed = np.convolve(rho, kernel, mode="same")
-    # edge renormalization: the kernel mass lost off-grid near the ends
-    norm = np.convolve(np.ones_like(rho), kernel, mode="same")
-    smoothed /= norm
-    total = np.trapezoid(rho, omega)
-    span = omega[-1] - omega[0]
-    smoothed = smoothed + w_floor * total / span
-    smoothed *= total / np.trapezoid(smoothed, omega)
-    return smoothed
 
 
 # -- meromorphic reconstruction -------------------------------------------

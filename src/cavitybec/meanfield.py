@@ -148,13 +148,11 @@ def _organized_seed(p, y, y_crit):
     return np.array([a0, b0, g0, mu0])
 
 
-def solve_steady_state(p: ThermoParams, y: float | None = None,
-                       seed: MeanField | None = None) -> MeanField:
+def solve_steady_state(p: ThermoParams, y: float | None = None) -> MeanField:
     """Newton solve of the stationary equations at pump strength y.
 
     Below threshold converges to the normal phase; above threshold to the
-    gamma > 0 self-organized branch.  A seed from a nearby solution narrows
-    the basin; without one a branch-appropriate seed is constructed.
+    gamma > 0 self-organized branch, from branch-appropriate seeds.
     """
     if y is None:
         y = p.y
@@ -166,15 +164,12 @@ def solve_steady_state(p: ThermoParams, y: float | None = None,
             f"y = {y} within {CRIT_WINDOW:.0e} (relative) of y_crit = {y_crit}; "
             "Jacobian is singular at the critical point", y=y)
 
-    seeds = []
-    if seed is not None:
-        seeds.append(seed.as_array())
     if y < y_crit:
-        seeds.append(np.array([0.0, 1.0, 0.0, p.g_coll]))
+        seeds = [np.array([0.0, 1.0, 0.0, p.g_coll])]
     else:
-        seeds.append(_organized_seed(p, y, y_crit))
-        seeds.append(_organized_seed(p, y, y_crit) * [1.0, 1.0, 2.0, 1.0]
-                     + [0.0, 0.0, 0.0, 0.1])
+        seeds = [_organized_seed(p, y, y_crit),
+                 _organized_seed(p, y, y_crit) * [1.0, 1.0, 2.0, 1.0]
+                 + [0.0, 0.0, 0.0, 0.1]]
 
     x = None
     for x0 in seeds:
@@ -202,20 +197,3 @@ def solve_steady_state(p: ThermoParams, y: float | None = None,
         x = _canonical(x)
     return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3], y=y)
 
-
-def sweep_mean_field(p: ThermoParams, y_grid) -> list[MeanField]:
-    """Natural-parameter continuation over an ascending pump grid."""
-    y_grid = np.asarray(y_grid, dtype=float)
-    if y_grid.ndim != 1 or np.any(np.diff(y_grid) <= 0):
-        raise ConfigError("y grid must be one-dimensional and strictly ascending")
-    out: list[MeanField] = []
-    prev: MeanField | None = None
-    for y in y_grid:
-        try:
-            mf = solve_steady_state(p, y=float(y), seed=prev)
-        except (ConvergenceError, CriticalPointError) as exc:
-            exc.y = float(y)
-            raise
-        out.append(mf)
-        prev = mf
-    return out

@@ -152,12 +152,9 @@ def test_criterion_07_soft_mode_softens_to_zero_under_1min():
     t0 = time.monotonic()
     fracs = np.linspace(0.0, 0.995, 100)
     omegas = []
-    prev = None
     for frac in fracs:
         pp = P.with_pump(float(frac) * Y_CRIT)
-        mf = solve_normal_phase(pp)
-        omega_s, idx, ms = soft_mode(pp, mf, prev=prev)
-        prev = (ms, idx)
+        omega_s, _, _ = soft_mode(pp, solve_normal_phase(pp))
         omegas.append(float(omega_s))
     elapsed = time.monotonic() - t0
     omegas = np.array(omegas)

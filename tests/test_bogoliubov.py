@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cavitybec.params import critical_coupling, default_params
+from cavitybec.params import critical_coupling, default_params, momentum_grid
 from cavitybec.meanfield import solve_steady_state
 from cavitybec.hamiltonian import ModelExpansion
 from cavitybec.bogoliubov import (
     GAMMA, OMEGA, DiagonalizationError, diagonalize_symplectic,
     mirrored_modes, negative_modes, phonon_bands, soft_mode,
 )
+from cavitybec.response import build_response
 
 P = default_params()
 Y_CRIT = critical_coupling(P)
@@ -129,12 +130,51 @@ def test_phonon_bands_are_continuous_and_ordered():
     mf = solve_steady_state(p)
     q_grid = np.linspace(0.01, 0.5, 80)
     bands = phonon_bands(p, mf, q_grid)
-    table = np.array([ms.frequencies for ms in bands])
+    table = bands.frequencies
+    assert table.shape == (len(q_grid), 3)
+    assert bands.right.shape == bands.left.shape == (len(q_grid), 6, 3)
     assert np.all(np.abs(np.diff(table, axis=0)) < 0.1)  # no label jumps
     # bands 1 and 2 only touch at the zone edge q = 1/2
     interior = q_grid < 0.49
     assert np.all(table[interior, 0] < table[interior, 1])
     assert np.all(table[:, 0] <= table[:, 1] + 1e-12)
+
+
+def test_near_crossing_bands_stay_ascending_and_match_the_bath():
+    # at 0.78 y_crit bands 1 and 2 come within ~1e-3 of each other on the
+    # default 1001-site grid; the labels stay ascending there and are the
+    # ones build_response hands to the bath
+    p = P.with_pump(0.78 * Y_CRIT)
+    mf = solve_steady_state(p)
+    grid = momentum_grid(p)
+    q_half = grid[grid > 0]
+    table = phonon_bands(p, mf, q_half).frequencies
+    gap = table[:, 1] - table[:, 0]
+    assert float(np.min(gap)) < 2e-3
+    assert np.all(np.diff(table, axis=1) > 0.0)
+    bath = build_response(p, mf).bath
+    np.testing.assert_array_equal(table[:, 0], bath.omega1)
+    np.testing.assert_array_equal(table[:, 1], bath.omega2)
+
+
+def test_bad_phonon_matrix_is_named_by_its_q(monkeypatch):
+    p = P.with_pump(0.8 * Y_CRIT)
+    mf = solve_steady_state(p)
+    q_grid = np.linspace(0.05, 0.45, 6)
+    bad = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]).astype(complex)
+    bad[0, 1], bad[1, 0] = 5.0, -5.0  # complex eigenvalue pair
+    phonon_matrix = ModelExpansion.phonon_matrix
+
+    def planted(self, q):
+        stack = phonon_matrix(self, q)
+        stack[2] = bad
+        return stack
+
+    monkeypatch.setattr(ModelExpansion, "phonon_matrix", planted)
+    with pytest.raises(DiagonalizationError,
+                       match=f"q = {q_grid[2]:g}: non-real") as info:
+        phonon_bands(p, mf, q_grid)
+    assert info.value.index == 2
 
 
 def test_soft_mode_value_at_zero_pump():

@@ -9,7 +9,7 @@ from cavitybec.continuation import (
     MeromorphicModel, _secular_roots, cauchy_riemann_residual,
     companion_pole_candidates, continue_green, find_poles,
     march_cauchy_riemann, pole_sweep, reconstruct_meromorphic,
-    smooth_spectral, spectral_peak_seeds,
+    spectral_peak_seeds,
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.response import NumericsError, build_response
@@ -118,16 +118,6 @@ def test_marching_aborts_below_the_pole_line():
     data = 1.0 / (omega - (0.4 - 0.05j))
     with pytest.raises(NumericsError):
         march_cauchy_riemann(omega, data, nu_max=0.2, n_nu=64)
-
-
-def test_smoothing_preserves_spectral_weight():
-    omega = np.linspace(0.0, 2.0, 4001)
-    rho = np.exp(-0.5 * ((omega - 1.0) / 0.01) ** 2)
-    rho[omega > 1.4] = 0.0  # sharp edge
-    out = smooth_spectral(omega, rho, width=0.02)
-    assert np.trapezoid(out, omega) == pytest.approx(
-        np.trapezoid(rho, omega), rel=1e-10)
-    assert np.all(out > 0.0)
 
 
 def test_peak_seeds_sit_below_the_maxima():

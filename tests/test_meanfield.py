@@ -4,7 +4,7 @@ import pytest
 from cavitybec.params import ConfigError, critical_coupling, default_params
 from cavitybec.meanfield import (
     CriticalPointError, jacobian, residual, solve_normal_phase,
-    solve_steady_state, sweep_mean_field,
+    solve_steady_state,
 )
 
 P = default_params()
@@ -71,14 +71,10 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_sweep_is_continuous_across_threshold():
+    # each y solved unseeded, as the meanfield command does
     y_grid = np.linspace(0.5, 1.4, 60) * Y_CRIT
     y_grid = y_grid[np.abs(y_grid - Y_CRIT) > 1e-3 * Y_CRIT]
-    branch = sweep_mean_field(P, y_grid)
+    branch = [solve_steady_state(P.with_pump(float(y))) for y in y_grid]
     alphas = np.array([abs(mf.alpha) for mf in branch])
     assert np.all(np.diff(alphas) >= -1e-10)  # order parameter grows with y
     assert np.max(np.abs(np.diff(alphas))) < 0.2  # no branch jumps
-
-
-def test_sweep_rejects_unsorted_grid():
-    with pytest.raises(ConfigError):
-        sweep_mean_field(P, [0.9 * Y_CRIT, 0.5 * Y_CRIT])
