@@ -30,7 +30,7 @@ def main(out_dir="demo_output"):
     rows = []
     for frac in fracs:
         pp = p.with_pump(float(frac) * y_crit)
-        omega_s, _, _ = soft_mode(pp, solve_steady_state(pp))
+        omega_s, _ = soft_mode(pp, solve_steady_state(pp))
         rows.append({"y_frac": float(frac), "omega_s": float(omega_s)})
     write_table(out / "soft_mode.csv", ["y_frac", "omega_s"], rows,
                 {"command": "demo-soft-mode"})

@@ -9,6 +9,15 @@ The polariton matrix F always carries an exact zero-frequency pair from
 atom-number conservation (the condensate phase mode); it is detected and set
 aside, leaving two normalizable positive polariton modes.  Phonon matrices
 G(q) have three positive modes, one per band.
+
+diagonalize_symplectic has two routes, and its input picks one.  A stable
+G(q) makes H = OMEGA G Hermitian and positive definite, and then Colpa's
+method (a Cholesky factor of H and a Hermitian eigensolve) gives the modes,
+faster and closer to the exact eigenvalues than a general eigensolve.  F,
+whose zero pair makes H only semidefinite, and any stack holding an unstable
+or defective matrix go through the general complex eigensolve, which checks
+every matrix and words the errors.  Both routes share the phase rule, the
+reciprocity check and the ModeSet assembly.
 """
 
 from __future__ import annotations
@@ -26,7 +35,10 @@ GAMMA = np.kron(np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # bosonic metric
 OMEGA = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
+# eigenvalues within ZERO_TOL of zero, relative to max(1, max |omega|), are
+# zero modes; an imaginary part above REAL_TOL (same scale) is an instability
 ZERO_TOL = 1e-8
+REAL_TOL = 1e-8
 
 
 class DiagonalizationError(RuntimeError):
@@ -78,50 +90,87 @@ def symmetry_residuals(f: np.ndarray, g_minus: np.ndarray | None = None) -> dict
     }
 
 
-def diagonalize_symplectic(m: np.ndarray, sector: str = "",
-                           zero_tol: float = ZERO_TOL,
-                           real_tol: float = 1e-8) -> ModeSet:
+def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
     """Extract the positive-frequency bosonic modes of a 6x6 matrix, or of
-    every matrix of a (..., 6, 6) stack in one batched eigensolve.
+    every matrix of a (..., 6, 6) stack in one batched solve.
 
     Modes ascend in frequency; each right vector is OMEGA-normalized and
-    its largest component made real and positive (the first one on ties).
+    made real and positive at its largest component (the first one within
+    a relative 1e-8 of the largest, so that roundoff does not pick it).
     Every check applies to each matrix of a stack.  Raises
     DiagonalizationError for non-real spectra (dynamical instability or
     criticality), unpaired +-omega, non-normalizable or defective
     positive-frequency subspaces, and for a stack whose matrices differ in
     their number of positive modes; for a stack the message and the
     error's index name the first offending matrix.
+
+    The input picks one of two routes.  When OMEGA m is Hermitian and
+    positive definite for every matrix of the stack, with no eigenvalue
+    within ZERO_TOL of zero, Colpa's Cholesky method applies: one batched
+    Cholesky factor and one Hermitian eigensolve.  That is the stable
+    phonon matrix G(q), and for a real, paired spectrum it is exactly the
+    condition the general route accepts.  Every other stack (the polariton
+    matrix with its exact zero pair, or a stack holding an unstable or
+    defective matrix) takes the general complex eigensolve, which does the
+    checks above and words the errors.
     """
     m = np.asarray(m)
+    modes = _colpa_modes(m, sector)
+    return modes if modes is not None else _eig_modes(m, sector)
+
+
+def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
+    """Colpa's route, or None when the stack does not qualify for it.
+
+    With H = OMEGA m = L L^+ and the Hermitian W = L^+ OMEGA L = U w U^+,
+    m (OMEGA L u) = w (OMEGA L u) for every column u of U, and
+    (OMEGA L u)^+ OMEGA (OMEGA L u) = w.  By Sylvester's law of inertia W
+    has three negative and three positive eigenvalues, so the upper three
+    columns are the positive modes, already ascending, and
+    r = OMEGA L u / sqrt(w) is OMEGA-normalized.
+    (J. H. P. Colpa, Physica A 93, 327 (1978).)
+    """
+    h = OMEGA @ m.reshape((-1, 6, 6))
+    # np.linalg.cholesky reads only the lower triangle of H, so a stack whose
+    # H is not Hermitian to roundoff (G(q)'s is, to ~1e-16) stays off it
+    h_scale = np.max(np.abs(h), axis=(-2, -1), initial=0.0)
+    if np.any(np.abs(h - np.swapaxes(np.conj(h), -1, -2))
+              > 1e-12 * h_scale[:, None, None]):
+        return None
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    w, u = np.linalg.eigh(np.swapaxes(np.conj(chol), -1, -2) @ OMEGA @ chol)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    if np.any(np.abs(w) < ZERO_TOL * scale[:, None]):
+        return None
+    freqs = w[:, 3:]
+    right = OMEGA @ chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
+    return _mode_set(freqs, right, m.shape[:-2], sector)
+
+
+def _eig_modes(m: np.ndarray, sector: str) -> ModeSet:
+    """General route: one complex eigensolve, checked matrix by matrix."""
     batch = m.shape[:-2]
-
-    def check(bad, describe):
-        # describe(i, where) words the error for the first flagged matrix i
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            where = f" at stack index {i}" if batch else ""
-            raise DiagonalizationError(describe(i, where),
-                                       i if batch else None)
-
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
     im = np.max(np.abs(vals.imag), axis=-1)
-    check(im > real_tol * scale, lambda i, where: (
+    _check(im > REAL_TOL * scale, batch, lambda i, where: (
         f"non-real spectrum in sector {sector!r}{where}: "
         f"max |Im omega| = {im[i]:.3e}"))
     omega = vals.real
 
-    zero_mask = np.abs(omega) < zero_tol * scale[:, None]
+    zero_mask = np.abs(omega) < ZERO_TOL * scale[:, None]
     pos_mask = ~zero_mask & (omega > 0)
     pos_count = np.sum(pos_mask, axis=-1)
     neg_count = np.sum(~zero_mask & (omega < 0), axis=-1)
-    check(pos_count != neg_count, lambda i, where: (
+    _check(pos_count != neg_count, batch, lambda i, where: (
         f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
         f"positive vs {neg_count[i]} negative modes"))
     # an empty stack is taken to hold all three pairs
     n_pos = int(pos_count[0]) if len(pos_count) else 3
-    check(pos_count != n_pos, lambda i, where: (
+    _check(pos_count != n_pos, batch, lambda i, where: (
         f"positive-mode count differs across the stack in sector "
         f"{sector!r}{where}: {pos_count[i]}, against {n_pos} at index 0"))
 
@@ -130,23 +179,46 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "",
     freqs = np.take_along_axis(omega, order, axis=-1)
     right = np.take_along_axis(vecs, order[:, None, :], axis=-1)
     norm = np.real(np.einsum('kam,ab,kbm->km', np.conj(right), OMEGA, right))
-    check(np.any(norm <= zero_tol, axis=-1), lambda i, where: (
+    _check(np.any(norm <= ZERO_TOL, axis=-1), batch, lambda i, where: (
         f"non-normalizable positive mode at omega = "
-        f"{freqs[i][norm[i] <= zero_tol][0]:.6g} in sector {sector!r}{where} "
+        f"{freqs[i][norm[i] <= ZERO_TOL][0]:.6g} in sector {sector!r}{where} "
         "(dynamical instability)"))
-    right = right / np.sqrt(norm)[:, None, :]
-    top = np.take_along_axis(
-        right, np.argmax(np.abs(right), axis=-2)[:, None, :], axis=-2)
+    return _mode_set(freqs, right / np.sqrt(norm)[:, None, :], batch, sector)
+
+
+def _mode_set(freqs, right, batch, sector) -> ModeSet:
+    """Fix the phases of OMEGA-normalized (k, 6, n) modes, check their
+    reciprocity and assemble the ModeSet of a stack with leading axes batch.
+
+    Each vector is made real and positive at its largest component; the
+    first component within a relative 1e-8 of the largest counts as it, so
+    that near-ties (bands 2 and 3 of the normal phase) are not decided by
+    roundoff.
+    """
+    n_pos = freqs.shape[-1]
+    mag = np.abs(right)
+    top = np.argmax(mag >= (1.0 - 1e-8) * np.max(mag, axis=-2, keepdims=True,
+                                                 initial=0.0), axis=-2)
+    top = np.take_along_axis(right, top[:, None, :], axis=-2)
     right = right / (top / np.abs(top))
 
     # reciprocity check doubles as a defectiveness detector
     gram = np.swapaxes(np.conj(right), -1, -2) @ OMEGA @ right
     gram_err = np.max(np.abs(gram - np.eye(n_pos)), axis=(-2, -1), initial=0.0)
-    check(gram_err > 1e-8, lambda i, where: (
+    _check(gram_err > 1e-8, batch, lambda i, where: (
         f"defective positive-frequency subspace in sector {sector!r}{where}"))
     right = right.reshape(batch + (6, n_pos))
     return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)), right=right,
                    left=OMEGA @ right, sector=sector, zero_count=6 - 2 * n_pos)
+
+
+def _check(bad, batch, describe) -> None:
+    """Raise for the first matrix that bad flags; describe(i, where) words
+    the error for matrix i of the flattened stack."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        where = f" at stack index {i}" if batch else ""
+        raise DiagonalizationError(describe(i, where), i if batch else None)
 
 
 def negative_modes(ms: ModeSet) -> ModeSet:
@@ -179,7 +251,7 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
 
 
 def phonon_bands(p: ThermoParams, mf: MeanField, q_grid) -> ModeSet:
-    """Phonon modes of G(q) over a grid, in one stacked eigensolve.
+    """Phonon modes of G(q) over a grid, in one stacked solve.
 
     Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
     i at every q is the i-th lowest frequency there.  Ascending order is
@@ -198,7 +270,7 @@ def phonon_bands(p: ThermoParams, mf: MeanField, q_grid) -> ModeSet:
 
 def soft_mode(p: ThermoParams, mf: MeanField,
               expansion: ModelExpansion | None = None):
-    """Frequency, index and modes of the soft polariton branch.
+    """Frequency and modes of the soft polariton branch.
 
     The soft mode is the lower of the two normalizable polariton modes,
     index 0 of the ascending ModeSet (the photon-like branch sits near
@@ -209,4 +281,4 @@ def soft_mode(p: ThermoParams, mf: MeanField,
     ms = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
     if len(ms.frequencies) == 0:
         raise DiagonalizationError("no normalizable polariton modes")
-    return ms.frequencies[0], 0, ms
+    return ms.frequencies[0], ms

@@ -145,7 +145,7 @@ def cmd_softmode(p, run, outdir):
     rows = []
     for y in y_values:
         pp = p.with_pump(float(y))
-        omega_s, _, _ = soft_mode(pp, solve_steady_state(pp))
+        omega_s, _ = soft_mode(pp, solve_steady_state(pp))
         rows.append([y / y_crit, omega_s])
     write_table(outdir / "softmode.csv", ["y_frac", "omega_s"], rows,
                 _meta(p, run, "softmode"))

@@ -84,9 +84,10 @@ def landau_beliaev_couplings(vs: VertexSet, soft_index: int):
 
 
 def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
-                        soft_index: int, phonon_right: np.ndarray):
+                        phonon_right: np.ndarray):
     """(gL_q, gB_q) at every q of a stack, from the soft-mode row alone.
 
+    The soft mode is polariton mode 0 (bogoliubov.soft_mode).
     phonon_right holds the right eigenvectors of G(q), shaped (..., 6, n)
     with bands ascending.  The result equals landau_beliaev_couplings of
     vertex_coefficients(..., modes(q), mirrored_modes(modes(q)), q) at each
@@ -99,7 +100,7 @@ def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
     with c1, c2 the eigenvectors of bands 1 and 2 (the two terms of O
     merged, and the mirrored vectors GAMMA conj(c) of N written out).
     """
-    v_s = np.einsum('a,abg->bg', np.conj(polariton.left[:, soft_index]),
+    v_s = np.einsum('a,abg->bg', np.conj(polariton.left[:, 0]),
                     v_tensor)
     c1, c2 = phonon_right[..., :, 0], phonon_right[..., :, 1]
     g_landau = np.einsum('...b,bg,...g->...', np.conj(c1),

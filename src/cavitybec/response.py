@@ -110,7 +110,6 @@ class Response:
     params: ThermoParams
     mf: MeanField
     omega_s: float
-    soft_index: int
     polariton: ModeSet
     bath: BathSpectrum
     dos_mode: str = "3d"
@@ -171,7 +170,7 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     if mf is None:
         mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
-    omega_s, soft_index, pol = soft_mode(p, mf, expansion=exp)
+    omega_s, pol = soft_mode(p, mf, expansion=exp)
     omega_s = float(omega_s)
     v_tensor = exp.v_tensor()
 
@@ -183,13 +182,13 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     except DiagonalizationError as exc:
         raise DiagonalizationError(f"q = {q_half[exc.index]:g}: {exc}",
                                    exc.index) from exc
-    g_l, g_b = soft_mode_couplings(v_tensor, pol, soft_index, phonons.right)
+    g_l, g_b = soft_mode_couplings(v_tensor, pol, phonons.right)
 
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
                                p.temperature, p.phonon_damping)
-    return Response(params=p, mf=mf, omega_s=omega_s, soft_index=soft_index,
-                    polariton=pol, bath=bath, dos_mode=dos_mode)
+    return Response(params=p, mf=mf, omega_s=omega_s, polariton=pol,
+                    bath=bath, dos_mode=dos_mode)
 
 
 def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,

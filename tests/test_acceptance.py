@@ -154,7 +154,7 @@ def test_criterion_07_soft_mode_softens_to_zero_under_1min():
     omegas = []
     for frac in fracs:
         pp = P.with_pump(float(frac) * Y_CRIT)
-        omega_s, _, _ = soft_mode(pp, solve_normal_phase(pp))
+        omega_s, _ = soft_mode(pp, solve_normal_phase(pp))
         omegas.append(float(omega_s))
     elapsed = time.monotonic() - t0
     omegas = np.array(omegas)

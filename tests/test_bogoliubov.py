@@ -1,14 +1,20 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cavitybec import ConvergenceError, CriticalPointError
 from cavitybec.params import critical_coupling, default_params, momentum_grid
 from cavitybec.meanfield import solve_steady_state
 from cavitybec.hamiltonian import ModelExpansion
 from cavitybec.bogoliubov import (
-    GAMMA, OMEGA, DiagonalizationError, diagonalize_symplectic,
+    GAMMA, OMEGA, DiagonalizationError, _eig_modes, diagonalize_symplectic,
     mirrored_modes, negative_modes, phonon_bands, soft_mode,
 )
 from cavitybec.response import build_response
+from cavitybec.verify import _random_params
 
 P = default_params()
 Y_CRIT = critical_coupling(P)
@@ -179,8 +185,7 @@ def test_bad_phonon_matrix_is_named_by_its_q(monkeypatch):
 
 def test_soft_mode_value_at_zero_pump():
     mf = solve_steady_state(P)
-    omega_s, idx, _ = soft_mode(P, mf)
-    assert idx == 0
+    omega_s, _ = soft_mode(P, mf)
     # analytic sqrt(1 + 2 g) in recoil units
     assert omega_s == pytest.approx(np.sqrt(1.2), abs=1e-12)
 
@@ -188,3 +193,145 @@ def test_soft_mode_value_at_zero_pump():
 def test_gamma_omega_are_involutions():
     assert np.allclose(GAMMA @ GAMMA, np.eye(6))
     assert np.allclose(OMEGA @ OMEGA, np.eye(6))
+
+
+# -- the two routes of diagonalize_symplectic --------------------------------
+
+def _phonon_stack(seed, frac, site_count):
+    """G(q) over the positive half-grid; seed None is the default set, an
+    integer seeds verify's random parameter ranges.  The atom density is
+    the default one."""
+    base = default_params() if seed is None else _random_params(
+        np.random.default_rng(seed))
+    base = replace(base, site_count=site_count, atom_number=10 * site_count)
+    p = base.with_pump(frac * critical_coupling(base))
+    grid = momentum_grid(p)
+    return ModelExpansion(p, solve_steady_state(p)).phonon_matrix(grid[grid > 0])
+
+
+def _solve(solver, m):
+    try:
+        return solver(m, "phonon")
+    except DiagonalizationError as exc:
+        return exc
+
+
+def _eig_vector_error(ms, m):
+    """First-order roundoff error of the general eigensolve's vectors, per
+    mode: eps ||m|| |r_n| sum_k |r_k|^2 / |omega_n - omega_k| over the other
+    five modes of the matrix (the negative ones are the GAMMA images, with
+    the same norms).  At 2001 sites in the ordered phase it exceeds 1e-9 of
+    the largest |r| at the smallest q; 40-digit mpmath vectors confirm that
+    the error is the general route's."""
+    r2 = np.sum(np.abs(ms.right) ** 2, axis=-2)
+    w = ms.frequencies
+    gap = np.abs(w[..., :, None] - np.concatenate([w, -w], axis=-1)[..., None, :])
+    gap[..., np.arange(3), np.arange(3)] = np.inf
+    spread = np.sum(np.concatenate([r2, r2], axis=-1)[..., None, :] / gap,
+                    axis=-1)
+    norm = np.linalg.norm(m, ord=2, axis=(-2, -1))[..., None]
+    return np.finfo(float).eps * norm * np.sqrt(r2) * spread
+
+
+def _with_examples(test):
+    # the default set on both phases at the benchmark's 1001 sites and the
+    # spectral fit's 2001 sites
+    for sites in (1001, 2001):
+        for frac in (0.3, 0.78, 1.05, 1.2, 1.6):
+            test = example(seed=None, frac=frac, site_count=sites)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.none() | st.integers(0, 2**32 - 1), frac=st.floats(0.0, 1.6),
+       site_count=st.sampled_from([11, 101]))
+@_with_examples
+def test_phonon_solve_matches_the_general_eigensolve(seed, frac, site_count):
+    try:
+        m = _phonon_stack(seed, frac, site_count)
+    except (ConvergenceError, CriticalPointError):
+        return
+    got, ref = _solve(diagonalize_symplectic, m), _solve(_eig_modes, m)
+    if isinstance(got, Exception) or isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        assert got.index == ref.index
+        return
+    assert got.zero_count == ref.zero_count == 0
+    np.testing.assert_allclose(got.frequencies, ref.frequencies, rtol=0.0,
+                               atol=1e-12 * np.max(ref.frequencies))
+    # elementwise, with no phase alignment: both routes share the phase rule
+    bound = (1e-9 * np.max(np.abs(ref.right))
+             + 4.0 * _eig_vector_error(ref, m)[..., None, :])
+    assert np.all(np.abs(got.right - ref.right) <= bound)
+    np.testing.assert_array_equal(got.left, OMEGA @ got.right)
+
+
+def test_negative_norm_block_with_real_spectrum_is_non_normalizable():
+    # H = OMEGA m is negative definite on the first pair: m has the real
+    # eigenvalues +-sqrt(a^2 - b^2) = +-sqrt(3), but +sqrt(3) has norm -1
+    m = np.zeros((6, 6), dtype=complex)
+    for k, (a, b) in enumerate([(-2.0, 1.0), (2.0, 1.0), (3.0, 1.0)]):
+        m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, -a]]
+    with pytest.raises(DiagonalizationError,
+                       match="non-normalizable positive mode at omega = "
+                             "1.73205") as info:
+        diagonalize_symplectic(m, sector="synthetic")
+    assert info.value.index is None
+    stack = _phonon_stack(None, 0.8, 101)[:6]
+    stack[3] = m
+    with pytest.raises(DiagonalizationError, match="non-normalizable.*"
+                                                   "at stack index 3") as info:
+        diagonalize_symplectic(stack, sector="synthetic")
+    assert info.value.index == 3
+
+
+def test_positive_definite_matrix_keeps_its_zero_pair():
+    # OMEGA m is positive definite, but omega = 5 lies within ZERO_TOL of
+    # zero on the scale 2e9 of the spectrum: it is a zero pair, as on the
+    # general route, not a third mode
+    m = np.diag([5.0, -5.0, 1e9, -1e9, 2e9, -2e9]).astype(complex)
+    ms = diagonalize_symplectic(m, sector="synthetic")
+    assert ms.zero_count == 2
+    np.testing.assert_array_equal(ms.frequencies, [1e9, 2e9])
+
+
+def test_non_pseudo_hermitian_matrix_takes_the_general_route():
+    # the Cholesky factor would accept this stack from the lower triangle
+    # of OMEGA m alone; the upper one breaks the pseudo-Hermiticity, which
+    # the general route reports through the reciprocity check
+    m = _phonon_stack(None, 1.2, 101)[:4]
+    m[2, 0, 3] += 1e-3
+    with pytest.raises(DiagonalizationError,
+                       match="defective.*at stack index 2") as info:
+        diagonalize_symplectic(m, sector="phonon")
+    assert info.value.index == 2
+
+
+def test_build_response_phonon_stacks_skip_the_general_eigensolve(monkeypatch):
+    # the one general eigensolve per point is the polariton matrix F
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    fracs = (0.3, 0.78, 1.05, 1.2, 1.6)
+    for frac in fracs:
+        build_response(P.with_pump(frac * Y_CRIT))
+    assert shapes == [(1, 6, 6)] * len(fracs)
+
+
+@pytest.mark.parametrize("frac", [1.05, 1.2])
+def test_phonon_frequencies_match_40_digit_eigenvalues(frac):
+    # the smallest q of the 2001-site ordered phase carry the lowest,
+    # worst-conditioned acoustic modes
+    m = _phonon_stack(None, frac, 2001)[:3]
+    got = diagonalize_symplectic(m, sector="phonon").frequencies
+    with mpmath.workdps(40):
+        for mk, wk in zip(m, got):
+            exact = sorted(float(mpmath.re(e)) for e in
+                           mpmath.eig(mpmath.matrix(mk.tolist()),
+                                      left=False, right=False))
+            np.testing.assert_allclose(wk, exact[3:], rtol=0.0, atol=5e-14)

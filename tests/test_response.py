@@ -254,10 +254,9 @@ def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
 def test_build_response_takes_the_soft_mode_from_soft_mode(frac):
     p = P.with_pump(frac * Y_CRIT)
     mf = solve_steady_state(p)
-    omega_s, index, modes = soft_mode(p, mf)
+    omega_s, modes = soft_mode(p, mf)
     resp = build_response(p, mf=mf)
     assert resp.omega_s == omega_s
-    assert resp.soft_index == index
     np.testing.assert_array_equal(resp.polariton.frequencies,
                                   modes.frequencies)
 
