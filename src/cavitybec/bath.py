@@ -93,8 +93,12 @@ def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
 
     omega2 > omega1 is required everywhere; a violation means the bands
     were mislabeled upstream (it would also make the Landau radicand
-    n1 - n2 negative at finite temperature).
+    n1 - n2 negative at finite temperature).  A negative epsilon, which
+    would turn every damping rate negative, raises ConfigError, as a
+    negative temperature does in thermal_occupation.
     """
+    if epsilon < 0:
+        raise ConfigError(f"phonon damping epsilon must be >= 0, got {epsilon}")
     q = np.asarray(q, dtype=float)
     omega1 = np.asarray(omega1, dtype=float)
     omega2 = np.asarray(omega2, dtype=float)

@@ -12,12 +12,18 @@ G(q) have three positive modes, one per band.
 
 diagonalize_symplectic has two routes, and its input picks one.  A stable
 G(q) makes H = OMEGA G Hermitian and positive definite, and then Colpa's
-method (a Cholesky factor of H and a Hermitian eigensolve) gives the modes,
-faster and closer to the exact eigenvalues than a general eigensolve.  F,
-whose zero pair makes H only semidefinite, and any stack holding an unstable
-or defective matrix go through the general complex eigensolve, which checks
-every matrix and words the errors.  Both routes share the phase rule, the
-reciprocity check and the ModeSet assembly.
+method (a Cholesky factor of H and a symmetric eigensolve) gives the modes,
+faster and closer to the exact eigenvalues than a general eigensolve.  It
+runs in real arithmetic: every coefficient of the Hamiltonian and every
+mean-field amplitude is real except the kinetic c-s coupling +-2 i q (the
+momentum operator between the cos and sin bands), so the diagonal phase
+P = diag(1, 1, 1, 1, i, -i) on the (s_q, s+_{-q}) slots makes P^+ H P real
+symmetric.  P commutes with OMEGA, so the modes of G are P times those of
+the real problem.  F, whose zero pair makes H only semidefinite, and any
+stack holding an unstable, defective or otherwise complex matrix go through
+the general complex eigensolve, which checks every matrix and words the
+errors.  Both routes share the phase rule, the reciprocity check and the
+ModeSet assembly.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .hamiltonian import ModelExpansion
 GAMMA = np.kron(np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # bosonic metric
 OMEGA = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# the real gauge of the phonon sector: P = diag(_GAUGE) on (b, c, s) pairs
+_GAUGE = np.array([1.0, 1.0, 1.0, 1.0, 1.0j, -1.0j])
+# entry (j, k) of P^+ OMEGA m P is m[j, k] times this
+_GAUGE_H = np.diag(OMEGA)[:, None] * np.conj(_GAUGE)[:, None] * _GAUGE
 
 # eigenvalues within ZERO_TOL of zero, relative to max(1, max |omega|), are
 # zero modes; an imaginary part above REAL_TOL (same scale) is an instability
@@ -104,15 +114,16 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
     their number of positive modes; for a stack the message and the
     error's index name the first offending matrix.
 
-    The input picks one of two routes.  When OMEGA m is Hermitian and
-    positive definite for every matrix of the stack, with no eigenvalue
-    within ZERO_TOL of zero, Colpa's Cholesky method applies: one batched
-    Cholesky factor and one Hermitian eigensolve.  That is the stable
-    phonon matrix G(q), and for a real, paired spectrum it is exactly the
-    condition the general route accepts.  Every other stack (the polariton
-    matrix with its exact zero pair, or a stack holding an unstable or
-    defective matrix) takes the general complex eigensolve, which does the
-    checks above and words the errors.
+    The input picks one of two routes.  When P^+ OMEGA m P (P the real
+    gauge of the module docstring) is real, symmetric and positive definite
+    for every matrix of the stack, with no eigenvalue within ZERO_TOL of
+    zero, Colpa's Cholesky method applies: one batched real Cholesky factor
+    and one real symmetric eigensolve.  That is the stable phonon matrix
+    G(q), and for a real, paired spectrum positive definiteness is exactly
+    the condition the general route accepts.  Every other stack (the
+    polariton matrix with its exact zero pair, or a stack holding an
+    unstable, defective or otherwise complex matrix) takes the general
+    complex eigensolve, which does the checks above and words the errors.
     """
     m = np.asarray(m)
     modes = _colpa_modes(m, sector)
@@ -120,34 +131,39 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
 
 
 def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
-    """Colpa's route, or None when the stack does not qualify for it.
+    """Colpa's route in the real gauge, or None when the stack does not
+    qualify for it.
 
-    With H = OMEGA m = L L^+ and the Hermitian W = L^+ OMEGA L = U w U^+,
-    m (OMEGA L u) = w (OMEGA L u) for every column u of U, and
-    (OMEGA L u)^+ OMEGA (OMEGA L u) = w.  By Sylvester's law of inertia W
-    has three negative and three positive eigenvalues, so the upper three
-    columns are the positive modes, already ascending, and
-    r = OMEGA L u / sqrt(w) is OMEGA-normalized.
-    (J. H. P. Colpa, Physica A 93, 327 (1978).)
+    With the real symmetric H = P^+ OMEGA m P = L L^T and W = L^T OMEGA L
+    = U w U^T, m (P OMEGA L u) = w (P OMEGA L u) for every column u of U,
+    and (P OMEGA L u)^+ OMEGA (P OMEGA L u) = w, because P is unitary and
+    commutes with OMEGA.  By Sylvester's law of inertia W has three
+    negative and three positive eigenvalues, so the upper three columns are
+    the positive modes, already ascending, and r = P OMEGA L u / sqrt(w) is
+    OMEGA-normalized.  (J. H. P. Colpa, Physica A 93, 327 (1978).)  In G(q)
+    the gauge turns the c-s coupling +-2 i q real; any other complex entry
+    sends the stack to the general route.
     """
-    h = OMEGA @ m.reshape((-1, 6, 6))
+    h = m.reshape((-1, 6, 6)) * _GAUGE_H
     # np.linalg.cholesky reads only the lower triangle of H, so a stack whose
-    # H is not Hermitian to roundoff (G(q)'s is, to ~1e-16) stays off it
-    h_scale = np.max(np.abs(h), axis=(-2, -1), initial=0.0)
-    if np.any(np.abs(h - np.swapaxes(np.conj(h), -1, -2))
-              > 1e-12 * h_scale[:, None, None]):
+    # H is not real symmetric to roundoff (G(q)'s is, to ~1e-16) stays off it
+    tol = 1e-12 * np.max(np.abs(h), axis=(-2, -1), initial=0.0)[:, None, None]
+    if (np.any(np.abs(h.imag) > tol)
+            or np.any(np.abs(h.real - np.swapaxes(h.real, -1, -2)) > tol)):
         return None
+    h = h.real
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return None
-    w, u = np.linalg.eigh(np.swapaxes(np.conj(chol), -1, -2) @ OMEGA @ chol)
+    omega_chol = np.diag(OMEGA)[:, None] * chol
+    w, u = np.linalg.eigh(np.swapaxes(chol, -1, -2) @ omega_chol)
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     if np.any(np.abs(w) < ZERO_TOL * scale[:, None]):
         return None
     freqs = w[:, 3:]
-    right = OMEGA @ chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
-    return _mode_set(freqs, right, m.shape[:-2], sector)
+    right = omega_chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
+    return _mode_set(freqs, right * _GAUGE[:, None], m.shape[:-2], sector)
 
 
 def _eig_modes(m: np.ndarray, sector: str) -> ModeSet:

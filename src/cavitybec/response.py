@@ -12,6 +12,7 @@ The real-axis spectral function is rho(omega) = -2 Im G(omega).
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -42,6 +43,13 @@ _SUM_RULE_MIN_EPS = 1e-4
 # largest grid step per Born-Markov width of the polariton pole that keeps
 # the sum rule's error from the refinement window's edges below ~5e-3
 _SUM_RULE_MAX_STEP_PER_WIDTH = 500.0
+
+# distinct G(q) stacks whose modes build_response keeps, least recently
+# used first: a pump sweep alternates one normal-phase stack with
+# ordered-phase ones, which takes two
+_PHONON_MEMO_SIZE = 2
+_phonon_memo: dict = {}
+_phonon_memo_lock = threading.Lock()
 
 
 def pole_sum(z, weights, centers, eps: float):
@@ -166,6 +174,13 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     eigenvectors for every q at once.  Band labels are by ascending
     frequency (the two lowest branches feed the Landau/Beliaev pairs).
     The soft mode is the one bogoliubov.soft_mode picks.
+
+    Below threshold the condensate is homogeneous and the cavity empty, so
+    G(q), and with it the phonon bath, does not depend on the pump; only
+    the soft mode and its couplings do.  The modes of the last few
+    distinct G(q) stacks are therefore kept, keyed by the stack's exact
+    bytes, and a repeated stack is not solved again.  The returned bands
+    are read-only arrays that Responses of equal stacks share.
     """
     if mf is None:
         mf = solve_steady_state(p)
@@ -177,8 +192,7 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     grid = momentum_grid(p)
     q_half = grid[grid > 0]
     try:
-        phonons = diagonalize_symplectic(exp.phonon_matrix(q_half),
-                                         sector="phonon")
+        phonons = _phonon_modes(exp.phonon_matrix(q_half))
     except DiagonalizationError as exc:
         raise DiagonalizationError(f"q = {q_half[exc.index]:g}: {exc}",
                                    exc.index) from exc
@@ -189,6 +203,29 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
                                p.temperature, p.phonon_damping)
     return Response(params=p, mf=mf, omega_s=omega_s, polariton=pol,
                     bath=bath, dos_mode=dos_mode)
+
+
+def _phonon_modes(stack: np.ndarray) -> ModeSet:
+    """Checked modes of a G(q) stack, solved once per distinct stack.
+
+    The key is the stack itself (shape, dtype and bytes), not the
+    parameters it came from, so a stack that differs in any bit is solved
+    afresh.  A failing solve is not kept.
+    """
+    key = (stack.shape, stack.dtype.str, stack.tobytes())
+    with _phonon_memo_lock:
+        modes = _phonon_memo.pop(key, None)
+        if modes is not None:
+            _phonon_memo[key] = modes
+            return modes
+    modes = diagonalize_symplectic(stack, sector="phonon")
+    for arr in (modes.frequencies, modes.right, modes.left):
+        arr.flags.writeable = False
+    with _phonon_memo_lock:
+        _phonon_memo[key] = modes
+        while len(_phonon_memo) > _PHONON_MEMO_SIZE:
+            del _phonon_memo[next(iter(_phonon_memo))]
+    return modes
 
 
 def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,

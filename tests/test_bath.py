@@ -84,3 +84,10 @@ def test_pole_weights_and_their_config_errors():
         bath.pole_weights("cherenkov", p, "3d")
     with pytest.raises(ConfigError):
         bath.pole_weights("landau", p, "2d")
+
+
+def test_negative_epsilon_is_a_config_error():
+    # every damping rate would come out negative
+    with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+        build_bath_spectrum([0.2], [0.3], [0.7], [0.1], [0.1],
+                            temperature=0.0, epsilon=-0.01)

@@ -13,6 +13,7 @@ from cavitybec.bogoliubov import (
     GAMMA, OMEGA, DiagonalizationError, _eig_modes, diagonalize_symplectic,
     mirrored_modes, negative_modes, phonon_bands, soft_mode,
 )
+from cavitybec import response
 from cavitybec.response import build_response
 from cavitybec.verify import _random_params
 
@@ -308,7 +309,16 @@ def test_non_pseudo_hermitian_matrix_takes_the_general_route():
 
 
 def test_build_response_phonon_stacks_skip_the_general_eigensolve(monkeypatch):
-    # the one general eigensolve per point is the polariton matrix F
+    # the one general eigensolve per point is the polariton matrix F; the
+    # random sets guard the real gauge of the Colpa route, which a complex
+    # coefficient outside the c-s coupling would break for every G(q)
+    points = [P.with_pump(frac * Y_CRIT) for frac in (0.3, 0.78, 1.05, 1.2, 1.6)]
+    rng = np.random.default_rng(8)
+    for site_count in (11, 101):
+        for frac in (0.5, 1.3, 0.9, 1.1):
+            base = replace(_random_params(rng), site_count=site_count,
+                           atom_number=10 * site_count)
+            points.append(base.with_pump(frac * critical_coupling(base)))
     shapes = []
     eig = np.linalg.eig
 
@@ -316,11 +326,11 @@ def test_build_response_phonon_stacks_skip_the_general_eigensolve(monkeypatch):
         shapes.append(np.shape(a))
         return eig(a)
 
+    response._phonon_memo.clear()
     monkeypatch.setattr(np.linalg, "eig", counted)
-    fracs = (0.3, 0.78, 1.05, 1.2, 1.6)
-    for frac in fracs:
-        build_response(P.with_pump(frac * Y_CRIT))
-    assert shapes == [(1, 6, 6)] * len(fracs)
+    for p in points:
+        build_response(p)
+    assert shapes == [(1, 6, 6)] * len(points)
 
 
 @pytest.mark.parametrize("frac", [1.05, 1.2])

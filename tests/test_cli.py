@@ -1,5 +1,6 @@
 import numpy as np
 
+from cavitybec import response
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
 
@@ -83,10 +84,29 @@ def test_damping_sweep_epsilon_family(tmp_path):
     assert all(r["gamma_b_eps0.03"] >= 0.0 for r in rows)
 
 
+def test_negative_epsilon_exits_1(tmp_path):
+    # it used to exit 0 with gamma_B = -7.6e-5 in damping.csv
+    code = main(["damping-sweep", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", "epsilons=-0.01"])
+    assert code == 1
+    assert not (tmp_path / "damping.csv").exists()
+
+
 def test_outputs_deterministic_across_runs(tmp_path):
-    args = ["softmode", "--set", "y_points=4"]
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(args + ["--output-dir", str(out1)]) == 0
-    assert main(args + ["--output-dir", str(out2)]) == 0
-    assert (out1 / "softmode.csv").read_bytes() == \
-        (out2 / "softmode.csv").read_bytes()
+    # the damping sweep spans both phases; its second run finds every
+    # phonon stack already solved, so equal bytes show that serving the
+    # kept modes never changes an output
+    response._phonon_memo.clear()
+    cases = [["softmode", "--set", "y_points=4"],
+             ["damping-sweep", "--set", "y_points=3", "--set", "site_count=101",
+              "--set", "y_frac_min=0.5", "--set", "y_frac_max=1.3",
+              "--set", "epsilons=0.03,0.01"]]
+    for k, args in enumerate(cases):
+        out1, out2 = tmp_path / f"r1_{k}", tmp_path / f"r2_{k}"
+        assert main(args + ["--output-dir", str(out1)]) == 0
+        assert main(args + ["--output-dir", str(out2)]) == 0
+        names = sorted(f.name for f in out1.iterdir())
+        assert names == sorted(f.name for f in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -49,6 +49,11 @@ def test_validation_rejects_bad_values():
         MicroParams(cavity_detuning=-10.0, temperature=-1.0).validate()
     with pytest.raises(ConfigError):
         MicroParams(cavity_detuning=-10.0, phonon_damping=-0.1).validate()
+    # ThermoParams checks the same two fields as MicroParams
+    with pytest.raises(ConfigError, match="temperature"):
+        default_params(temperature=-1.0)
+    with pytest.raises(ConfigError, match="phonon_damping"):
+        thermo_from_mapping({"phonon_damping": -0.1})
 
 
 def test_momentum_grid_shape_and_symmetry():

@@ -15,9 +15,10 @@ from cavitybec.bogoliubov import (DiagonalizationError, diagonalize_symplectic,
                                   mirrored_modes, soft_mode)
 from cavitybec.coupling import landau_beliaev_couplings, vertex_coefficients
 from cavitybec.bath import build_bath_spectrum
+from cavitybec import response
 from cavitybec.response import (
     _SUM_RULE_MAX_STEP_PER_WIDTH, NumericsError, Response, build_response,
-    pole_sum, self_energy, spectral_sum_rule,
+    damping_sweep, pole_sum, self_energy, spectral_sum_rule,
 )
 
 P = default_params()
@@ -385,3 +386,92 @@ def test_pipeline_properties_over_random_parameters(
         assert width * _SUM_RULE_MAX_STEP_PER_WIDTH < resp.bath.epsilon / 5
         return
     assert abs(total - 1.0) < 1e-2
+
+
+def test_negative_epsilon_or_temperature_is_a_config_error():
+    # the per-(epsilon, T) baths of a sweep skip ThermoParams.validate; a
+    # negative epsilon used to come back as gamma_B = -1.7e-3
+    p = default_params(site_count=101, atom_number=1010)
+    ys = [0.5 * critical_coupling(p)]
+    with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+        damping_sweep(p, ys, epsilons=(-0.01,))
+    with pytest.raises(ConfigError, match="temperature must be >= 0"):
+        damping_sweep(p, ys, temperatures=(-0.1,))
+
+
+# -- the phonon modes are solved once per distinct G(q) stack ----------------
+
+def _cold_build(frac):
+    response._phonon_memo.clear()
+    return build_response(P.with_pump(frac * Y_CRIT))
+
+
+def _assert_same_response(got, ref):
+    assert got.omega_s == ref.omega_s
+    for name in ("omega1", "omega2", "g_landau", "g_beliaev", "nl", "nb"):
+        np.testing.assert_array_equal(getattr(got.bath, name),
+                                      getattr(ref.bath, name))
+
+
+def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
+    solves = []
+    solve = response.diagonalize_symplectic
+
+    def counted(m, sector=""):
+        solves.append(np.shape(m))
+        return solve(m, sector)
+
+    response._phonon_memo.clear()
+    monkeypatch.setattr(response, "diagonalize_symplectic", counted)
+    low = build_response(P.with_pump(0.3 * Y_CRIT))
+    high = build_response(P.with_pump(0.78 * Y_CRIT))
+    assert len(solves) == 1
+    # below threshold the bands are the pump-independent ones; only the
+    # soft mode and its couplings move
+    assert np.shares_memory(low.bath.omega1, high.bath.omega1)
+    assert not np.array_equal(low.bath.g_beliaev, high.bath.g_beliaev)
+    _assert_same_response(low, _cold_build(0.3))
+    _assert_same_response(high, _cold_build(0.78))
+
+
+def test_kept_phonon_modes_are_read_only():
+    resp = _cold_build(0.5)
+    (modes,) = response._phonon_memo.values()
+    for arr in (modes.frequencies, modes.right, modes.left,
+                resp.bath.omega1, resp.bath.omega2):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_ordered_point_between_normal_ones_matches_a_cold_build():
+    response._phonon_memo.clear()
+    for frac in (0.3, 1.2, 0.5):
+        build_response(P.with_pump(frac * Y_CRIT))
+    # both stacks are kept: the ordered one is served from the memo here
+    warm_ordered = build_response(P.with_pump(1.2 * Y_CRIT))
+    warm_normal = build_response(P.with_pump(0.95 * Y_CRIT))
+    _assert_same_response(warm_ordered, _cold_build(1.2))
+    _assert_same_response(warm_normal, _cold_build(0.95))
+
+
+def test_changed_phonon_stack_is_solved_again(monkeypatch):
+    # the planted complex pair of test_bad_phonon_matrix_is_named_by_its_q,
+    # after the clean stack of the same parameters has been kept
+    p = P.with_pump(0.8 * Y_CRIT)
+    _cold_build(0.8)
+    grid = momentum_grid(p)
+    q_half = grid[grid > 0]
+    bad = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]).astype(complex)
+    bad[0, 1], bad[1, 0] = 5.0, -5.0
+    phonon_matrix = ModelExpansion.phonon_matrix
+
+    def planted(self, q):
+        stack = phonon_matrix(self, q)
+        stack[2] = bad
+        return stack
+
+    monkeypatch.setattr(ModelExpansion, "phonon_matrix", planted)
+    with pytest.raises(DiagonalizationError,
+                       match=f"q = {q_half[2]:g}: non-real") as info:
+        build_response(p)
+    assert info.value.index == 2
