@@ -20,6 +20,7 @@ nu = eps — no marching scheme can cross a quasi-dense pole line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,18 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
     centered on the bath frequencies; NNLS against a comb of Lorentzians at
     the grid resolution recovers the weight density, and the constant c0
     follows from the real part.
+
+    Only the comb nodes under the bath band carry weight, so Lawson-Hanson
+    NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974) runs on
+    those columns alone.  The support is located by a coarse NNLS on one
+    comb node per eps and widened by 3 eps (_SUPPORT_MARGIN) on either side
+    of every coarse node with weight.  The result is then certified as the
+    optimum of the full-comb problem by its KKT condition: the dual
+    w = D^T (Im r - D x) on every dropped column must not exceed the
+    rounding error of evaluating it; violating columns are added back and
+    the fit is solved again until none is left.  Every solve keeps the
+    iteration cap of 3 x (full comb size) and raises NumericsError when
+    it is reached.  A pole-free input (Im r = 0) gives an empty comb.
     """
     omega = np.asarray(omega, dtype=float)
     r = 1.0 / np.asarray(g_values, dtype=complex)
@@ -71,13 +84,71 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
     h = omega[1] - omega[0]
     centers = np.arange(omega[0] - 5 * eps, omega[-1] + 5 * eps, h)
     design = eps / ((omega[:, None] - centers[None, :]) ** 2 + eps ** 2)
-    weights, resid = scipy.optimize.nnls(design, im)
+    support = _comb_support(design, im, stride=max(1, round(eps / h)),
+                            margin=math.ceil(_SUPPORT_MARGIN * eps / h))
+    weights, resid = _certified_nnls(design, im, support)
     keep = weights > 0
     centers, weights = centers[keep], weights[keep]
     re_sum = pole_sum(omega, weights, centers, eps).real
     c0 = float(np.mean(omega - np.real(r) - re_sum))
     return MeromorphicModel(c0=c0, centers=centers, weights=weights,
                             eps=eps, fit_residual=float(resid))
+
+
+# comb nodes kept on either side of a coarse node with weight, in units of
+# eps: the Lorentzian of width eps has fallen to 1/10 of its peak there
+_SUPPORT_MARGIN = 3.0
+
+
+def _nnls(columns, b, comb_size: int):
+    """Lawson-Hanson NNLS on some comb columns, capped at 3 x comb_size."""
+    cap = 3 * comb_size
+    try:
+        return scipy.optimize.nnls(columns, b, maxiter=cap)
+    except RuntimeError as exc:
+        raise NumericsError(
+            f"NNLS comb fit: Lawson-Hanson reached its cap of {cap} "
+            f"iterations on {columns.shape[1]} of the {comb_size} comb "
+            "columns") from exc
+
+
+def _comb_support(design, im, stride: int, margin: int):
+    """Comb columns within margin nodes of a coarse node with weight.
+
+    The coarse fit runs on every stride-th column.
+    """
+    n = design.shape[1]
+    coarse, _ = _nnls(design[:, ::stride], im, n)
+    seeds = np.zeros(n)
+    seeds[::stride] = coarse > 0
+    window = np.convolve(seeds, np.ones(2 * margin + 1))[margin:margin + n]
+    return window > 0
+
+
+def _certified_nnls(design, im, support):
+    """NNLS on the support columns, grown until the full comb's KKT holds.
+
+    Returns the weights over the whole comb and the residual norm.  A
+    dropped column j is added back when its dual w_j = d_j^T (im - D x)
+    exceeds (m + n) u d_j^T (|im| + D x), the first-order bound on the
+    rounding error of evaluating w_j (D >= 0 and x >= 0, so |D||x| = D x).
+    """
+    m, n = design.shape
+    unit = np.finfo(float).eps
+    while True:
+        weights = np.zeros(n)
+        resid = float(np.linalg.norm(im))
+        # scipy's compiled NNLS aborts the process on a matrix with no
+        # columns (scipy 1.17: "double free"), as a pole-free input has
+        if support.any():
+            weights[support], resid = _nnls(design[:, support], im, n)
+        fit = design @ weights
+        dual = design.T @ (im - fit)
+        tol = (m + n) * unit * (design.T @ (np.abs(im) + fit))
+        missed = ~support & (dual > tol)
+        if not missed.any():
+            return weights, resid
+        support = support | missed
 
 
 # -- complex grids ---------------------------------------------------------

@@ -100,10 +100,14 @@ class ThermoParams:
             raise ConfigError("recoil frequency is the unit and must equal 1")
         if self.site_count < 1:
             raise ConfigError("site_count must be a positive integer")
+        if self.atom_number < 1:
+            raise ConfigError(f"atom_number must be >= 1, got {self.atom_number}")
         if self.phonon_damping < 0:
             raise ConfigError(f"phonon_damping must be >= 0, got {self.phonon_damping}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.condensate_width <= 0:
+            raise ConfigError(f"condensate_width must be > 0, got {self.condensate_width}")
 
     def with_pump(self, y: float) -> "ThermoParams":
         return replace(self, y=y)

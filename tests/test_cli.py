@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.optimize
 
 from cavitybec import response
 from cavitybec.cli import main
@@ -91,6 +92,26 @@ def test_negative_epsilon_exits_1(tmp_path):
                  "--set", "epsilons=-0.01"])
     assert code == 1
     assert not (tmp_path / "damping.csv").exists()
+
+
+def test_atom_number_zero_exits_1(tmp_path):
+    # it used to die with a ZeroDivisionError traceback
+    code = main(["damping-sweep", "--output-dir", str(tmp_path),
+                 "--set", "atom_number=0", "--set", "site_count=101"])
+    assert code == 1
+    assert not (tmp_path / "damping.csv").exists()
+
+
+def test_nnls_iteration_cap_exits_with_the_numerics_code(tmp_path,
+                                                        monkeypatch, capsys):
+    full_nnls = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda a, b, maxiter=None:
+                        full_nnls(a, b, maxiter=1))
+    code = main(["poles", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", "dump_grid=1"])
+    assert code == 3
+    assert "numerics error: NNLS comb fit" in capsys.readouterr().err
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

@@ -54,6 +54,11 @@ def test_validation_rejects_bad_values():
         default_params(temperature=-1.0)
     with pytest.raises(ConfigError, match="phonon_damping"):
         thermo_from_mapping({"phonon_damping": -0.1})
+    # ... and atom_number and condensate_width as MicroParams does
+    with pytest.raises(ConfigError, match="atom_number"):
+        default_params(atom_number=0)
+    with pytest.raises(ConfigError, match="condensate_width"):
+        thermo_from_mapping({"condensate_width": -3.0})
 
 
 def test_momentum_grid_shape_and_symmetry():
