@@ -30,7 +30,7 @@ from .response import (
 from .continuation import (
     MeromorphicModel, ComplexGrid, Pole, PoleSet, reconstruct_meromorphic,
     continue_green, cauchy_riemann_residual, march_cauchy_riemann,
-    find_poles, companion_pole_candidates, spectral_peak_seeds, pole_sweep,
+    find_poles, companion_pole_candidates, pole_sweep,
 )
 from .fockcheck import coupling_residuals, oracle_residuals
 from .csvio import read_table, write_json_lines, write_table

@@ -291,13 +291,11 @@ def march_cauchy_riemann(omega, g_values, nu_max: float, n_nu: int = 64,
 class Pole:
     z: complex
     residue: complex
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class PoleSet:
     poles: list
-    y: float = float("nan")
     failed_seeds: tuple = ()
 
 
@@ -329,8 +327,9 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
     evaluator needs .inverse_green and .green (a Response or a
     MeromorphicModel).  Converged roots are deduplicated, restricted to the
     open lower half-plane, and returned sorted by |Im z| with residues from
-    a circular contour quadrature.  Seeds that fail to converge are
-    reported, not dropped.
+    a circular contour quadrature of radius min(|Im z|/3, 1e-4); that
+    circle also takes in any other pole inside it, whose residue is then
+    added.  Seeds that fail to converge are reported, not dropped.
     """
     inv = lambda z: complex(evaluator.inverse_green(z))
     found = []
@@ -364,8 +363,7 @@ def companion_pole_candidates(resp: Response):
     [[omega_s, v^T], [v, diag(x)]] with v = sqrt(w).  They are found
     without forming that matrix, by a simultaneous Aberth-Ehrlich
     iteration on the secular equation (Bini & Robol, J. Comput. Appl. Math.
-    272, 2014) in O(m^2) work.  Used to seed the Newton search; each
-    candidate is then polished and verified on 1/G itself.
+    272, 2014) in O(m^2) work.
     """
     weights, centers = resp.active_poles
     return _secular_roots(resp.omega_s, weights,
@@ -434,58 +432,53 @@ def _secular_roots(head, weights, freqs, max_iter: int = 100):
     return np.concatenate([z, repeated])
 
 
-def spectral_peak_seeds(omega, rho, n_peaks: int = 10):
-    """Pole seeds at spectral maxima, pushed down by the half-width."""
-    rho = np.asarray(rho, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    idx = np.where((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:]))[0] + 1
-    idx = idx[np.argsort(-rho[idx])][:n_peaks]
-    seeds = []
-    for i in idx:
-        half = rho[i] / 2.0
-        j = i
-        while j + 1 < len(rho) and rho[j] > half:
-            j += 1
-        halfwidth = max(omega[j] - omega[i], omega[1] - omega[0])
-        seeds.append(omega[i] - 1j * halfwidth)
-    return seeds
-
-
-def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_omega: int = 2048,
-               n_track: int = 2, dos_mode: str = "3d"):
+def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,
+               dos_mode: str = "3d"):
     """Track the n_track smallest-|Im| poles of G across a pump sweep.
 
-    Per point the exact finite-sum evaluator is used (the self-energy is
-    meromorphic for eps > 0, so no grid continuation is needed for the pole
-    positions).  Trajectories are matched across y by minimal total
-    displacement in the complex plane.
+    The poles of G are the zeros of its secular function r = 1/G, all of
+    which companion_pole_candidates returns.  Per point the zeros in the
+    open lower half-plane with Re z in omega_window are taken by ascending
+    |Im z|, and the first n_track + 3 with |r(z)| <= 1e-8 are kept.  Their
+    residues are exact: 1/r'(z), r'(z) = 1 + sum_j w_j/(z - x_j + i eps)^2.
+    Trajectories are matched across y by minimal total displacement in the
+    complex plane.  Raises NumericsError when fewer than n_track zeros in
+    the window pass the check.
     """
+    # looked up per call, not at import: perfbench/tracer.py wraps
+    # response.build_response by attribute
     from .response import build_response
 
-    grid = np.linspace(*omega_window, n_omega)
     records = []
     prev = None
     for y in y_values:
         resp = build_response(p.with_pump(float(y)), dos_mode=dos_mode)
-        rho = resp.spectral(grid)
-        seeds = list(spectral_peak_seeds(grid, rho))
-        # collective phonon poles hide in tight pole-zero dipoles on the
-        # bath line; the secular-equation solve locates them all, and the
-        # few most detached ones are handed to Newton for polish + residues
-        cand = companion_pole_candidates(resp)
-        cand = cand[(cand.real >= omega_window[0])
-                    & (cand.real <= omega_window[1]) & (cand.imag < 0)]
-        cand = cand[np.argsort(np.abs(cand.imag))][:n_track + 4]
-        seeds += list(cand)
-        ps = find_poles(resp, seeds)
-        if len(ps.poles) < n_track:
+        z = companion_pole_candidates(resp)
+        z = z[(z.real >= omega_window[0]) & (z.real <= omega_window[1])
+              & (z.imag < 0)]
+        # a zero within rounding of a weak bath pole fails the test on r,
+        # whose term for that pole dominates there (and is not finite on
+        # the pole itself); like a failed seed of find_poles it is passed
+        # over
+        kept = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for zk in z[np.argsort(np.abs(z.imag))]:
+                if len(kept) == n_track + 3:
+                    break
+                if abs(resp.inverse_green(zk)) <= 1e-8:
+                    kept.append(zk)
+        if len(kept) < n_track:
             raise NumericsError(
-                f"only {len(ps.poles)} poles located at y = {y} "
-                f"(need {n_track}); failed seeds: {ps.failed_seeds}")
-        if prev is None:
-            chosen = [pl for pl in ps.poles[:n_track]]
-        else:
-            chosen = _match_tracks(prev, ps.poles, n_track)
+                f"only {len(kept)} verified poles in the window "
+                f"{tuple(omega_window)} at y = {y} (need {n_track})")
+        z = np.array(kept)
+        weights, centers = resp.active_poles
+        gaps = z[:, None] - centers + 1j * resp.bath.epsilon
+        slope = 1.0 + (weights / gaps ** 2).sum(axis=1)
+        poles = [Pole(z=complex(zk), residue=complex(1.0 / dk))
+                 for zk, dk in zip(z, slope)]
+        chosen = poles[:n_track] if prev is None else _match_tracks(
+            prev, poles, n_track)
         records.append({"y": float(y), "poles": chosen,
                         "residues": [pl.residue for pl in chosen]})
         prev = [pl.z for pl in chosen]
@@ -496,10 +489,9 @@ def _match_tracks(prev, poles, n_track):
     """Assign current poles to previous tracks by minimal total displacement."""
     from itertools import permutations
 
-    cand = poles[:min(len(poles), n_track + 3)]
     best, best_cost = None, np.inf
-    for combo in permutations(range(len(cand)), n_track):
-        cost = sum(abs(cand[j].z - prev[i]) for i, j in enumerate(combo))
+    for combo in permutations(range(len(poles)), n_track):
+        cost = sum(abs(poles[j].z - prev[i]) for i, j in enumerate(combo))
         if cost < best_cost:
             best_cost, best = cost, combo
-    return [cand[j] for j in best]
+    return [poles[j] for j in best]

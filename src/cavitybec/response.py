@@ -37,8 +37,10 @@ class NumericsError(RuntimeError):
 
 _Z_CHUNK = 64  # rows of z per block: bounds the (block, n_poles) buffers
 
-# smallest epsilon whose default sum-rule grid (step epsilon / 5 over a
-# window of ~100 + max omega_B) still resolves the bath Lorentzians
+# margin of the sum-rule grid beyond the bath band and omega_s
+_SUM_RULE_MARGIN = 50.0
+# smallest epsilon whose sum-rule grid (step epsilon / 5 over a window of
+# ~100 + max omega_B) still resolves the bath Lorentzians
 _SUM_RULE_MIN_EPS = 1e-4
 # largest grid step per Born-Markov width of the polariton pole that keeps
 # the sum rule's error from the refinement window's edges below ~5e-3
@@ -228,17 +230,17 @@ def _phonon_modes(stack: np.ndarray) -> ModeSet:
     return modes
 
 
-def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,
-                      step: float | None = None):
+def spectral_sum_rule(resp: Response):
     """Trapezoidal integral of rho over a wide grid, divided by 2 pi.
 
     Should come out 1 (the equal-time commutator); the grid spans the
-    support with margin `halfwidth` and resolves the Lorentzian scale
-    epsilon.  Below epsilon = 1e-4 the bath Lorentzians are too narrow for
-    a grid of a few million points (at epsilon = 0 they are delta peaks
-    that no trapezoid resolves), so NumericsError is raised before any
-    grid is built.  The same holds for a dressed polariton pole narrower
-    than the grid can join (an undamped one above all; see below).
+    support with margin _SUM_RULE_MARGIN and resolves the Lorentzian scale
+    epsilon at step epsilon / 5.  Below epsilon = 1e-4 the bath
+    Lorentzians are too narrow for a grid of a few million points (at
+    epsilon = 0 they are delta peaks that no trapezoid resolves), so
+    NumericsError is raised before any grid is built.  The same holds for
+    a dressed polariton pole narrower than the grid can join (an undamped
+    one above all; see below).
     """
     eps = resp.bath.epsilon
     if eps == 0.0:
@@ -249,8 +251,7 @@ def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,
         raise NumericsError(
             f"spectral sum rule needs epsilon >= {_SUM_RULE_MIN_EPS:g}, got "
             f"{eps:g}: its grid does not resolve narrower bath Lorentzians")
-    if step is None:
-        step = eps / 5.0
+    step = eps / 5.0
     # the dressed polariton pole can be much narrower than epsilon; a
     # window of +-200 widths at width/10 resolves its Lorentzian, but the
     # trapezoid from the window's edge to the next grid point overshoots
@@ -262,8 +263,9 @@ def spectral_sum_rule(resp: Response, halfwidth: float = 50.0,
         raise NumericsError(
             f"spectral sum rule cannot resolve the polariton pole: Born-"
             f"Markov width {width:.3e} against a grid step of {step:.3e}")
-    lo = min(0.0, resp.omega_s) - halfwidth
-    hi = max(resp.omega_s, float(np.max(resp.bath.omega_b.real))) + halfwidth
+    lo = min(0.0, resp.omega_s) - _SUM_RULE_MARGIN
+    hi = (max(resp.omega_s, float(np.max(resp.bath.omega_b.real)))
+          + _SUM_RULE_MARGIN)
     grid = np.arange(lo, hi + step, step)
     if width < eps:
         center = bm.omega_s + bm.delta_l + bm.delta_b

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cavitybec import continuation
+from cavitybec import (
+    BathConstructionError, ConfigError, ConvergenceError, CriticalPointError,
+    DiagonalizationError, continuation,
+)
 from cavitybec.continuation import (
     MeromorphicModel, _secular_roots, cauchy_riemann_residual,
     companion_pole_candidates, continue_green, find_poles,
     march_cauchy_riemann, pole_sweep, reconstruct_meromorphic,
-    spectral_peak_seeds,
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.response import NumericsError, build_response
@@ -259,18 +262,6 @@ def test_marching_aborts_below_the_pole_line():
         march_cauchy_riemann(omega, data, nu_max=0.2, n_nu=64)
 
 
-def test_peak_seeds_sit_below_the_maxima():
-    omega = np.linspace(0.0, 2.0, 2001)
-    rho = 1.0 / ((omega - 0.7) ** 2 + 0.01**2) \
-        + 0.5 / ((omega - 1.3) ** 2 + 0.02**2)
-    seeds = spectral_peak_seeds(omega, rho, n_peaks=2)
-    assert len(seeds) == 2
-    res = sorted(s.real for s in seeds)
-    assert res[0] == pytest.approx(0.7, abs=2e-3)
-    assert res[1] == pytest.approx(1.3, abs=2e-3)
-    assert all(s.imag < 0 for s in seeds)
-
-
 def test_companion_candidates_match_newton_roots():
     p = default_params()
     resp = build_response(p.with_pump(0.78 * critical_coupling(p)))
@@ -373,3 +364,90 @@ def test_secular_roots_raise_when_the_step_cap_is_exhausted():
     weights = np.full(50, 0.01)
     with pytest.raises(NumericsError, match="not converged after 1 "):
         _secular_roots(1.0, weights, freqs, max_iter=1)
+
+
+# -- pole_sweep: secular zeros with residues 1/r'(z) ------------------------
+
+def test_residue_beside_a_neighbouring_zero_leaves_that_zero_out():
+    # the second tracked pole sits 6.2e-6 from another zero of 1/G; a
+    # contour of radius min(|Im z|/3, 1e-4) takes in both and gave 8.23e-6
+    # for a residue of 7.02e-6
+    p = default_params(temperature=0.1)
+    y = 1.45 * critical_coupling(p)
+    pole = pole_sweep(p, [y], omega_window=(0.0, 3.0))[0]["poles"][1]
+    assert pole.z == pytest.approx(1.69673 - 0.01j, abs=1e-5)
+    resp = build_response(p.with_pump(y))
+    gap = np.sort(np.abs(companion_pole_candidates(resp) - pole.z))[1]
+    assert gap < 1e-4
+    circle = gap / 4 * np.exp(2j * np.pi * np.arange(256) / 256)
+    contour = np.mean(resp.green(pole.z + circle) * circle)
+    assert abs(pole.residue - contour) <= 1e-8 * abs(contour)
+
+
+def test_window_without_a_zero_is_a_numerics_error():
+    p = default_params(site_count=101, atom_number=1010)
+    with pytest.raises(NumericsError, match="only 0 verified poles"):
+        pole_sweep(p, [0.5 * critical_coupling(p)], omega_window=(50.0, 60.0))
+
+
+def test_zero_within_rounding_of_a_weak_bath_pole_is_passed_over():
+    # 11 sites at eps = 0.082: one of the five zeros in the window sits so
+    # close to a weak bath pole that |1/G| evaluates to 1.8e-8 there; the
+    # sweep goes on with the other four
+    p = default_params(cavity_detuning=-1030.0, u=1.25, g_coll=0.17,
+                       phonon_damping=0.082, site_count=11, atom_number=110)
+    y = 1.6 * critical_coupling(p)
+    resp = build_response(p.with_pump(y))
+    zeros = companion_pole_candidates(resp)
+    zeros = zeros[(zeros.imag < 0) & (zeros.real >= 0) & (zeros.real <= 2.5)]
+    assert np.count_nonzero(np.abs(resp.inverse_green(zeros)) > 1e-8) == 1
+    poles = pole_sweep(p, [y], omega_window=(0.0, 2.5))[0]["poles"]
+    assert len(poles) == 2
+    assert all(abs(resp.inverse_green(pl.z)) <= 1e-8 for pl in poles)
+
+
+_TYPED_ERRORS = (BathConstructionError, ConfigError, ConvergenceError,
+                 CriticalPointError, DiagonalizationError, NumericsError)
+
+
+@settings(max_examples=100, deadline=None)
+@given(detuning=st.floats(-2000.0, -2.0), u=st.floats(0.0, 5.0),
+       g_coll=st.floats(0.0, 0.5),
+       fracs=st.lists(st.floats(0.0, 1.6), min_size=1, max_size=3),
+       temperature=st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+       eps=st.floats(2e-3, 0.1), site_count=st.sampled_from([101, 11, 3, 1]),
+       lo=st.floats(-0.5, 1.0), width=st.floats(0.5, 3.0))
+@example(detuning=-1000.0, u=0.0, g_coll=0.1, fracs=[0.7, 0.8],
+         temperature=0.0, eps=0.01, site_count=101, lo=0.0, width=3.0)
+@example(detuning=-2.5, u=1.0, g_coll=0.3, fracs=[1.3], temperature=0.05,
+         eps=0.02, site_count=101, lo=0.0, width=3.0)
+def test_pole_sweep_returns_verified_poles_over_random_parameters(
+        detuning, u, g_coll, fracs, temperature, eps, site_count, lo, width):
+    # every returned pole is a zero of 1/G below the real axis, inside the
+    # window, with residue 1/r'(z); a failure is one of the typed errors
+    p = default_params(cavity_detuning=detuning, u=u, g_coll=g_coll,
+                       temperature=temperature, phonon_damping=eps,
+                       site_count=site_count, atom_number=10 * site_count)
+    ys = np.sort(fracs) * critical_coupling(p)
+    try:
+        records = pole_sweep(p, ys, omega_window=(lo, lo + width))
+    except _TYPED_ERRORS:
+        return
+    assert [rec["y"] for rec in records] == list(ys)
+    for rec in records:
+        resp = build_response(p.with_pump(rec["y"]))
+        assert len(rec["poles"]) == 2
+        for pole, residue in zip(rec["poles"], rec["residues"]):
+            z = pole.z
+            assert residue == pole.residue
+            assert z.imag < 0
+            assert lo <= z.real <= lo + width
+            assert abs(resp.inverse_green(z)) <= 1e-8
+            # r'(z) summed channel by channel over every bath pole
+            terms = np.concatenate([
+                w / (z - om) ** 2 for w, om in (
+                    resp.bath.pole_weights(channel, resp.params, "3d")
+                    for channel in ("landau", "beliaev"))])
+            slope = 1.0 + terms.sum()
+            assert abs(residue * slope - 1.0) <= 1e-12 * (
+                1.0 + np.abs(terms).sum()) / abs(slope)

@@ -381,7 +381,7 @@ def test_pipeline_properties_over_random_parameters(
         total, _, _ = spectral_sum_rule(resp)
     except NumericsError:
         # the one refusal open at these epsilon: a polariton pole narrower
-        # than its default grid step eps / 5 can join
+        # than its grid step eps / 5 can join
         width = bm.gamma_l + bm.gamma_b
         assert width * _SUM_RULE_MAX_STEP_PER_WIDTH < resp.bath.epsilon / 5
         return
