@@ -11,8 +11,7 @@ from .meanfield import (
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (
     GAMMA, OMEGA, ModeSet, DiagonalizationError, diagonalize_symplectic,
-    phonon_bands, soft_mode, symmetry_residuals, negative_modes,
-    mirrored_modes,
+    phonon_bands, soft_mode, symmetry_residuals, mirrored_modes,
 )
 from .coupling import (
     VertexSet, vertex_coefficients, landau_beliaev_couplings,

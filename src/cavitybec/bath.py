@@ -40,7 +40,7 @@ class BathSpectrum:
     """Composite Landau/Beliaev modes on the positive-q half grid.
 
     Each entry represents the +-q pair, so bath sums over the full grid
-    carry degeneracy 2.  omega_l and omega_b are complex (imaginary part
+    carry a factor 2.  omega_l and omega_b are complex (imaginary part
     -epsilon); nl and nb are the pair-normalization factors; g_landau and
     g_beliaev the soft-mode coupling strengths.
     """
@@ -50,24 +50,20 @@ class BathSpectrum:
     omega2: np.ndarray
     omega_l: np.ndarray
     omega_b: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
     nl: np.ndarray
     nb: np.ndarray
     g_landau: np.ndarray
     g_beliaev: np.ndarray
-    temperature: float
     epsilon: float
-    degeneracy: float = 2.0
 
     def pole_weights(self, channel: str, params: ThermoParams,
                      dos_mode: str = "3d"):
         """(weights, frequencies) of one channel's self-energy poles.
 
         Sigma^channel(z) = sum_j weights[j] / (z - frequencies[j]) with
-        weights = degeneracy * w_q * |g_q|^2 * N_q^2 / N_c, where w_q = 1
-        for dos_mode '1d' and (q w)^2 / 2 pi for '3d' (w the condensate
-        width).
+        weights = 2 w_q |g_q|^2 N_q^2 / N_c, where the 2 counts the +-q
+        pair, w_q = 1 for dos_mode '1d' and (q w)^2 / 2 pi for '3d' (w the
+        condensate width).
         """
         if channel == "landau":
             g, n, om = self.g_landau, self.nl, self.omega_l
@@ -82,8 +78,7 @@ class BathSpectrum:
             dos = np.ones_like(self.q)
         else:
             raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
-        weights = (self.degeneracy * dos * np.abs(g) ** 2 * n ** 2
-                   / params.atom_number)
+        weights = 2.0 * dos * np.abs(g) ** 2 * n ** 2 / params.atom_number
         return weights, om
 
 
@@ -116,10 +111,9 @@ def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
         q=q, omega1=omega1, omega2=omega2,
         omega_l=(omega2 - omega1) - 1j * epsilon,
         omega_b=(omega1 + omega2) - 1j * epsilon,
-        n1=n1, n2=n2,
         nl=np.sqrt(radicand),
         nb=np.sqrt(n1 + n2 + 1.0),
         g_landau=np.asarray(g_landau, dtype=complex),
         g_beliaev=np.asarray(g_beliaev, dtype=complex),
-        temperature=float(temperature), epsilon=float(epsilon),
+        epsilon=float(epsilon),
     )

@@ -78,9 +78,12 @@ class ModeSet:
 
     frequencies: np.ndarray
     right: np.ndarray
-    left: np.ndarray
-    sector: str = ""
     zero_count: int = 0
+
+    @property
+    def left(self) -> np.ndarray:
+        """Left eigenvectors l = OMEGA r of the positive-frequency modes."""
+        return OMEGA @ self.right
 
     def mode(self, i):
         return (self.frequencies[..., i], self.right[..., :, i],
@@ -223,9 +226,9 @@ def _mode_set(freqs, right, batch, sector) -> ModeSet:
     gram_err = np.max(np.abs(gram - np.eye(n_pos)), axis=(-2, -1), initial=0.0)
     _check(gram_err > 1e-8, batch, lambda i, where: (
         f"defective positive-frequency subspace in sector {sector!r}{where}"))
-    right = right.reshape(batch + (6, n_pos))
-    return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)), right=right,
-                   left=OMEGA @ right, sector=sector, zero_count=6 - 2 * n_pos)
+    return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)),
+                   right=right.reshape(batch + (6, n_pos)),
+                   zero_count=6 - 2 * n_pos)
 
 
 def _check(bad, batch, describe) -> None:
@@ -237,21 +240,6 @@ def _check(bad, batch, describe) -> None:
         raise DiagonalizationError(describe(i, where), i if batch else None)
 
 
-def negative_modes(ms: ModeSet) -> ModeSet:
-    """Companion negative-frequency modes of the same matrix.
-
-    omega -> -omega with r -> GAMMA r, which holds for the polariton matrix
-    and for G(q) alike (the more familiar map r -> GAMMA r* sends the +q
-    modes to the -omega modes of G(-q) instead, because the particle-hole
-    identity links G(q) to G(-q)*).  The OMEGA-norm of these modes is -1,
-    so the matching left vectors are -OMEGA r.
-    """
-    right = GAMMA @ ms.right
-    return ModeSet(frequencies=-ms.frequencies, right=right,
-                   left=-OMEGA @ right, sector=ms.sector,
-                   zero_count=ms.zero_count)
-
-
 def mirrored_modes(ms: ModeSet) -> ModeSet:
     """Modes of G(-q) from those of G(q).
 
@@ -260,9 +248,7 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
     follows from G(-q) = -Gamma G(q)* Gamma and Gamma exchanging the +-q
     creation/annihilation slots pairwise.
     """
-    right = np.conj(ms.right)
-    return ModeSet(frequencies=ms.frequencies, right=right,
-                   left=OMEGA @ right, sector=ms.sector + " mirrored",
+    return ModeSet(frequencies=ms.frequencies, right=np.conj(ms.right),
                    zero_count=ms.zero_count)
 
 

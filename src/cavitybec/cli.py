@@ -163,44 +163,44 @@ def _write_damping(p, run, outdir, epsilons, temperatures, command):
                 [[r["y_frac"], r["epsilon"], r["temperature"], r["omega_s"],
                   r["delta_l"], r["gamma_l"], r["delta_b"], r["gamma_b"]]
                  for r in records], _meta(p, run, command))
-    return records, y_values, y_crit
+    return records
+
+
+def _pivot(records, key, values, fields):
+    """(names, rows) of a y_frac x value table of the sweep records.
+
+    fields maps a record field to its column-name template, formatted with
+    each of values in turn; rows ascend in y_frac.
+    """
+    table = {}
+    for r in records:
+        table.setdefault(r["y_frac"], {})[r[key]] = r
+    names = ["y_frac"] + [tmpl.format(v) for v in values
+                          for tmpl in fields.values()]
+    rows = [[yf] + [table[yf][v][f] for v in values for f in fields]
+            for yf in sorted(table)]
+    return names, rows
 
 
 def cmd_damping_sweep(p, run, outdir):
     epsilons = _parse_list(run["epsilons"])
-    records, y_values, y_crit = _write_damping(
-        p, run, outdir, epsilons, (p.temperature,), "damping-sweep")
-    names = ["y_frac"] + [f"gamma_b_eps{e:g}" for e in epsilons]
-    table = {}
-    for r in records:
-        table.setdefault(r["y_frac"], {})[r["epsilon"]] = r
-    rows = [[yf] + [table[yf][e]["gamma_b"] for e in epsilons]
-            for yf in sorted(table)]
-    write_table(outdir / "damping.csv", names, rows,
-                _meta(p, run, "damping-sweep"))
-    write_table(outdir / "shifts.csv",
-                ["y_frac"] + [f"delta_b_eps{e:g}" for e in epsilons],
-                [[yf] + [table[yf][e]["delta_b"] for e in epsilons]
-                 for yf in sorted(table)], _meta(p, run, "damping-sweep"))
+    records = _write_damping(p, run, outdir, epsilons, (p.temperature,),
+                             "damping-sweep")
+    for name, field in (("damping", "gamma_b"), ("shifts", "delta_b")):
+        write_table(outdir / f"{name}.csv",
+                    *_pivot(records, "epsilon", epsilons,
+                            {field: field + "_eps{:g}"}),
+                    _meta(p, run, "damping-sweep"))
 
 
 def cmd_temperature_sweep(p, run, outdir):
     temps = _parse_list(run["temperatures"])
-    records, y_values, y_crit = _write_damping(
-        p, run, outdir, (p.phonon_damping,), temps, "temperature-sweep")
-    names = ["y_frac"]
-    for t in temps:
-        names += [f"gamma_l_T{t:g}", f"gamma_b_T{t:g}"]
-    table = {}
-    for r in records:
-        table.setdefault(r["y_frac"], {})[r["temperature"]] = r
-    rows = []
-    for yf in sorted(table):
-        row = [yf]
-        for t in temps:
-            row += [table[yf][t]["gamma_l"], table[yf][t]["gamma_b"]]
-        rows.append(row)
-    write_table(outdir / "temperature.csv", names, rows,
+    records = _write_damping(p, run, outdir, (p.phonon_damping,), temps,
+                             "temperature-sweep")
+    write_table(outdir / "temperature.csv",
+                *_pivot(records, "temperature", temps,
+                        {"gamma_l": "gamma_l_T{:g}",
+                         "gamma_b": "gamma_b_T{:g}"}),
                 _meta(p, run, "temperature-sweep"))
 
 

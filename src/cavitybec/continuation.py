@@ -196,14 +196,14 @@ def continue_green(omega, g_values, eps: float,
     return ComplexGrid(omega=omega, nu=nu, values=values), model
 
 
-def cauchy_riemann_residual(grid: ComplexGrid, skip_rows: int = 2,
-                            skip_cols: int = 2):
+def cauchy_riemann_residual(grid: ComplexGrid):
     """Pointwise analyticity certificate |df/dnu + i df/domega| (4th order).
 
     For f(omega, nu) = F(omega - i nu) analytic the residual vanishes; the
     returned map is normalized by the local gradient magnitude so it is
-    dimensionless.  Rows/columns too close to the boundary (and the
-    verbatim data row) are returned as NaN.
+    dimensionless.  The two rows and columns at each edge, which the
+    five-point stencils do not reach (the verbatim data row among them),
+    are returned as NaN.
     """
     f = grid.values
     res = np.full(f.shape, np.nan)
@@ -213,17 +213,18 @@ def cauchy_riemann_residual(grid: ComplexGrid, skip_rows: int = 2,
     num = np.abs(dfn[:, 2:-2] + 1j * dfo[2:-2, :])
     den = np.abs(dfn[:, 2:-2]) + np.abs(dfo[2:-2, :]) + 1e-30
     res[2:-2, 2:-2] = num / den
-    res[:max(skip_rows, 2), :] = np.nan
-    res[:, :max(skip_cols, 2)] = np.nan
-    res[:, -max(skip_cols, 2):] = np.nan
     return res
 
 
 # -- Cauchy-Riemann marching (cross-check backend) ------------------------
 
-def march_cauchy_riemann(omega, g_values, nu_max: float, n_nu: int = 64,
-                         growth_limit: float = 1e5,
-                         instability_threshold: float = 1e-3):
+# largest amplification exp(nu t) the spectral filter lets through
+_MARCH_GROWTH_LIMIT = 1e5
+# cutoff-band amplitude, relative to the data's, that counts as unstable
+_MARCH_INSTABILITY = 1e-3
+
+
+def march_cauchy_riemann(omega, g_values, nu_max: float, n_nu: int = 64):
     """Downward continuation by the Fourier-multiplier solution of the
     Cauchy-Riemann equations, with spectral filtering.
 
@@ -266,7 +267,7 @@ def march_cauchy_riemann(omega, g_values, nu_max: float, n_nu: int = 64,
     values[0] = g_values
     t_nyquist = np.pi / h
     for k in range(1, n_nu):
-        t_max = np.log(growth_limit) / nu[k]
+        t_max = np.log(_MARCH_GROWTH_LIMIT) / nu[k]
         filt = np.exp(-(np.maximum(t, 0.0) / t_max) ** 8)
         amplified = fhat * np.exp(nu[k] * np.minimum(t, t_max)) * filt
         # amplified content at the effective cutoff (filter edge or grid
@@ -274,7 +275,7 @@ def march_cauchy_riemann(omega, g_values, nu_max: float, n_nu: int = 64,
         t_cut = min(t_max, t_nyquist)
         edge = t > 0.9 * t_cut
         edge_peak = np.max(np.abs(amplified[edge])) if np.any(edge) else 0.0
-        if edge_peak > instability_threshold * data_scale:
+        if edge_peak > _MARCH_INSTABILITY * data_scale:
             raise NumericsError(
                 f"Cauchy-Riemann marching unstable at nu = {nu[k]:.4g}: "
                 f"cutoff-band amplitude {edge_peak / data_scale:.2e} of the "
@@ -478,20 +479,16 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,
         poles = [Pole(z=complex(zk), residue=complex(1.0 / dk))
                  for zk, dk in zip(z, slope)]
         chosen = poles[:n_track] if prev is None else _match_tracks(
-            prev, poles, n_track)
+            prev, poles)
         records.append({"y": float(y), "poles": chosen,
                         "residues": [pl.residue for pl in chosen]})
         prev = [pl.z for pl in chosen]
     return records
 
 
-def _match_tracks(prev, poles, n_track):
+def _match_tracks(prev, poles):
     """Assign current poles to previous tracks by minimal total displacement."""
-    from itertools import permutations
-
-    best, best_cost = None, np.inf
-    for combo in permutations(range(len(poles)), n_track):
-        cost = sum(abs(poles[j].z - prev[i]) for i, j in enumerate(combo))
-        if cost < best_cost:
-            best_cost, best = cost, combo
+    cost = np.abs(np.array([pl.z for pl in poles])[None, :]
+                  - np.array(prev)[:, None])
+    _, best = scipy.optimize.linear_sum_assignment(cost)
     return [poles[j] for j in best]

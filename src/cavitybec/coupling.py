@@ -35,7 +35,6 @@ class VertexSet:
     the positive-frequency ones of the supplied ModeSets.
     """
 
-    q: float
     O: np.ndarray
     M: np.ndarray
     N: np.ndarray
@@ -47,7 +46,7 @@ class VertexSet:
 
 def vertex_coefficients(v_tensor: np.ndarray, w_tensor: np.ndarray,
                         polariton: ModeSet, phonon_q: ModeSet,
-                        phonon_mq: ModeSet, q: float) -> VertexSet:
+                        phonon_mq: ModeSet) -> VertexSet:
     """Contract the interaction tensors with OMEGA-normalized mode vectors.
 
     phonon_q and phonon_mq must be band-matched (same labeling at q and -q).
@@ -72,15 +71,14 @@ def vertex_coefficients(v_tensor: np.ndarray, w_tensor: np.ndarray,
     b_mat = np.einsum('am,abg,bn,gr->mnr', dc, w_tensor, r, gcm_c)
     c_mat = np.einsum('am,abg,bn,gr->mnr', dc, w_tensor, gr, c)
     d_mat = np.einsum('am,abg,bn,gr->mnr', dc, w_tensor, gr, gcm_c)
-    return VertexSet(q=q, O=o_mat, M=m_mat, N=n_mat,
+    return VertexSet(O=o_mat, M=m_mat, N=n_mat,
                      A=a_mat, B=b_mat, C=c_mat, D=d_mat)
 
 
-def landau_beliaev_couplings(vs: VertexSet, soft_index: int):
-    """(gL_q, gB_q) from the soft-mode row; bands 1, 2 are modes 0, 1."""
-    g_landau = vs.O[soft_index, 0, 1]
-    g_beliaev = vs.N[soft_index, 1, 0]
-    return g_landau, g_beliaev
+def landau_beliaev_couplings(vs: VertexSet):
+    """(gL_q, gB_q) from the soft-mode row, polariton mode 0
+    (bogoliubov.soft_mode); bands 1, 2 are modes 0, 1."""
+    return vs.O[0, 0, 1], vs.N[0, 1, 0]
 
 
 def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
@@ -90,7 +88,7 @@ def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
     The soft mode is polariton mode 0 (bogoliubov.soft_mode).
     phonon_right holds the right eigenvectors of G(q), shaped (..., 6, n)
     with bands ascending.  The result equals landau_beliaev_couplings of
-    vertex_coefficients(..., modes(q), mirrored_modes(modes(q)), q) at each
+    vertex_coefficients(..., modes(q), mirrored_modes(modes(q))) at each
     q, i.e. O^s_{12}(q) and N^s_{21}(q), but only the soft row of V is
     contracted:
 

@@ -235,8 +235,8 @@ def coupling_residuals(p: ThermoParams, mf: MeanField, q: float) -> dict:
     ph_q = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon+q")
     ph_mq = diagonalize_symplectic(exp.phonon_matrix(-q), sector="phonon-q")
     v_tensor, w_tensor = exp.interaction_tensors()
-    vs = vertex_coefficients(v_tensor, w_tensor, pol_ms, ph_q, ph_mq, q)
-    g_landau, g_beliaev = landau_beliaev_couplings(vs, soft_index=0)
+    vs = vertex_coefficients(v_tensor, w_tensor, pol_ms, ph_q, ph_mq)
+    g_landau, g_beliaev = landau_beliaev_couplings(vs)
 
     k = build_hamiltonian(p, mf, q)
     pol_ops, ph_ops, phm_ops = _component_ops()

@@ -278,8 +278,6 @@ class ModelExpansion:
     """
 
     def __init__(self, p: ThermoParams, mf) -> None:
-        self.params = p
-        self.mf = mf
         root_n = math.sqrt(float(p.atom_number))
         self._root_n = root_n
         # one extra slot holding 1 pads the leftover lists of the table

@@ -52,7 +52,6 @@ class MeanField:
     beta: float
     gamma: float
     mu: float
-    y: float
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma, self.mu])
@@ -97,7 +96,7 @@ def solve_normal_phase(p: ThermoParams) -> MeanField:
     if p.y >= y_crit:
         raise ConfigError(
             f"normal phase requested at y = {p.y} >= y_crit = {y_crit}")
-    return MeanField(alpha=0.0, beta=1.0, gamma=0.0, mu=p.g_coll, y=p.y)
+    return MeanField(alpha=0.0, beta=1.0, gamma=0.0, mu=p.g_coll)
 
 
 def _newton(p, y, x0, damping=1.0, max_iter=MAX_ITER):
@@ -148,14 +147,13 @@ def _organized_seed(p, y, y_crit):
     return np.array([a0, b0, g0, mu0])
 
 
-def solve_steady_state(p: ThermoParams, y: float | None = None) -> MeanField:
-    """Newton solve of the stationary equations at pump strength y.
+def solve_steady_state(p: ThermoParams) -> MeanField:
+    """Newton solve of the stationary equations at pump strength p.y.
 
     Below threshold converges to the normal phase; above threshold to the
     gamma > 0 self-organized branch, from branch-appropriate seeds.
     """
-    if y is None:
-        y = p.y
+    y = p.y
     if y < 0:
         raise ConfigError(f"pump strength must be non-negative, got {y}")
     y_crit = critical_coupling(p)
@@ -195,5 +193,5 @@ def solve_steady_state(p: ThermoParams, y: float | None = None) -> MeanField:
             raise ConvergenceError(
                 f"could not reach the self-organized branch at y = {y}", y=y)
         x = _canonical(x)
-    return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3], y=y)
+    return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3])
 

@@ -55,20 +55,7 @@ class MicroParams:
     phonon_damping: float = 0.01
 
     def validate(self) -> None:
-        if not self.cavity_detuning < 0:
-            raise ConfigError(
-                f"cavity detuning must be negative, got {self.cavity_detuning}")
-        if self.atom_number < 1:
-            raise ConfigError(f"atom_number must be >= 1, got {self.atom_number}")
-        if self.site_count < 1 or self.site_count != int(self.site_count):
-            raise ConfigError(
-                f"site_count (kL/2pi) must be a positive integer, got {self.site_count}")
-        if self.phonon_damping < 0:
-            raise ConfigError(f"phonon_damping must be >= 0, got {self.phonon_damping}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.condensate_width <= 0:
-            raise ConfigError(f"condensate_width must be > 0, got {self.condensate_width}")
+        _validate_shared(self)
 
 
 @dataclass(frozen=True)
@@ -89,28 +76,32 @@ class ThermoParams:
     atom_number: int = 10_000
     site_count: int = 1001
     condensate_width: float = 2.0 * math.pi * math.sqrt(2.0)
-    recoil: float = 1.0  # unit of all frequencies, stored for clarity
 
     def validate(self) -> None:
         if self.y < 0 or self.g_coll < 0:
             raise ConfigError("y and g_coll must be non-negative")
-        if not self.cavity_detuning < 0:
-            raise ConfigError("cavity detuning must be negative")
-        if self.recoil != 1.0:
-            raise ConfigError("recoil frequency is the unit and must equal 1")
-        if self.site_count < 1:
-            raise ConfigError("site_count must be a positive integer")
-        if self.atom_number < 1:
-            raise ConfigError(f"atom_number must be >= 1, got {self.atom_number}")
-        if self.phonon_damping < 0:
-            raise ConfigError(f"phonon_damping must be >= 0, got {self.phonon_damping}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.condensate_width <= 0:
-            raise ConfigError(f"condensate_width must be > 0, got {self.condensate_width}")
+        _validate_shared(self)
 
     def with_pump(self, y: float) -> "ThermoParams":
         return replace(self, y=y)
+
+
+def _validate_shared(p) -> None:
+    """Checks of the fields MicroParams and ThermoParams have in common."""
+    if not p.cavity_detuning < 0:
+        raise ConfigError(
+            f"cavity detuning must be negative, got {p.cavity_detuning}")
+    if p.atom_number < 1:
+        raise ConfigError(f"atom_number must be >= 1, got {p.atom_number}")
+    if p.site_count < 1 or p.site_count != int(p.site_count):
+        raise ConfigError(
+            f"site_count (kL/2pi) must be a positive integer, got {p.site_count}")
+    if p.phonon_damping < 0:
+        raise ConfigError(f"phonon_damping must be >= 0, got {p.phonon_damping}")
+    if p.temperature < 0:
+        raise ConfigError(f"temperature must be >= 0, got {p.temperature}")
+    if p.condensate_width <= 0:
+        raise ConfigError(f"condensate_width must be > 0, got {p.condensate_width}")
 
 
 def derive_thermo(raw: MicroParams) -> ThermoParams:
@@ -146,7 +137,7 @@ def critical_coupling(p: ThermoParams) -> float:
     if photon_gap <= 0:
         raise ConfigError(
             f"unstable photon sector: -Delta_C + 2u = {photon_gap} <= 0")
-    return math.sqrt(photon_gap) * math.sqrt(p.recoil + 2.0 * p.g_coll)
+    return math.sqrt(photon_gap) * math.sqrt(1.0 + 2.0 * p.g_coll)
 
 
 def default_params(**overrides) -> ThermoParams:
@@ -156,17 +147,7 @@ def default_params(**overrides) -> ThermoParams:
     kw = 2 pi sqrt(2), epsilon = 0.01, T = 0, y = 0 (set the pump with
     ``with_pump`` or an override).
     """
-    p = ThermoParams(
-        y=0.0,
-        u=0.0,
-        g_coll=0.1,
-        cavity_detuning=-1000.0,
-        temperature=0.0,
-        phonon_damping=0.01,
-        atom_number=10_000,
-        site_count=1001,
-        condensate_width=2.0 * math.pi * math.sqrt(2.0),
-    )
+    p = ThermoParams(y=0.0, u=0.0, g_coll=0.1, cavity_detuning=-1000.0)
     if overrides:
         p = replace(p, **overrides)
     p.validate()

@@ -12,15 +12,14 @@ The real-axis spectral function is rho(omega) = -2 Im G(omega).
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .params import ThermoParams, critical_coupling, momentum_grid
-from .meanfield import MeanField, solve_steady_state
+from .meanfield import solve_steady_state
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
                          soft_mode)
@@ -45,13 +44,6 @@ _SUM_RULE_MIN_EPS = 1e-4
 # largest grid step per Born-Markov width of the polariton pole that keeps
 # the sum rule's error from the refinement window's edges below ~5e-3
 _SUM_RULE_MAX_STEP_PER_WIDTH = 500.0
-
-# distinct G(q) stacks whose modes build_response keeps, least recently
-# used first: a pump sweep alternates one normal-phase stack with
-# ordered-phase ones, which takes two
-_PHONON_MEMO_SIZE = 2
-_phonon_memo: dict = {}
-_phonon_memo_lock = threading.Lock()
 
 
 def pole_sum(z, weights, centers, eps: float):
@@ -118,7 +110,6 @@ class Response:
     """Soft-mode frequency plus bath, ready for response evaluations."""
 
     params: ThermoParams
-    mf: MeanField
     omega_s: float
     polariton: ModeSet
     bath: BathSpectrum
@@ -163,14 +154,13 @@ class Response:
                                 delta_b=sb.real, gamma_b=-sb.imag + 0.0)
 
 
-def build_response(p: ThermoParams, mf: MeanField | None = None,
-                   dos_mode: str = "3d") -> Response:
+def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     """Full pipeline at one parameter point: mean field, soft mode, bands,
     couplings, bath.
 
     Bands at -q are the complex conjugates of those at +q, so only the
-    positive half of the momentum grid is diagonalized; each entry carries
-    degeneracy 2 in the bath sums.  The momentum stage is array-first: the
+    positive half of the momentum grid is diagonalized; each entry counts
+    twice in the bath sums.  The momentum stage is array-first: the
     stack of all G(q) goes through one diagonalize_symplectic call, and
     soft_mode_couplings contracts the soft-mode row of V with the stacked
     eigenvectors for every q at once.  Band labels are by ascending
@@ -179,13 +169,12 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
 
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
-    the soft mode and its couplings do.  The modes of the last few
+    the soft mode and its couplings do.  The modes of the last two
     distinct G(q) stacks are therefore kept, keyed by the stack's exact
     bytes, and a repeated stack is not solved again.  The returned bands
     are read-only arrays that Responses of equal stacks share.
     """
-    if mf is None:
-        mf = solve_steady_state(p)
+    mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
     omega_s, pol = soft_mode(p, mf, expansion=exp)
     omega_s = float(omega_s)
@@ -193,8 +182,9 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
 
     grid = momentum_grid(p)
     q_half = grid[grid > 0]
+    stack = exp.phonon_matrix(q_half)
     try:
-        phonons = _phonon_modes(exp.phonon_matrix(q_half))
+        phonons = _phonon_modes(stack.shape, stack.dtype.str, stack.tobytes())
     except DiagonalizationError as exc:
         raise DiagonalizationError(f"q = {q_half[exc.index]:g}: {exc}",
                                    exc.index) from exc
@@ -203,30 +193,24 @@ def build_response(p: ThermoParams, mf: MeanField | None = None,
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
                                p.temperature, p.phonon_damping)
-    return Response(params=p, mf=mf, omega_s=omega_s, polariton=pol,
-                    bath=bath, dos_mode=dos_mode)
+    return Response(params=p, omega_s=omega_s, polariton=pol, bath=bath,
+                    dos_mode=dos_mode)
 
 
-def _phonon_modes(stack: np.ndarray) -> ModeSet:
+# a pump sweep alternates one normal-phase stack with ordered-phase ones,
+# so the two most recently used stacks are kept
+@lru_cache(maxsize=2)
+def _phonon_modes(shape: tuple, dtype: str, data: bytes) -> ModeSet:
     """Checked modes of a G(q) stack, solved once per distinct stack.
 
     The key is the stack itself (shape, dtype and bytes), not the
     parameters it came from, so a stack that differs in any bit is solved
-    afresh.  A failing solve is not kept.
+    afresh.  A failing solve raises and is not kept.
     """
-    key = (stack.shape, stack.dtype.str, stack.tobytes())
-    with _phonon_memo_lock:
-        modes = _phonon_memo.pop(key, None)
-        if modes is not None:
-            _phonon_memo[key] = modes
-            return modes
+    stack = np.frombuffer(data, dtype=dtype).reshape(shape)
     modes = diagonalize_symplectic(stack, sector="phonon")
-    for arr in (modes.frequencies, modes.right, modes.left):
-        arr.flags.writeable = False
-    with _phonon_memo_lock:
-        _phonon_memo[key] = modes
-        while len(_phonon_memo) > _PHONON_MEMO_SIZE:
-            del _phonon_memo[next(iter(_phonon_memo))]
+    modes.frequencies.flags.writeable = False
+    modes.right.flags.writeable = False
     return modes
 
 
@@ -280,9 +264,8 @@ def spectral_sum_rule(resp: Response):
 
 def _sweep_point(args):
     p, y, epsilons, temperatures, dos_mode = args
-    mf = solve_steady_state(p.with_pump(y))
     rows = []
-    base = build_response(p.with_pump(y), mf=mf, dos_mode=dos_mode)
+    base = build_response(p.with_pump(y), dos_mode=dos_mode)
     for eps in epsilons:
         for temp in temperatures:
             bath = build_bath_spectrum(

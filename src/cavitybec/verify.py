@@ -31,9 +31,7 @@ def _random_params(rng) -> ThermoParams:
     )
 
 
-def run_verification(p: ThermoParams | None = None, seed: int = 0,
-                     n_random: int = 10):
-    p = p or default_params()
+def run_verification(p: ThermoParams, seed: int = 0):
     rng = np.random.default_rng(seed)
     y_crit = critical_coupling(p)
     results = []
@@ -52,7 +50,7 @@ def run_verification(p: ThermoParams | None = None, seed: int = 0,
 
     # structural symmetries of F and G(q) across random parameter sets
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(10):
         pr = _random_params(rng)
         yc = critical_coupling(pr)
         pp = pr.with_pump(float(rng.uniform(0.1, 0.95)) * yc)
@@ -76,9 +74,8 @@ def run_verification(p: ThermoParams | None = None, seed: int = 0,
         worst_conn = max(worst_conn, vw_connection_residual(v_t, w_t),
                          v_reflection_residual(v_t))
         pol = diagonalize_symplectic(exp.polariton_matrix(), "polariton")
-        q = 0.25
-        ms = diagonalize_symplectic(exp.phonon_matrix(q), "phonon")
-        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms), q)
+        ms = diagonalize_symplectic(exp.phonon_matrix(0.25), "phonon")
+        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms))
         worst_dual = max(worst_dual,
                          max(vertex_duality_residuals(vs).values()))
     check("vertex-connection", worst_conn, 1e-9)

@@ -80,7 +80,7 @@ def test_criterion_02_vertex_identities_20_point_sweep_under_30s():
                     v_reflection_residual(v_t))
         pol = diagonalize_symplectic(exp.polariton_matrix(), "polariton")
         ms = diagonalize_symplectic(exp.phonon_matrix(0.23), "phonon")
-        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms), 0.23)
+        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms))
         worst = max(worst, max(vertex_duality_residuals(vs).values()))
     elapsed = time.monotonic() - t0
     assert worst < 1e-10, f"worst identity residual {worst:.2e}"

@@ -11,7 +11,7 @@ from cavitybec.meanfield import solve_steady_state
 from cavitybec.hamiltonian import ModelExpansion
 from cavitybec.bogoliubov import (
     GAMMA, OMEGA, DiagonalizationError, _eig_modes, diagonalize_symplectic,
-    mirrored_modes, negative_modes, phonon_bands, soft_mode,
+    mirrored_modes, phonon_bands, soft_mode,
 )
 from cavitybec import response
 from cavitybec.response import build_response
@@ -42,10 +42,12 @@ def test_normalization_and_reciprocity():
 def test_matrix_reconstruction_from_modes():
     # completeness: G = sum_i w_i r_i l_i^+ over positive and negative modes
     exp, ms = _modes(1.2, 0.27)
-    neg = negative_modes(ms)
+    # the -omega partners are GAMMA r, with OMEGA-norm -1 and left vectors
+    # -OMEGA GAMMA r
+    neg_right = GAMMA @ ms.right
     g = exp.phonon_matrix(0.27)
     rebuilt = (ms.right * ms.frequencies) @ ms.left.conj().T \
-        + (neg.right * neg.frequencies) @ neg.left.conj().T
+        + (neg_right * -ms.frequencies) @ (-OMEGA @ neg_right).conj().T
     np.testing.assert_allclose(rebuilt, g, atol=1e-8 * np.max(np.abs(g)))
 
 
@@ -74,10 +76,10 @@ def test_mirrored_modes_match_direct_diagonalization():
 def test_negative_modes_are_particle_hole_images():
     exp, ms = _modes(0.5, 0.2)
     g = exp.phonon_matrix(0.2)
-    neg = negative_modes(ms)
+    neg_right = GAMMA @ ms.right
     for i in range(3):
-        r = neg.right[:, i]
-        np.testing.assert_allclose(g @ r, neg.frequencies[i] * r, atol=1e-9)
+        r = neg_right[:, i]
+        np.testing.assert_allclose(g @ r, -ms.frequencies[i] * r, atol=1e-9)
         assert np.real(np.conj(r) @ OMEGA @ r) == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -326,7 +328,7 @@ def test_build_response_phonon_stacks_skip_the_general_eigensolve(monkeypatch):
         shapes.append(np.shape(a))
         return eig(a)
 
-    response._phonon_memo.clear()
+    response._phonon_modes.cache_clear()
     monkeypatch.setattr(np.linalg, "eig", counted)
     for p in points:
         build_response(p)

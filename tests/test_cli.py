@@ -102,6 +102,20 @@ def test_atom_number_zero_exits_1(tmp_path):
     assert not (tmp_path / "damping.csv").exists()
 
 
+def test_non_integer_site_count_exits_1(tmp_path):
+    # it used to exit 0 and write 98 modes at q = n / 100.5
+    code = main(["bands", "--output-dir", str(tmp_path),
+                 "--set", "site_count=100.5"])
+    assert code == 1
+    assert not (tmp_path / "bands.csv").exists()
+
+
+def test_recoil_is_not_a_config_key(tmp_path):
+    # frequencies are in recoil units; the unit is not a setting
+    assert main(["bands", "--output-dir", str(tmp_path),
+                 "--set", "recoil=1", "--set", "site_count=101"]) == 1
+
+
 def test_nnls_iteration_cap_exits_with_the_numerics_code(tmp_path,
                                                         monkeypatch, capsys):
     full_nnls = scipy.optimize.nnls
@@ -118,7 +132,7 @@ def test_outputs_deterministic_across_runs(tmp_path):
     # the damping sweep spans both phases; its second run finds every
     # phonon stack already solved, so equal bytes show that serving the
     # kept modes never changes an output
-    response._phonon_memo.clear()
+    response._phonon_modes.cache_clear()
     cases = [["softmode", "--set", "y_points=4"],
              ["damping-sweep", "--set", "y_points=3", "--set", "site_count=101",
               "--set", "y_frac_min=0.5", "--set", "y_frac_max=1.3",

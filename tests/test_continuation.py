@@ -1,4 +1,5 @@
 import functools
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -388,6 +389,21 @@ def test_window_without_a_zero_is_a_numerics_error():
     p = default_params(site_count=101, atom_number=1010)
     with pytest.raises(NumericsError, match="only 0 verified poles"):
         pole_sweep(p, [0.5 * critical_coupling(p)], omega_window=(50.0, 60.0))
+
+
+def test_match_tracks_agrees_with_exhaustive_search():
+    # the reference tries every ordered choice of n_track current poles
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n_track = int(rng.integers(1, 4))
+        prev = list(rng.standard_normal(n_track)
+                    + 1j * rng.standard_normal(n_track))
+        poles = [continuation.Pole(z=complex(*rng.standard_normal(2)),
+                                   residue=0j)
+                 for _ in range(n_track + int(rng.integers(0, 4)))]
+        best = min(itertools.permutations(poles, n_track), key=lambda c: sum(
+            abs(pl.z - z0) for pl, z0 in zip(c, prev)))
+        assert continuation._match_tracks(prev, poles) == list(best)
 
 
 def test_zero_within_rounding_of_a_weak_bath_pole_is_passed_over():

@@ -21,7 +21,7 @@ def _setup(frac, q):
     v_t, w_t = exp.interaction_tensors()
     pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
     ph = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon")
-    vs = vertex_coefficients(v_t, w_t, pol, ph, mirrored_modes(ph), q)
+    vs = vertex_coefficients(v_t, w_t, pol, ph, mirrored_modes(ph))
     return p, v_t, w_t, pol, ph, vs
 
 
@@ -44,10 +44,9 @@ def test_couplings_even_in_momentum():
     ph_m = diagonalize_symplectic(
         ModelExpansion(p, solve_steady_state(p)).phonon_matrix(-0.31),
         sector="phonon")
-    vs_m = vertex_coefficients(v_t, w_t, pol, ph_m, mirrored_modes(ph_m),
-                               -0.31)
-    gl, gb = landau_beliaev_couplings(vs, soft_index=0)
-    gl_m, gb_m = landau_beliaev_couplings(vs_m, soft_index=0)
+    vs_m = vertex_coefficients(v_t, w_t, pol, ph_m, mirrored_modes(ph_m))
+    gl, gb = landau_beliaev_couplings(vs)
+    gl_m, gb_m = landau_beliaev_couplings(vs_m)
     assert abs(gl) == pytest.approx(abs(gl_m), rel=1e-9)
     assert abs(gb) == pytest.approx(abs(gb_m), rel=1e-9)
 
@@ -63,5 +62,5 @@ def test_couplings_vanish_in_normal_phase_without_collisions():
 def test_couplings_finite_with_collisions():
     for frac in (0.2, 0.5, 0.8):
         _, _, _, _, _, vs = _setup(frac, 0.25)
-        gl, gb = landau_beliaev_couplings(vs, soft_index=0)
+        gl, gb = landau_beliaev_couplings(vs)
         assert abs(gb) > 0.0 and abs(gl) > 0.0

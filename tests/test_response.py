@@ -31,10 +31,10 @@ def resp():
 
 
 def _toy_bath(eps=0.01, temperature=0.0, g=0.3):
-    # one q entry, composite pair frequency omega1 + omega2 = 1.0
-    bath = build_bath_spectrum([0.2], [0.3], [0.7], [g], [g],
+    # one q entry (the +-q pair), composite pair frequency
+    # omega1 + omega2 = 1.0
+    return build_bath_spectrum([0.2], [0.3], [0.7], [g], [g],
                                temperature=temperature, epsilon=eps)
-    return dataclasses.replace(bath, degeneracy=1.0)
 
 
 def test_single_mode_bath_closed_form():
@@ -42,7 +42,7 @@ def test_single_mode_bath_closed_form():
     p = default_params()
     for omega in (0.5, 1.2, 3.0):
         val = self_energy("beliaev", omega, bath, p, dos_mode="1d")
-        expected = 0.3**2 / (p.atom_number * (omega - 1.0 + 1j * 0.01))
+        expected = 2 * 0.3**2 / (p.atom_number * (omega - 1.0 + 1j * 0.01))
         assert val == pytest.approx(expected, rel=1e-14)
 
 
@@ -144,9 +144,9 @@ def _per_q_bath(p):
     rows = []
     for q in grid[grid > 0]:
         ms = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon")
-        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms), q)
+        vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms))
         rows.append((ms.frequencies[0], ms.frequencies[1],
-                     *landau_beliaev_couplings(vs, soft_index=0)))
+                     *landau_beliaev_couplings(vs)))
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -256,7 +256,7 @@ def test_build_response_takes_the_soft_mode_from_soft_mode(frac):
     p = P.with_pump(frac * Y_CRIT)
     mf = solve_steady_state(p)
     omega_s, modes = soft_mode(p, mf)
-    resp = build_response(p, mf=mf)
+    resp = build_response(p)
     assert resp.omega_s == omega_s
     np.testing.assert_array_equal(resp.polariton.frequencies,
                                   modes.frequencies)
@@ -402,7 +402,7 @@ def test_negative_epsilon_or_temperature_is_a_config_error():
 # -- the phonon modes are solved once per distinct G(q) stack ----------------
 
 def _cold_build(frac):
-    response._phonon_memo.clear()
+    response._phonon_modes.cache_clear()
     return build_response(P.with_pump(frac * Y_CRIT))
 
 
@@ -421,7 +421,7 @@ def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
         solves.append(np.shape(m))
         return solve(m, sector)
 
-    response._phonon_memo.clear()
+    response._phonon_modes.cache_clear()
     monkeypatch.setattr(response, "diagonalize_symplectic", counted)
     low = build_response(P.with_pump(0.3 * Y_CRIT))
     high = build_response(P.with_pump(0.78 * Y_CRIT))
@@ -435,16 +435,22 @@ def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
 
 
 def test_kept_phonon_modes_are_read_only():
+    p = P.with_pump(0.5 * Y_CRIT)
     resp = _cold_build(0.5)
-    (modes,) = response._phonon_memo.values()
-    for arr in (modes.frequencies, modes.right, modes.left,
+    grid = momentum_grid(p)
+    stack = ModelExpansion(p, solve_steady_state(p)).phonon_matrix(
+        grid[grid > 0])
+    modes = response._phonon_modes(stack.shape, stack.dtype.str,
+                                   stack.tobytes())
+    assert response._phonon_modes.cache_info().hits == 1
+    for arr in (modes.frequencies, modes.right,
                 resp.bath.omega1, resp.bath.omega2):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
 
 def test_ordered_point_between_normal_ones_matches_a_cold_build():
-    response._phonon_memo.clear()
+    response._phonon_modes.cache_clear()
     for frac in (0.3, 1.2, 0.5):
         build_response(P.with_pump(frac * Y_CRIT))
     # both stacks are kept: the ordered one is served from the memo here
