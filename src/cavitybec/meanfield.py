@@ -21,10 +21,6 @@ from .params import ThermoParams, ConfigError, critical_coupling
 class ConvergenceError(RuntimeError):
     """Root finder failed to reach tolerance."""
 
-    def __init__(self, message, y=None):
-        super().__init__(message)
-        self.y = y
-
 
 class CriticalPointError(RuntimeError):
     """Requested pump strength is too close to the critical point.
@@ -33,10 +29,6 @@ class CriticalPointError(RuntimeError):
     solves inside a tiny window around it are refused rather than returned
     with degraded accuracy.
     """
-
-    def __init__(self, message, y=None):
-        super().__init__(message)
-        self.y = y
 
 
 TOL = 1e-12
@@ -160,7 +152,7 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
     if abs(y - y_crit) < CRIT_WINDOW * y_crit:
         raise CriticalPointError(
             f"y = {y} within {CRIT_WINDOW:.0e} (relative) of y_crit = {y_crit}; "
-            "Jacobian is singular at the critical point", y=y)
+            "Jacobian is singular at the critical point")
 
     if y < y_crit:
         seeds = [np.array([0.0, 1.0, 0.0, p.g_coll])]
@@ -182,7 +174,7 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
                 break
     if x is None:
         raise ConvergenceError(
-            f"mean-field solve failed to converge at y = {y}", y=y)
+            f"mean-field solve failed to converge at y = {y}")
 
     x = _canonical(x)
     if y > y_crit and abs(x[2]) < 1e-8:
@@ -191,7 +183,7 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
                     max_iter=5 * MAX_ITER)
         if x is None or abs(x[2]) < 1e-8:
             raise ConvergenceError(
-                f"could not reach the self-organized branch at y = {y}", y=y)
+                f"could not reach the self-organized branch at y = {y}")
         x = _canonical(x)
     return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3])
 

@@ -217,6 +217,20 @@ def test_inverse_green_matches_two_channel_reference(small_params,
         assert abs(got - ref[k]) <= 1e-13 * scale[k]
 
 
+@pytest.mark.parametrize("frac", [0.5, 1.2])
+def test_sum_rule_matches_a_direct_evaluation_of_rho(frac):
+    p = dataclasses.replace(P, site_count=201,
+                            atom_number=P.atom_number * 201 / P.site_count)
+    resp = build_response(p.with_pump(frac * critical_coupling(p)))
+    total, grid, rho = spectral_sum_rule(resp)
+    # chunked: the grid has ~5e4 points against ~100 poles
+    inv = np.concatenate([_two_channel_reference(resp, grid[lo:lo + 4096])[0]
+                          for lo in range(0, grid.size, 4096)])
+    ref = -2.0 * np.imag(1.0 / inv)
+    assert np.max(np.abs(rho - ref)) <= 1e-13 * np.max(ref)
+    assert abs(total - np.trapezoid(ref, grid) / (2.0 * np.pi)) <= 1e-13
+
+
 def test_zero_temperature_table_drops_the_landau_poles(resp):
     weights, centers = resp.active_poles
     w_b, om_b = resp.bath.pole_weights("beliaev", resp.params, resp.dos_mode)
@@ -307,15 +321,7 @@ def _pole_sums(draw):
     return weights, centers, eps, re + 1j * (side * depth - eps)
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_pole_sums())
-@example(case=(np.array([]), np.array([]), 0.01, np.array([0.5 + 0.1j])))
-@example(case=(np.array([0.3]), np.array([1.0]), 0.0,
-               np.array([1.0 + 0.2j, 1.0 - 0.2j, 3.0 + 0.0j])))
-@example(case=(np.array([5e-324]), np.array([0.0]), 0.0,
-               np.array([0.5 - 0.25j])))
-def test_pole_sum_matches_direct_complex_sum(case):
-    weights, centers, eps, z = case
+def _assert_matches_direct_complex_sum(weights, centers, eps, z):
     terms = weights / (z[:, None] - centers + 1j * eps)
     direct = terms.sum(axis=1)
     # floored: for a subnormal weight the reference rounds Im to 0 where
@@ -328,6 +334,82 @@ def test_pole_sum_matches_direct_complex_sum(case):
     scalar = pole_sum(z[0], weights, centers, eps)
     assert np.ndim(scalar) == 0
     assert abs(scalar - direct[0]) <= bound[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pole_sums())
+@example(case=(np.array([]), np.array([]), 0.01, np.array([0.5 + 0.1j])))
+@example(case=(np.array([0.3]), np.array([1.0]), 0.0,
+               np.array([1.0 + 0.2j, 1.0 - 0.2j, 3.0 + 0.0j])))
+@example(case=(np.array([5e-324]), np.array([0.0]), 0.0,
+               np.array([0.5 - 0.25j])))
+def test_pole_sum_matches_direct_complex_sum(case):
+    _assert_matches_direct_complex_sum(*case)
+
+
+@st.composite
+def _far_pole_sums(draw):
+    """(weights >= 0, centers, eps, z): a band of up to 300 poles, 2e-3 to 4
+    wide, against up to 300 z with |Re z|, |Im z| up to 80 in both
+    half-planes, a fifth of them within a few half-widths of the band (and
+    all off the pole line); at scale 1 or 1e12.  Most draws have enough
+    poles and far z for pole_sum's far-field expansion."""
+    m = draw(st.integers(0, 300))
+    n = draw(st.integers(1, 300))
+    center = draw(st.floats(-5.0, 5.0))
+    half = draw(st.floats(1e-3, 2.0))
+    eps = draw(st.floats(0.0, 1.0))
+    scale = draw(st.sampled_from([1.0, 1e12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.0, 10.0, m)
+    centers = center + half * rng.uniform(-1.0, 1.0, m)
+    re = rng.uniform(-80.0, 80.0, n)
+    depth = rng.uniform(1e-3, 80.0, n)
+    near = rng.random(n) < 0.2
+    re[near] = center + half * rng.uniform(-5.0, 5.0, np.count_nonzero(near))
+    depth[near] = rng.uniform(1e-3, 5.0 * half + 1e-3, np.count_nonzero(near))
+    z = re + 1j * (rng.choice([-1.0, 1.0], n) * depth - eps)
+    return weights, scale * centers, scale * eps, scale * z
+
+
+def _cost_rule_case(n_far):
+    """100 poles on [0.9, 1.1], n_far z far from them and 10 near them."""
+    centers = np.linspace(0.9, 1.1, 100)
+    z = np.concatenate([np.linspace(-40.0, 40.0, n_far) + 3.0j,
+                        np.linspace(0.8, 1.2, 10) + 0.05j])
+    return np.linspace(1.0, 2.0, 100), centers, 0.01, z
+
+
+# fewest far z for which pole_sum expands 100 poles:
+# (100 + n) K < 100 n, K = response._FAR_TERMS
+_FAR_MIN = 100 * response._FAR_TERMS // (100 - response._FAR_TERMS) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_far_pole_sums())
+@example(case=(np.ones(200), np.full(200, 1.5), 0.01,  # R = 0
+               np.linspace(-60.0, 60.0, 300) + 2.0j))
+@example(case=(np.ones(response._FAR_TERMS),  # m <= K
+               np.linspace(0.9, 1.1, response._FAR_TERMS), 0.01,
+               np.linspace(-60.0, 60.0, 300) + 2.0j))
+@example(case=(np.ones(300), np.linspace(0.9, 1.1, 300), 0.0,  # eps = 0
+               np.concatenate([np.linspace(-60.0, 60.0, 300) - 2.0j,
+                               np.linspace(0.8, 1.2, 50) + 0.01j])))
+@example(case=_cost_rule_case(_FAR_MIN - 1))
+@example(case=_cost_rule_case(_FAR_MIN))
+@example(case=(np.ones(300), 1e12 * np.linspace(-1.0, 1.0, 300), 0.0,
+               1e12 * (np.linspace(-60.0, 60.0, 300) + 5.0j)))
+def test_far_field_pole_sum_matches_direct_complex_sum(case):
+    _assert_matches_direct_complex_sum(*case)
+
+
+def test_far_points_do_not_skip_the_collision_check():
+    centers = np.linspace(0.9, 1.1, 2000)
+    far = np.linspace(-40.0, 40.0, 2 * response._FAR_TERMS) + 1j
+    weights = np.ones_like(centers)
+    assert np.all(np.isfinite(pole_sum(far, weights, centers, 0.0)))
+    with pytest.raises(NumericsError):
+        pole_sum(np.append(far, centers[1234]), weights, centers, 0.0)
 
 
 @settings(max_examples=50, deadline=None)
