@@ -11,7 +11,7 @@ from .meanfield import (
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (
     GAMMA, OMEGA, ModeSet, DiagonalizationError, diagonalize_symplectic,
-    phonon_bands, soft_mode, symmetry_residuals, mirrored_modes,
+    soft_mode, symmetry_residuals, mirrored_modes,
 )
 from .coupling import (
     VertexSet, vertex_coefficients, landau_beliaev_couplings,
@@ -24,7 +24,7 @@ from .bath import (
 )
 from .response import (
     Response, BornMarkovResult, NumericsError, self_energy, build_response,
-    spectral_sum_rule, damping_sweep,
+    phonon_bands, spectral_sum_rule, damping_sweep,
 )
 from .continuation import (
     MeromorphicModel, ComplexGrid, Pole, PoleSet, reconstruct_meromorphic,

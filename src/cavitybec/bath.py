@@ -5,16 +5,19 @@ Landau combination at omega_2q - omega_1q (active only at finite
 temperature) and the Beliaev combination at omega_1q + omega_2q.  Their
 normalization factors follow from the thermal occupations, and the
 phenomenological phonon decay rate epsilon gives every composite mode the
-imaginary frequency part -i epsilon.
+imaginary frequency part -i epsilon.  With the density of modes w_q and
+the atom number N_c, a BathSpectrum holds the whole table of self-energy
+poles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .params import ConfigError, ThermoParams
+from .params import ConfigError
 
 
 class BathConstructionError(RuntimeError):
@@ -35,62 +38,81 @@ def thermal_occupation(omega, temperature: float):
     return out if out.ndim else float(out)
 
 
+def mode_density(q, dos_mode: str, condensate_width: float):
+    """Density-of-modes weight w_q: 1 for dos_mode '1d' and (q w)^2 / 2 pi
+    for '3d' (w the condensate width)."""
+    if dos_mode == "3d":
+        return (q * condensate_width) ** 2 / (2.0 * np.pi)
+    if dos_mode == "1d":
+        return np.ones_like(q)
+    raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
+
+
 @dataclass(frozen=True)
 class BathSpectrum:
     """Composite Landau/Beliaev modes on the positive-q half grid.
 
     Each entry represents the +-q pair, so bath sums over the full grid
-    carry a factor 2.  omega_l and omega_b are complex (imaginary part
-    -epsilon); nl and nb are the pair-normalization factors; g_landau and
-    g_beliaev the soft-mode coupling strengths.
+    carry a factor 2.  nl and nb are the pair-normalization factors,
+    g_landau and g_beliaev the soft-mode coupling strengths, dos the
+    density-of-modes weight w_q and atom_number N_c.  Every pole sits at
+    Im = -epsilon.  The pole table is derived, not a field, so
+    dataclasses.replace rebuilds it.
     """
 
     q: np.ndarray
     omega1: np.ndarray
     omega2: np.ndarray
-    omega_l: np.ndarray
-    omega_b: np.ndarray
     nl: np.ndarray
     nb: np.ndarray
     g_landau: np.ndarray
     g_beliaev: np.ndarray
     epsilon: float
+    dos: np.ndarray
+    atom_number: float
 
-    def pole_weights(self, channel: str, params: ThermoParams,
-                     dos_mode: str = "3d"):
-        """(weights, frequencies) of one channel's self-energy poles.
+    def pole_weights(self, channel: str):
+        """(weights, centres) of one channel's self-energy poles.
 
-        Sigma^channel(z) = sum_j weights[j] / (z - frequencies[j]) with
-        weights = 2 w_q |g_q|^2 N_q^2 / N_c, where the 2 counts the +-q
-        pair, w_q = 1 for dos_mode '1d' and (q w)^2 / 2 pi for '3d' (w the
-        condensate width).
+        Sigma^channel(z) = sum_j weights[j] / (z - centres[j] + i epsilon)
+        with weights = 2 w_q |g_q|^2 N_q^2 / N_c, where the 2 counts the
+        +-q pair, and the real centres omega_2 - omega_1 (Landau) or
+        omega_1 + omega_2 (Beliaev).
         """
         if channel == "landau":
-            g, n, om = self.g_landau, self.nl, self.omega_l
+            g, n, om = self.g_landau, self.nl, self.omega2 - self.omega1
         elif channel == "beliaev":
-            g, n, om = self.g_beliaev, self.nb, self.omega_b
+            g, n, om = self.g_beliaev, self.nb, self.omega1 + self.omega2
         else:
             raise ConfigError(
                 f"channel must be 'landau' or 'beliaev', got {channel!r}")
-        if dos_mode == "3d":
-            dos = (self.q * params.condensate_width) ** 2 / (2.0 * np.pi)
-        elif dos_mode == "1d":
-            dos = np.ones_like(self.q)
-        else:
-            raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
-        weights = 2.0 * dos * np.abs(g) ** 2 * n ** 2 / params.atom_number
+        weights = 2.0 * self.dos * np.abs(g) ** 2 * n ** 2 / self.atom_number
         return weights, om
+
+    @cached_property
+    def active_poles(self):
+        """(weights, centres) of both channels' poles with weight > 0; the
+        whole Landau channel at T = 0 has none."""
+        weights, centres = [], []
+        for channel in ("landau", "beliaev"):
+            w, om = self.pole_weights(channel)
+            active = w > 0
+            weights.append(w[active])
+            centres.append(om[active])
+        return np.concatenate(weights), np.concatenate(centres)
 
 
 def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
-                        temperature: float, epsilon: float) -> BathSpectrum:
+                        temperature: float, epsilon: float, dos,
+                        atom_number: float) -> BathSpectrum:
     """Assemble the composite-mode bath from band and coupling tables.
 
     omega2 > omega1 is required everywhere; a violation means the bands
     were mislabeled upstream (it would also make the Landau radicand
     n1 - n2 negative at finite temperature).  A negative epsilon, which
     would turn every damping rate negative, raises ConfigError, as a
-    negative temperature does in thermal_occupation.
+    negative temperature does in thermal_occupation.  dos is the
+    density-of-modes weight w_q of each entry (mode_density).
     """
     if epsilon < 0:
         raise ConfigError(f"phonon damping epsilon must be >= 0, got {epsilon}")
@@ -109,11 +131,11 @@ def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
             "negative Landau radicand n1 - n2; bands mislabeled")
     return BathSpectrum(
         q=q, omega1=omega1, omega2=omega2,
-        omega_l=(omega2 - omega1) - 1j * epsilon,
-        omega_b=(omega1 + omega2) - 1j * epsilon,
         nl=np.sqrt(radicand),
         nb=np.sqrt(n1 + n2 + 1.0),
         g_landau=np.asarray(g_landau, dtype=complex),
         g_beliaev=np.asarray(g_beliaev, dtype=complex),
         epsilon=float(epsilon),
+        dos=np.asarray(dos, dtype=float),
+        atom_number=float(atom_number),
     )

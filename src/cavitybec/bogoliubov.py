@@ -69,16 +69,18 @@ class ModeSet:
     every matrix of a stack.
 
     right[:, i] and left[:, i] are the OMEGA-normalized right and left
-    eigenvectors of mode i; frequencies ascend.  zero_count is the number
-    of exact zero-frequency directions excluded from the mode list.  A
-    stack keeps its leading axes in front of every array: frequencies are
-    (..., n), right and left (..., 6, n), and the mode count n and
-    zero_count are shared by all matrices.
+    eigenvectors of mode i; frequencies ascend.  A stack keeps its leading
+    axes in front of every array: frequencies are (..., n), right and left
+    (..., 6, n), and the mode count n is shared by all matrices.
     """
 
     frequencies: np.ndarray
     right: np.ndarray
-    zero_count: int = 0
+
+    @property
+    def zero_count(self) -> int:
+        """Exact zero-frequency directions excluded from the mode list."""
+        return 6 - 2 * self.frequencies.shape[-1]
 
     @property
     def left(self) -> np.ndarray:
@@ -227,8 +229,7 @@ def _mode_set(freqs, right, batch, sector) -> ModeSet:
     _check(gram_err > 1e-8, batch, lambda i, where: (
         f"defective positive-frequency subspace in sector {sector!r}{where}"))
     return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)),
-                   right=right.reshape(batch + (6, n_pos)),
-                   zero_count=6 - 2 * n_pos)
+                   right=right.reshape(batch + (6, n_pos)))
 
 
 def _check(bad, batch, describe) -> None:
@@ -248,26 +249,7 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
     follows from G(-q) = -Gamma G(q)* Gamma and Gamma exchanging the +-q
     creation/annihilation slots pairwise.
     """
-    return ModeSet(frequencies=ms.frequencies, right=np.conj(ms.right),
-                   zero_count=ms.zero_count)
-
-
-def phonon_bands(p: ThermoParams, mf: MeanField, q_grid) -> ModeSet:
-    """Phonon modes of G(q) over a grid, in one stacked solve.
-
-    Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
-    i at every q is the i-th lowest frequency there.  Ascending order is
-    the labelling the bath needs (build_bath_spectrum pairs bands 1 and 2
-    and requires 0 < omega_1 < omega_2 at every q), and the one
-    build_response applies.  A failing G(q) is named by its q.
-    """
-    q_grid = np.asarray(q_grid, dtype=float)
-    try:
-        return diagonalize_symplectic(
-            ModelExpansion(p, mf).phonon_matrix(q_grid), sector="phonon")
-    except DiagonalizationError as exc:
-        raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
-                                   exc.index) from exc
+    return ModeSet(frequencies=ms.frequencies, right=np.conj(ms.right))
 
 
 def soft_mode(p: ThermoParams, mf: MeanField,

@@ -25,9 +25,10 @@ from .params import (ConfigError, critical_coupling, momentum_grid,
 from .meanfield import (ConvergenceError, CriticalPointError,
                         solve_steady_state)
 from .hamiltonian import ModelExpansion
-from .bogoliubov import DiagonalizationError, phonon_bands, soft_mode
+from .bogoliubov import DiagonalizationError, soft_mode
 from .bath import BathConstructionError
-from .response import NumericsError, build_response, damping_sweep
+from .response import (NumericsError, build_response, damping_sweep,
+                       phonon_bands)
 from .continuation import continue_green, pole_sweep
 from .csvio import write_table, write_json_lines
 

@@ -366,7 +366,7 @@ def companion_pole_candidates(resp: Response):
     iteration on the secular equation (Bini & Robol, J. Comput. Appl. Math.
     272, 2014) in O(m^2) work.
     """
-    weights, centers = resp.active_poles
+    weights, centers = resp.bath.active_poles
     return _secular_roots(resp.omega_s, weights,
                           centers - 1j * resp.bath.epsilon)
 
@@ -473,7 +473,7 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,
                 f"only {len(kept)} verified poles in the window "
                 f"{tuple(omega_window)} at y = {y} (need {n_track})")
         z = np.array(kept)
-        weights, centers = resp.active_poles
+        weights, centers = resp.bath.active_poles
         gaps = z[:, None] - centers + 1j * resp.bath.epsilon
         slope = 1.0 + (weights / gaps ** 2).sum(axis=1)
         poles = [Pole(z=complex(zk), residue=complex(1.0 / dk))

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .params import ThermoParams, critical_coupling, momentum_grid
-from .meanfield import solve_steady_state
+from .meanfield import MeanField, solve_steady_state
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
                          soft_mode)
@@ -27,7 +27,7 @@ from .coupling import soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
 from .coupling import vertex_coefficients  # noqa: F401
-from .bath import BathSpectrum, build_bath_spectrum
+from .bath import BathSpectrum, build_bath_spectrum, mode_density
 
 
 class NumericsError(RuntimeError):
@@ -135,12 +135,9 @@ def _far_pole_sum(u, weights, scaled, radius: float):
     return acc
 
 
-def self_energy(channel: str, z, bath: BathSpectrum, p: ThermoParams,
-                dos_mode: str = "3d"):
+def self_energy(channel: str, z, bath: BathSpectrum):
     """Evaluate Sigma^channel at real or complex z (scalar or array)."""
-    weights, om = bath.pole_weights(channel, p, dos_mode)
-    # every bath pole sits at Im = -epsilon (build_bath_spectrum)
-    out = pole_sum(z, weights, om.real, bath.epsilon)
+    out = pole_sum(z, *bath.pole_weights(channel), bath.epsilon)
     return out if np.ndim(z) else complex(out)
 
 
@@ -162,36 +159,15 @@ class BornMarkovResult:
 
 @dataclass(frozen=True)
 class Response:
-    """Soft-mode frequency plus bath, ready for response evaluations."""
+    """Soft-mode frequency plus the bath, whose pole table G reads."""
 
-    params: ThermoParams
     omega_s: float
     polariton: ModeSet
     bath: BathSpectrum
-    dos_mode: str = "3d"
-
-    def self_energy(self, channel, z):
-        return self_energy(channel, z, self.bath, self.params, self.dos_mode)
-
-    @cached_property
-    def active_poles(self):
-        """(weights, centers) of both channels' poles with weight > 0.
-
-        Sigma^L(z) + Sigma^B(z) = sum_j weights[j] / (z - centers[j] + i eps);
-        zero-weight poles (the whole Landau channel at T = 0) are dropped.
-        Built once per Response; dataclasses.replace makes a new one.
-        """
-        weights, centers = [], []
-        for channel in ("landau", "beliaev"):
-            w, om = self.bath.pole_weights(channel, self.params, self.dos_mode)
-            active = w > 0
-            weights.append(w[active])
-            centers.append(om.real[active])
-        return np.concatenate(weights), np.concatenate(centers)
 
     def inverse_green(self, z):
         z = np.asarray(z, dtype=complex)
-        return z - self.omega_s - pole_sum(z, *self.active_poles,
+        return z - self.omega_s - pole_sum(z, *self.bath.active_poles,
                                            self.bath.epsilon)
 
     def green(self, z):
@@ -202,8 +178,8 @@ class Response:
         return -2.0 * np.imag(self.green(np.asarray(omega_grid, dtype=float)))
 
     def born_markov(self) -> BornMarkovResult:
-        sl = self.self_energy("landau", self.omega_s)
-        sb = self.self_energy("beliaev", self.omega_s)
+        sl = self_energy("landau", self.omega_s, self.bath)
+        sb = self_energy("beliaev", self.omega_s, self.bath)
         return BornMarkovResult(omega_s=self.omega_s,
                                 delta_l=sl.real, gamma_l=-sl.imag + 0.0,
                                 delta_b=sb.real, gamma_b=-sb.imag + 0.0)
@@ -216,11 +192,12 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     Bands at -q are the complex conjugates of those at +q, so only the
     positive half of the momentum grid is diagonalized; each entry counts
     twice in the bath sums.  The momentum stage is array-first: the
-    stack of all G(q) goes through one diagonalize_symplectic call, and
+    stack of all G(q) goes through one phonon_bands solve, and
     soft_mode_couplings contracts the soft-mode row of V with the stacked
     eigenvectors for every q at once.  Band labels are by ascending
     frequency (the two lowest branches feed the Landau/Beliaev pairs).
-    The soft mode is the one bogoliubov.soft_mode picks.
+    The soft mode is the one bogoliubov.soft_mode picks.  A dos_mode
+    other than '1d' or '3d' raises ConfigError before any solve.
 
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
@@ -229,27 +206,39 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     bytes, and a repeated stack is not solved again.  The returned bands
     are read-only arrays that Responses of equal stacks share.
     """
+    grid = momentum_grid(p)
+    q_half = grid[grid > 0]
+    dos = mode_density(q_half, dos_mode, p.condensate_width)
     mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
     omega_s, pol = soft_mode(p, mf, expansion=exp)
-    omega_s = float(omega_s)
-    v_tensor = exp.v_tensor()
-
-    grid = momentum_grid(p)
-    q_half = grid[grid > 0]
-    stack = exp.phonon_matrix(q_half)
-    try:
-        phonons = _phonon_modes(stack.shape, stack.dtype.str, stack.tobytes())
-    except DiagonalizationError as exc:
-        raise DiagonalizationError(f"q = {q_half[exc.index]:g}: {exc}",
-                                   exc.index) from exc
-    g_l, g_b = soft_mode_couplings(v_tensor, pol, phonons.right)
+    phonons = phonon_bands(p, mf, q_half, expansion=exp)
+    g_l, g_b = soft_mode_couplings(exp.v_tensor(), pol, phonons.right)
 
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
-                               p.temperature, p.phonon_damping)
-    return Response(params=p, omega_s=omega_s, polariton=pol, bath=bath,
-                    dos_mode=dos_mode)
+                               p.temperature, p.phonon_damping, dos,
+                               p.atom_number)
+    return Response(omega_s=float(omega_s), polariton=pol, bath=bath)
+
+
+def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,
+                 expansion: ModelExpansion | None = None) -> ModeSet:
+    """Phonon modes of G(q) over a grid, in one stacked solve.
+
+    Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
+    i at every q is the i-th lowest frequency there.  Ascending order is
+    the labelling the bath needs (build_bath_spectrum pairs bands 1 and 2
+    and requires 0 < omega_1 < omega_2 at every q).  A repeated stack is
+    not solved again (_phonon_modes); a failing G(q) is named by its q.
+    """
+    q_grid = np.asarray(q_grid, dtype=float)
+    stack = (expansion or ModelExpansion(p, mf)).phonon_matrix(q_grid)
+    try:
+        return _phonon_modes(stack.shape, stack.dtype.str, stack.tobytes())
+    except DiagonalizationError as exc:
+        raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
+                                   exc.index) from exc
 
 
 # a pump sweep alternates one normal-phase stack with ordered-phase ones,
@@ -308,8 +297,8 @@ def spectral_sum_rule(resp: Response):
             f"spectral sum rule cannot resolve the polariton pole: Born-"
             f"Markov width {width:.3e} against a grid step of {step:.3e}")
     lo = min(0.0, resp.omega_s) - _SUM_RULE_MARGIN
-    hi = (max(resp.omega_s, float(np.max(resp.bath.omega_b.real)))
-          + _SUM_RULE_MARGIN)
+    _, beliaev = resp.bath.pole_weights("beliaev")
+    hi = max(resp.omega_s, float(np.max(beliaev))) + _SUM_RULE_MARGIN
     grid = np.arange(lo, hi + step, step)
     if width < eps:
         center = bm.omega_s + bm.delta_l + bm.delta_b
@@ -326,15 +315,13 @@ def _sweep_point(args):
     p, y, epsilons, temperatures, dos_mode = args
     rows = []
     base = build_response(p.with_pump(y), dos_mode=dos_mode)
+    b = base.bath
     for eps in epsilons:
         for temp in temperatures:
-            bath = build_bath_spectrum(
-                base.bath.q, base.bath.omega1, base.bath.omega2,
-                base.bath.g_landau, base.bath.g_beliaev, temp, eps)
-            resp = replace(base, bath=bath,
-                           params=replace(p.with_pump(y), phonon_damping=eps,
-                                          temperature=temp))
-            rows.append((eps, temp, resp.born_markov()))
+            bath = build_bath_spectrum(b.q, b.omega1, b.omega2, b.g_landau,
+                                       b.g_beliaev, temp, eps, b.dos,
+                                       b.atom_number)
+            rows.append((eps, temp, replace(base, bath=bath).born_markov()))
     return y, base.omega_s, rows
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from cavitybec.params import ConfigError
 from cavitybec.bath import (
-    BathConstructionError, build_bath_spectrum, thermal_occupation,
+    BathConstructionError, build_bath_spectrum, mode_density,
+    thermal_occupation,
 )
 
 
@@ -40,12 +41,25 @@ def _toy_bands(n=5):
     return q, omega1, omega2, g
 
 
+def _bath(q, omega1, omega2, g_landau, g_beliaev, temperature, epsilon,
+          dos_mode="1d", width=1.0, atom_number=1.0):
+    return build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
+                               temperature, epsilon,
+                               mode_density(np.asarray(q, dtype=float),
+                                            dos_mode, width), atom_number)
+
+
 def test_composite_frequencies_and_weights():
     q, o1, o2, g = _toy_bands()
     eps = 0.01
-    bath = build_bath_spectrum(q, o1, o2, g, g, temperature=0.05, epsilon=eps)
-    np.testing.assert_allclose(bath.omega_b, (o1 + o2) - 1j * eps)
-    np.testing.assert_allclose(bath.omega_l, (o2 - o1) - 1j * eps)
+    bath = _bath(q, o1, o2, g, g, temperature=0.05, epsilon=eps)
+    # real centres; every pole sits at Im = -epsilon
+    _, om_l = bath.pole_weights("landau")
+    _, om_b = bath.pole_weights("beliaev")
+    np.testing.assert_allclose(om_b, o1 + o2)
+    np.testing.assert_allclose(om_l, o2 - o1)
+    assert om_b.dtype == om_l.dtype == float
+    assert bath.epsilon == eps
     n1 = 1.0 / np.expm1(o1 / 0.05)
     n2 = 1.0 / np.expm1(o2 / 0.05)
     np.testing.assert_allclose(bath.nl, np.sqrt(n1 - n2), atol=1e-14)
@@ -54,7 +68,7 @@ def test_composite_frequencies_and_weights():
 
 def test_landau_channel_empty_at_zero_temperature():
     q, o1, o2, g = _toy_bands()
-    bath = build_bath_spectrum(q, o1, o2, g, g, temperature=0.0, epsilon=0.01)
+    bath = _bath(q, o1, o2, g, g, temperature=0.0, epsilon=0.01)
     assert np.all(bath.nl == 0.0)
     assert np.all(bath.nb == 1.0)
 
@@ -62,32 +76,37 @@ def test_landau_channel_empty_at_zero_temperature():
 def test_band_ordering_violation_is_detected():
     q, o1, o2, g = _toy_bands()
     with pytest.raises(BathConstructionError):
-        build_bath_spectrum(q, o2, o1, g, g, temperature=0.0, epsilon=0.01)
+        _bath(q, o2, o1, g, g, temperature=0.0, epsilon=0.01)
     with pytest.raises(BathConstructionError):
-        build_bath_spectrum(q, -o1, o2, g, g, temperature=0.0, epsilon=0.01)
+        _bath(q, -o1, o2, g, g, temperature=0.0, epsilon=0.01)
 
 
 def test_pole_weights_and_their_config_errors():
     from cavitybec.params import default_params
     p = default_params()
     q, omega1, omega2, g = _toy_bands()
-    bath = build_bath_spectrum(q, omega1, omega2, g, 2.0 * g,
-                               temperature=0.0, epsilon=0.01)
-    w, om = bath.pole_weights("beliaev", p, "1d")
-    np.testing.assert_allclose(w, 2.0 * 0.04 * bath.nb ** 2 / p.atom_number,
+
+    def bath(dos_mode):
+        return _bath(q, omega1, omega2, g, 2.0 * g, temperature=0.0,
+                     epsilon=0.01, dos_mode=dos_mode,
+                     width=p.condensate_width, atom_number=p.atom_number)
+
+    b1 = bath("1d")
+    w, om = b1.pole_weights("beliaev")
+    np.testing.assert_allclose(w, 2.0 * 0.04 * b1.nb ** 2 / p.atom_number,
                                rtol=1e-14)
-    assert om is bath.omega_b
-    w3, _ = bath.pole_weights("beliaev", p, "3d")
+    np.testing.assert_array_equal(om, omega1 + omega2)
+    w3, _ = bath("3d").pole_weights("beliaev")
     np.testing.assert_allclose(
         w3, w * (q * p.condensate_width) ** 2 / (2.0 * math.pi), rtol=1e-14)
     with pytest.raises(ConfigError):
-        bath.pole_weights("cherenkov", p, "3d")
+        b1.pole_weights("cherenkov")
     with pytest.raises(ConfigError):
-        bath.pole_weights("landau", p, "2d")
+        mode_density(q, "2d", p.condensate_width)
 
 
 def test_negative_epsilon_is_a_config_error():
     # every damping rate would come out negative
     with pytest.raises(ConfigError, match="epsilon must be >= 0"):
-        build_bath_spectrum([0.2], [0.3], [0.7], [0.1], [0.1],
-                            temperature=0.0, epsilon=-0.01)
+        _bath([0.2], [0.3], [0.7], [0.1], [0.1],
+              temperature=0.0, epsilon=-0.01)

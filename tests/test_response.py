@@ -32,42 +32,41 @@ def resp():
 
 def _toy_bath(eps=0.01, temperature=0.0, g=0.3):
     # one q entry (the +-q pair), composite pair frequency
-    # omega1 + omega2 = 1.0
+    # omega1 + omega2 = 1.0, 1D density of modes
     return build_bath_spectrum([0.2], [0.3], [0.7], [g], [g],
-                               temperature=temperature, epsilon=eps)
+                               temperature=temperature, epsilon=eps,
+                               dos=[1.0], atom_number=P.atom_number)
 
 
 def test_single_mode_bath_closed_form():
     bath = _toy_bath()
     p = default_params()
     for omega in (0.5, 1.2, 3.0):
-        val = self_energy("beliaev", omega, bath, p, dos_mode="1d")
+        val = self_energy("beliaev", omega, bath)
         expected = 2 * 0.3**2 / (p.atom_number * (omega - 1.0 + 1j * 0.01))
         assert val == pytest.approx(expected, rel=1e-14)
 
 
 def test_landau_channel_vanishes_at_zero_temperature():
     bath = _toy_bath(temperature=0.0)
-    assert self_energy("landau", 0.9, bath, default_params(),
-                       dos_mode="1d") == 0.0
+    assert self_energy("landau", 0.9, bath) == 0.0
 
 
 def test_zero_couplings_give_zero_self_energy():
     bath = _toy_bath(g=0.0)
-    assert self_energy("beliaev", 0.9, bath, default_params(),
-                       dos_mode="1d") == 0.0
+    assert self_energy("beliaev", 0.9, bath) == 0.0
 
 
 def test_pole_collision_reported_for_undamped_bath():
     bath = _toy_bath(eps=0.0)
     with pytest.raises(NumericsError):
-        self_energy("beliaev", 1.0, bath, default_params(), dos_mode="1d")
+        self_energy("beliaev", 1.0, bath)
 
 
 def test_causality_on_real_axis(resp):
     omega = np.linspace(-1.0, 4.0, 2001)
     assert np.all(resp.spectral(omega) >= 0.0)
-    sig = resp.self_energy("beliaev", omega)
+    sig = self_energy("beliaev", omega, resp.bath)
     assert np.all(sig.imag <= 1e-15)
 
 
@@ -181,8 +180,8 @@ def _two_channel_reference(resp, z):
     out = z - resp.omega_s
     scale = np.abs(z) + abs(resp.omega_s)
     for channel in ("landau", "beliaev"):
-        w, om = resp.bath.pole_weights(channel, resp.params, resp.dos_mode)
-        terms = w / (z[:, None] - om)
+        w, om = resp.bath.pole_weights(channel)
+        terms = w / (z[:, None] - (om - 1j * resp.bath.epsilon))
         out = out - terms.sum(axis=1)
         scale = scale + np.abs(terms).sum(axis=1)
     return out, scale
@@ -232,10 +231,10 @@ def test_sum_rule_matches_a_direct_evaluation_of_rho(frac):
 
 
 def test_zero_temperature_table_drops_the_landau_poles(resp):
-    weights, centers = resp.active_poles
-    w_b, om_b = resp.bath.pole_weights("beliaev", resp.params, resp.dos_mode)
+    weights, centers = resp.bath.active_poles
+    w_b, om_b = resp.bath.pole_weights("beliaev")
     assert np.all(weights > 0)
-    assert np.array_equal(centers, om_b.real[w_b > 0])
+    assert np.array_equal(centers, om_b[w_b > 0])
     assert resp.born_markov().gamma_l == 0.0
 
 
@@ -244,12 +243,14 @@ def test_replaced_bath_rebuilds_the_pole_table(resp):
     before = resp.inverse_green(_PROBES)
     b = resp.bath
     other = build_bath_spectrum(b.q, b.omega1, b.omega2, 1.5 * b.g_landau,
-                                1.5 * b.g_beliaev, 0.05, 0.03)
+                                1.5 * b.g_beliaev, 0.05, 0.03, b.dos,
+                                b.atom_number)
     resp2 = dataclasses.replace(resp, bath=other)
     ref, scale = _two_channel_reference(resp2, _PROBES)
     assert np.all(np.abs(resp2.inverse_green(_PROBES) - ref) <= 1e-13 * scale)
     assert np.array_equal(resp.inverse_green(_PROBES), before)
-    assert len(resp2.active_poles[0]) > len(resp.active_poles[0])
+    assert (len(resp2.bath.active_poles[0])
+            > len(resp.bath.active_poles[0]))
 
 
 def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
@@ -259,7 +260,8 @@ def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
 
     b = resp.bath
     undamped = dataclasses.replace(resp, bath=build_bath_spectrum(
-        b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, 0.0))
+        b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, 0.0, b.dos,
+        b.atom_number))
     monkeypatch.setattr(Response, "spectral", no_scan)
     with pytest.raises(NumericsError, match="epsilon > 0"):
         spectral_sum_rule(undamped)
@@ -274,6 +276,16 @@ def test_build_response_takes_the_soft_mode_from_soft_mode(frac):
     assert resp.omega_s == omega_s
     np.testing.assert_array_equal(resp.polariton.frequencies,
                                   modes.frequencies)
+
+
+def test_unknown_dos_mode_is_a_config_error_before_the_mean_field(
+        monkeypatch):
+    def no_solve(p):
+        raise AssertionError("mean field solved before dos_mode was checked")
+
+    monkeypatch.setattr(response, "solve_steady_state", no_solve)
+    with pytest.raises(ConfigError, match="dos_mode must be '1d' or '3d'"):
+        build_response(P.with_pump(0.5 * Y_CRIT), dos_mode="2d")
 
 
 def test_empty_polariton_set_raises_a_typed_error(monkeypatch):
@@ -293,7 +305,8 @@ def test_sum_rule_refuses_epsilon_below_its_grid_resolution(monkeypatch):
 
     def with_eps(eps):
         return dataclasses.replace(base, bath=build_bath_spectrum(
-            b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, eps))
+            b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, eps,
+            b.dos, b.atom_number))
 
     total, _, _ = spectral_sum_rule(with_eps(1e-4))
     assert total == pytest.approx(1.0, abs=1e-2)
