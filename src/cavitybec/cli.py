@@ -223,10 +223,24 @@ def cmd_spectral(p, run, outdir):
 def cmd_poles(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "poles")
     n_track = int(run["n_track"])
-    records = pole_sweep(p, y_values,
-                         omega_window=(float(run["omega_min"]),
-                                       float(run["omega_max"]) + 1.5),
-                         n_track=n_track, dos_mode=str(run["dos_mode"]))
+    window = (float(run["omega_min"]), float(run["omega_max"]) + 1.5)
+    if int(run["dump_grid"]):
+        # the comb fit behind the dump needs the bath band in its window;
+        # checked before the sweep, so a refused run writes nothing
+        resp = build_response(
+            p.with_pump(float(y_values[len(y_values) // 2])),
+            dos_mode=str(run["dos_mode"]))
+        eps = resp.bath.epsilon
+        _, centres = resp.bath.active_poles
+        band = (np.min(centres, initial=np.inf),
+                np.max(centres, initial=-np.inf))
+        if band[0] - 5.0 * eps < window[0] or band[1] + 5.0 * eps > window[1]:
+            raise ConfigError(
+                f"dump_grid: the bath band [{band[0]:.6g}, {band[1]:.6g}] "
+                f"+- 5 eps leaves the omega window [{window[0]:.6g}, "
+                f"{window[1]:.6g}] (omega_min, omega_max + 1.5)")
+    records = pole_sweep(p, y_values, omega_window=window, n_track=n_track,
+                         dos_mode=str(run["dos_mode"]))
     names = ["y_frac"]
     for i in range(1, n_track + 1):
         names += [f"re_z{i}", f"im_z{i}", f"abs_residue{i}"]
@@ -239,11 +253,7 @@ def cmd_poles(p, run, outdir):
     write_table(outdir / "poles.csv", names, rows, _meta(p, run, "poles"))
 
     if int(run["dump_grid"]):
-        y_mid = float(y_values[len(y_values) // 2])
-        resp = build_response(p.with_pump(y_mid),
-                              dos_mode=str(run["dos_mode"]))
-        omega = np.linspace(float(run["omega_min"]),
-                            float(run["omega_max"]) + 1.5, 2048)
+        omega = np.linspace(*window, 2048)
         grid, _model = continue_green(omega, resp.green(omega),
                                       p.phonon_damping,
                                       nu_max=float(run["nu_max"]))

@@ -354,83 +354,208 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
 
 _ROW_CHUNK = 64  # root estimates per block: bounds the (block, m) temporaries
 
+# a zero closer than this to its pole stays on it: a pass forms
+# 1/|u - x|^4, which overflows below about 1e-77; only a pole within about
+# that of 0 lets a zero sit so close without rounding onto it
+_POLE_GAP = 1e-75
+
+# whole-solve certificates: a residual beyond this multiple of its
+# first-order rounding bound means a lost, doubled or misplaced zero
+_CERTIFICATE_SLACK = 16.0
+
 
 def companion_pole_candidates(resp: Response):
     """All poles of the closed-form G as the zeros of its secular function.
 
-    1/G(z) = z - omega_s - sum_j w_j/(z - x_j), w_j > 0, is a secular
-    function: its m + 1 zeros (= all dressed poles, polariton and
-    collective phonon alike) are the eigenvalues of the arrowhead matrix
-    [[omega_s, v^T], [v, diag(x)]] with v = sqrt(w).  They are found
-    without forming that matrix, by a simultaneous Aberth-Ehrlich
-    iteration on the secular equation (Bini & Robol, J. Comput. Appl. Math.
-    272, 2014) in O(m^2) work.
+    1/G(z) = z - omega_s - sum_j w_j/(z - x_j + i eps), w_j > 0, x_j real,
+    is a secular function: its m + 1 zeros (= all dressed poles, polariton
+    and collective phonon alike) are the eigenvalues of the arrowhead
+    matrix [[omega_s, v^T], [v, diag(x) - i eps]] with v = sqrt(w).  They
+    are found without forming that matrix, by a simultaneous
+    Aberth-Ehrlich iteration on the secular equation (Bini & Robol,
+    J. Comput. Appl. Math. 272, 2014) in O(m^2) real work per pass, on the
+    bath's pole table as pole_sum reads it.
     """
-    weights, centers = resp.bath.active_poles
-    return _secular_roots(resp.omega_s, weights,
-                          centers - 1j * resp.bath.epsilon)
+    return _secular_roots(resp.omega_s, *resp.bath.active_poles,
+                          resp.bath.epsilon)
 
 
-def _secular_roots(head, weights, freqs, max_iter: int = 100):
-    """All zeros of r(z) = z - head - sum_j weights[j]/(z - freqs[j]).
+def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
+    """All zeros of r(z) = z - head - sum_j weights[j]/(z - centers[j] + i eps).
 
-    weights > 0.  k equal frequencies are first merged into one pole with
-    the summed weight, leaving k - 1 zeros exactly at that frequency.  The
-    remaining zeros start from first-order perturbative guesses and are
-    refined by Aberth-Ehrlich steps on the polynomial r(z) prod_j (z - x_j),
-    written in the form that stays finite where r vanishes; a zero is
-    frozen once its step falls below 1e-15 of its magnitude.  Raises
-    NumericsError if any zero is still moving after max_iter steps.
+    weights > 0, centers real.  The solve runs in u = z + i eps, where every
+    pole is real: r = u - (head + i eps) - sum_j w_j/(u - x_j).  k equal
+    centers are first merged into one pole with the summed weight, leaving
+    k - 1 zeros exactly at x_j - i eps.  The other zeros start from the
+    roots of local two-pole models (_two_pole_start).
+    Aberth-Ehrlich steps on the polynomial r(u) prod_j (u - x_j), written
+    in the form that stays finite where r vanishes, refine all of them;
+    every sum of a pass is a real matrix-vector product, as in pole_sum.
+    A zero is frozen once its step falls below 1e-15 max(|z|, 1).  A zero
+    that the start rounds onto its pole, or puts within _POLE_GAP of it,
+    stays there.  Raises NumericsError if any zero is still moving after
+    max_iter steps, or if the zeros fail a certificate (_certify).
     """
-    freqs, inverse, counts = np.unique(np.asarray(freqs, dtype=complex),
-                                       return_inverse=True, return_counts=True)
-    weights = np.bincount(inverse, weights=weights)
-    repeated = np.repeat(freqs, counts - 1)
-    m = len(freqs)
+    given = np.asarray(centers, dtype=float)
+    centers, inverse, counts = np.unique(given, return_inverse=True,
+                                         return_counts=True)
+    weights = np.bincount(inverse, weights=weights, minlength=len(centers))
+    m = len(centers)
+    unit = np.finfo(float).eps
+    head = head + 1j * eps
+    # per zero: 1/r'(u) of its last pass, its rounding scale
+    # |1/r'|^2 (1 + sum_j w_j/|u - x_j|^2) and |1/r'|^2 times a bound on |r''|
+    u, residues, size = _two_pole_start(head, weights, centers)
+    tail = np.zeros(m + 1)
 
-    # first-order guesses: x_j + w_j / (x_j - head - sum_{k != j} w_k/(x_j - x_k))
-    # per bath pole, and the Born-Markov pole head + sum_j w_j/(head - x_j)
-    z = np.empty(m + 1, dtype=complex)
-    for lo in range(0, m, _ROW_CHUNK):
-        x = freqs[lo:lo + _ROW_CHUNK]
-        diff = x[:, None] - freqs
-        terms = np.divide(weights, diff, out=np.zeros_like(diff),
-                          where=diff != 0)
-        z[lo:lo + len(x)] = x + weights[lo:lo + len(x)] / (
-            x - head - terms.sum(axis=1))
-    z[m] = head + (weights / (head - freqs)).sum()
-
-    # a weight too small to move its zero off the pole in floating point
-    # leaves that zero at the pole, where r cannot be evaluated
-    active = np.ones(m + 1, dtype=bool)
-    active[:m] = z[:m] != freqs
+    # a zero that the start rounds onto its pole (as z = u - i eps), or
+    # puts within _POLE_GAP of it, stays there: r cannot be evaluated on
+    # the pole
+    frozen = ((u[:m] - 1j * eps == centers - 1j * eps)
+              | (np.abs(u[:m] - centers) < _POLE_GAP))
+    u[:m][frozen] = centers[frozen]
+    active = np.append(~frozen, True)
+    pair = np.column_stack([weights, np.ones(m)])
+    ones = np.ones(m + 1)
+    rows_max = min(_ROW_CHUNK, m + 1)
+    a, dd, prod = (np.empty((rows_max, m)) for _ in range(3))
+    p, q, e = (np.empty((rows_max, m + 1)) for _ in range(3))
     for _ in range(max_iter):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         step = np.empty(rows.size, dtype=complex)
+        ur, ui = u.real.copy(), u.imag.copy()
         for lo in range(0, rows.size, _ROW_CHUNK):
             block = rows[lo:lo + _ROW_CHUNK]
-            zb = z[block]
-            inv = 1.0 / (zb[:, None] - freqs)
-            terms = weights * inv
-            f = zb - head - terms.sum(axis=1)
-            df = 1.0 + (terms * inv).sum(axis=1)
-            # Newton step of the polynomial: f / (f' + f sum_j 1/(z - x_j))
-            newton = f / (df + f * inv.sum(axis=1))
-            gaps = zb[:, None] - z
-            gaps[np.arange(len(block)), block] = np.inf  # drops k = i
-            repulsion = (1.0 / gaps).sum(axis=1)
-            step[lo:lo + len(block)] = newton / (1.0 - newton * repulsion)
-        z[rows] -= step
-        # NaN steps stay active, so a breakdown ends in the error below
-        tol = 1e-15 * np.maximum(np.abs(z[rows]), 1.0)
-        active[rows] = ~(np.abs(step) <= tol)
+            n = block.size
+            ab, db, tb = a[:n], dd[:n], prod[:n]
+            b = ui[block]
+            # 1/(u - x_j) = A - i b D with D = 1/(a^2 + b^2), A = a D
+            np.subtract(ur[block, None], centers, out=ab)
+            np.multiply(ab, ab, out=db)
+            db += (b * b)[:, None]
+            np.divide(1.0, db, out=db)
+            ab *= db
+            s_a = ab @ pair
+            s_d = db @ pair
+            f = u[block] - head - (s_a[:, 0] - 1j * b * s_d[:, 0])
+            inv_sum = s_a[:, 1] - 1j * b * s_d[:, 1]
+            # w/(u - x)^2 = w (A^2 - b^2 D^2 - 2i b A D), A^2 + b^2 D^2 = D
+            np.multiply(ab, ab, out=tb)
+            re_sq = 2.0 * (tb @ weights) - s_d[:, 0]
+            np.multiply(ab, db, out=tb)
+            df = 1.0 + re_sq - 2j * b * (tb @ weights)
+            # Newton step of the polynomial: f / (f' + f sum_j 1/(u - x_j))
+            newton = f / (df + f * inv_sum)
+            # repulsion sum_{k != i} 1/(u_i - u_k), i.e. (p - i q)/(p^2 + q^2)
+            pb, qb, eb = p[:n], q[:n], e[:n]
+            np.subtract(ur[block, None], ur, out=pb)
+            np.subtract(b[:, None], ui, out=qb)
+            np.multiply(pb, pb, out=eb)
+            eb += qb * qb
+            eb[np.arange(n), block] = np.inf  # drops k = i
+            np.divide(1.0, eb, out=eb)
+            pb *= eb
+            qb *= eb
+            repulsion = pb @ ones - 1j * (qb @ ones)
+            sb = newton / (1.0 - newton * repulsion)
+            step[lo:lo + n] = sb
+            residues[block] = 1.0 / df
+            inv_sq = 1.0 / np.abs(df) ** 2
+            size[block] = inv_sq * (1.0 + s_d[:, 0])
+            # NaN steps stay active, so a breakdown ends in the error below
+            tol = 1e-15 * np.maximum(np.abs(u[block] - sb - 1j * eps), 1.0)
+            done = np.abs(sb) <= tol
+            active[block] = ~done
+            # |r''| <= 2 sum_j w_j D^(3/2) <= 2 sqrt(sum w D^2 sum w D)
+            near = db[done]
+            tail[block[done]] = (2.0 * inv_sq[done]
+                                 * np.sqrt((near * near) @ weights)
+                                 * np.sqrt(s_d[done, 0]))
+        u[rows] -= step
     if np.any(active):
         raise NumericsError(
             f"secular equation: {np.count_nonzero(active)} of {m + 1} zeros "
             f"not converged after {max_iter} Aberth-Ehrlich steps")
-    return np.concatenate([z, repeated])
+    # a residue 1/r' moves with the rounding of r' (m + 1 terms) and with
+    # r'' times the distance of its point from the zero: the last step
+    # plus the zero's own rounding
+    offset = 1e-15 * np.maximum(np.abs(u - 1j * eps), 1.0) + unit * np.abs(u)
+    slack = (m + 1) * unit * size + tail * offset
+    u = np.concatenate([u, np.repeat(centers, counts - 1)])
+    _certify(u, head, given, residues, slack)
+    return u - 1j * eps
+
+
+def _two_pole_start(head, weights, centers):
+    """Starting zeros in u, with 1/r' and its rounding scale there.
+
+    Near the pole x_j, r ~ D_j + (1 - T'_j) d - w_j/d with d = u - x_j,
+    D_j = x_j - head - T_j, T_j = sum_{k != j} w_k/(x_j - x_k) and
+    T'_j = -sum_{k != j} w_k/(x_j - x_k)^2 <= 0.  Its root
+    d = 2 w_j/(D_j + s sqrt(D_j^2 + 4 (1 - T'_j) w_j)), with the sign s
+    that makes the denominator the larger, is continuous with the
+    first-order w_j/D_j.  T_j and T'_j come from one real pass over
+    x_j - x_k.  1/r' is the model's, 4 w_j/(4 w_j (1 - T'_j) + den^2) with
+    den the denominator above, which is what a zero that rounds onto its
+    pole keeps, with |1/r'| as its scale.  The head's zero starts at the
+    Born-Markov pole head + sum_j w_j/(head - x_j), unless the nearest
+    pole is within sqrt(w_j) of the head.
+    """
+    m = len(centers)
+    curv = np.empty(m)
+    den = np.empty(m, dtype=complex)
+    for lo in range(0, m, _ROW_CHUNK):
+        x = centers[lo:lo + _ROW_CHUNK]
+        inv = x[:, None] - centers
+        inv[np.arange(len(x)), np.arange(lo, lo + len(x))] = np.inf  # k != j
+        np.divide(1.0, inv, out=inv)
+        curv[lo:lo + len(x)] = 1.0 + (inv * inv) @ weights
+        den[lo:lo + len(x)] = x - head - inv @ weights
+    root = np.sqrt(den * den + 4.0 * curv * weights)
+    den = np.where(np.abs(den + root) >= np.abs(den - root),
+                   den + root, den - root)
+    u = np.append(centers + 2.0 * weights / den, 0.0)
+    residues = np.append(4.0 * weights / (4.0 * weights * curv + den * den),
+                         1.0)
+    size = np.abs(residues)
+    gap = np.abs(head - centers)
+    j = np.argmin(gap) if m else 0
+    if m and weights[j] >= gap[j] ** 2:
+        # the pole's own first-order shift of the head exceeds their
+        # distance (infinite on the pole): the model's other root,
+        # d = -den/(2 (1 - T'_j)), is the head's zero
+        u[m] = centers[j] - den[j] / (2.0 * curv[j])
+    else:
+        u[m] = head + (weights / (head - centers)).sum()
+    return u, residues, size
+
+
+def _certify(u, head, centers, residues, slack):
+    """Raise NumericsError unless the zeros pass both whole-solve checks.
+
+    u holds every zero in u = z + i eps, repeats included; residues and
+    slack hold 1/r' and its first-order rounding bound for the zeros of
+    the merged problem (a repeated zero is not a zero of r and has none).
+    The trace, sum_k u_k = head + sum_j x_j counting repeats, must hold to
+    _CERTIFICATE_SLACK u (sum_k |u_k| + |head| + sum_j |x_j|); the residue
+    sum, sum_k 1/r'(u_k) = 1 since G ~ 1/z, to _CERTIFICATE_SLACK
+    sum_k slack_k.
+    """
+    unit = np.finfo(float).eps
+    trace = abs(u.sum() - head - centers.sum())
+    scale = np.abs(u).sum() + abs(head) + np.abs(centers).sum()
+    if not trace <= _CERTIFICATE_SLACK * unit * scale:
+        raise NumericsError(
+            f"secular equation: the trace of the {u.size} zeros is off by "
+            f"{trace:.3e} (scale {scale:.3e}); a zero is lost or doubled")
+    total = abs(residues.sum() - 1.0)
+    if not total <= _CERTIFICATE_SLACK * slack.sum():
+        raise NumericsError(
+            f"secular equation: the residues of the {residues.size} zeros "
+            f"sum to 1 within {total:.3e} (rounding bound "
+            f"{slack.sum():.3e}); a zero or its residue is wrong")
 
 
 def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,

@@ -31,6 +31,19 @@ def _random_params(rng) -> ThermoParams:
     )
 
 
+def fit_window(resp):
+    """verify's comb-fit window: [0.3, 1.6], widened to the bath band
+    +- 10 eps where the band leaves it.
+
+    The comb cannot stand in for poles outside its window: NNLS then fills
+    it to mimic them, which is slow and wrong off the axis.
+    """
+    eps = resp.bath.epsilon
+    _, centres = resp.bath.active_poles
+    return (min(0.3, np.min(centres, initial=np.inf) - 10.0 * eps),
+            max(1.6, np.max(centres, initial=-np.inf) + 10.0 * eps))
+
+
 def run_verification(p: ThermoParams, seed: int = 0):
     rng = np.random.default_rng(seed)
     y_crit = critical_coupling(p)
@@ -102,7 +115,7 @@ def run_verification(p: ThermoParams, seed: int = 0):
           fmt="|integral/2pi - 1| = {value:.3e} (tol {tol:g})")
 
     # continuation: rebuild 1/G from real-axis data, compare off axis
-    omega = np.arange(0.3, 1.6, resp.bath.epsilon / 8.0)
+    omega = np.arange(*fit_window(resp), resp.bath.epsilon / 8.0)
     model = reconstruct_meromorphic(omega, resp.green(omega),
                                     resp.bath.epsilon)
     # depths up to eps/2: the comb discretization of the pole line limits

@@ -145,3 +145,21 @@ def test_outputs_deterministic_across_runs(tmp_path):
         assert names == sorted(f.name for f in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
+    # 101 sites at 1.462 y_crit: the bath band 1.355-1.705 leaves the
+    # window (0.5, 1.6) that omega_max = 0.1 gives
+    settings = {"cavity_detuning": -1962.43, "u": 4.786, "g_coll": 0.0744,
+                "temperature": 0.1741, "phonon_damping": 0.005662,
+                "site_count": 101, "atom_number": 1010, "y_frac_min": 1.462,
+                "y_frac_max": 1.462, "y_points": 1, "omega_max": 0.1,
+                "dump_grid": 1}
+    args = ["poles", "--output-dir", str(tmp_path)]
+    for key, value in settings.items():
+        args += ["--set", f"{key}={value}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "bath band [1.35529, 1.70519]" in err
+    assert "omega window [0.5, 1.6]" in err
+    assert not (tmp_path / "poles.csv").exists()

@@ -21,7 +21,7 @@ from cavitybec.continuation import (
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.response import NumericsError, build_response
-from cavitybec.verify import _random_params
+from cavitybec.verify import _random_params, fit_window
 
 
 class _Lorentzian:
@@ -168,6 +168,34 @@ def _assert_full_comb_kkt(omega, g, eps, fit):
 def test_fit_on_the_support_is_the_full_comb_optimum(name):
     fit = reconstruct_meromorphic(*_fit_case(name))
     _assert_full_comb_optimum(name, fit)
+
+
+def _band_outside_verify_window():
+    # 101 sites, bath band 1.355-1.705: NNLS on [0.3, 1.6] took 27.8 s and
+    # rebuilt G wrongly
+    p = default_params(cavity_detuning=-1962.43, u=4.786, g_coll=0.0744,
+                       temperature=0.1741, phonon_damping=0.005662,
+                       site_count=101, atom_number=1010)
+    return p, 1.462 * critical_coupling(p)
+
+
+def test_verify_fit_window_holds_the_bath_band():
+    p, y = _band_outside_verify_window()
+    resp = build_response(p.with_pump(y))
+    eps = resp.bath.epsilon
+    _, centers = resp.bath.active_poles
+    lo, hi = fit_window(resp)
+    assert (lo, hi) == (0.3, centers.max() + 10.0 * eps)
+    omega = np.arange(lo, hi, eps / 8.0)
+    model = reconstruct_meromorphic(omega, resp.green(omega), eps)
+    zs = (np.linspace(0.6, 1.3, 40)[:, None]
+          - 1j * np.array([0.002, 0.003, 0.005])[None, :]).ravel()
+    rel = np.abs(model.green(zs) - resp.green(zs)) / np.abs(resp.green(zs))
+    assert np.max(rel) < 1e-3
+    # at the default point the band lies inside, and the window is verify's
+    base = default_params()
+    resp = build_response(base.with_pump(0.629 * critical_coupling(base)))
+    assert fit_window(resp) == (0.3, 1.6)
 
 
 _TYPED_ERRORS = (BathConstructionError, ConfigError, ConvergenceError,
@@ -328,14 +356,14 @@ def test_companion_candidates_match_newton_roots():
         assert z == pytest.approx(s, abs=1e-6)
 
 
-def _arrowhead_eigvals(head, weights, freqs):
-    """Dense oracle: eigenvalues of [[head, v^T], [v, diag(freqs)]],
+def _arrowhead_eigvals(head, weights, centers, eps):
+    """Dense oracle: eigenvalues of [[head, v^T], [v, diag(centers) - i eps]],
     v = sqrt(weights), and the largest |entry| as the scale."""
-    m = len(freqs) + 1
+    m = len(centers) + 1
     arrow = np.zeros((m, m), dtype=complex)
     arrow[0, 0] = head
     arrow[0, 1:] = arrow[1:, 0] = np.sqrt(weights)
-    arrow[np.arange(1, m), np.arange(1, m)] = freqs
+    arrow[np.arange(1, m), np.arange(1, m)] = np.asarray(centers) - 1j * eps
     return np.linalg.eigvals(arrow), np.max(np.abs(arrow))
 
 
@@ -359,35 +387,36 @@ def test_secular_roots_match_dense_arrowhead_eigenvalues(
                        phonon_damping=eps, temperature=temperature)
     resp = build_response(p.with_pump(frac * critical_coupling(p)),
                           dos_mode=dos_mode)
-    weights, freqs = [], []
+    weights, centers = [], []
     for channel in ("landau", "beliaev"):
         w, om = resp.bath.pole_weights(channel)
         weights.append(w[w > 0])
-        freqs.append(om[w > 0] - 1j * resp.bath.epsilon)
+        centers.append(om[w > 0])
     oracle, scale = _arrowhead_eigvals(resp.omega_s, np.concatenate(weights),
-                                       np.concatenate(freqs))
+                                       np.concatenate(centers),
+                                       resp.bath.epsilon)
     roots = companion_pole_candidates(resp)
     assert roots.shape == oracle.shape
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
 
 
 def test_secular_roots_deflate_coincident_frequencies():
-    freqs = np.array([0.5, 0.8, 0.8, 1.2]) - 0.01j
+    centers = np.array([0.5, 0.8, 0.8, 1.2])
     weights = np.array([0.01, 0.02, 0.03, 0.01])
-    roots = _secular_roots(1.0, weights, freqs)
-    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    roots = _secular_roots(1.0, weights, centers, 0.01)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, centers, 0.01)
     assert roots.shape == oracle.shape
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
-    assert np.count_nonzero(roots == freqs[1]) == 1
+    assert np.count_nonzero(roots == 0.8 - 0.01j) == 1
 
 
 def test_secular_roots_step_through_an_exact_zero_of_r():
     # symmetric bath: the head's first guess z = 1 gives r(z) = 0 exactly,
     # where the naive Newton form 1/(r'/r + ...) divides by zero
-    freqs = np.array([0.75, 1.25], dtype=complex)
+    centers = np.array([0.75, 1.25])
     weights = np.array([0.02, 0.02])
-    roots = _secular_roots(1.0, weights, freqs)
-    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    roots = _secular_roots(1.0, weights, centers, 0.0)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, centers, 0.0)
     assert np.all(np.isfinite(roots))
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
 
@@ -395,27 +424,86 @@ def test_secular_roots_step_through_an_exact_zero_of_r():
 def test_secular_roots_keep_zeros_that_round_onto_their_pole():
     # weight 1e-20 moves its zero by far less than one ulp of the pole, so
     # the zero sits on the pole, where r itself cannot be evaluated
-    freqs = np.array([0.5, 0.8, 1.2]) - 0.01j
+    centers = np.array([0.5, 0.8, 1.2])
     weights = np.array([0.01, 1e-20, 0.01])
-    roots = _secular_roots(1.0, weights, freqs)
-    oracle, scale = _arrowhead_eigvals(1.0, weights, freqs)
+    roots = _secular_roots(1.0, weights, centers, 0.01)
+    oracle, scale = _arrowhead_eigvals(1.0, weights, centers, 0.01)
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
 
 
 def test_secular_roots_of_one_pole_bath_are_the_quadratic_roots():
     # (z - h)(z - x) = w
-    head, weight, freq = 0.9, 0.04, 1.0 - 0.02j
+    head, weight, center, eps = 0.9, 0.04, 1.0, 0.02
+    freq = center - 1j * eps
     disc = np.sqrt((head - freq) ** 2 + 4.0 * weight + 0j)
     exact = np.array([(head + freq + disc) / 2, (head + freq - disc) / 2])
-    roots = _secular_roots(head, np.array([weight]), np.array([freq]))
+    roots = _secular_roots(head, np.array([weight]), np.array([center]), eps)
     assert _matched_deviation(roots, exact) <= 1e-14
 
 
 def test_secular_roots_raise_when_the_step_cap_is_exhausted():
-    freqs = np.linspace(0.5, 1.5, 50) - 0.01j
+    centers = np.linspace(0.5, 1.5, 50)
     weights = np.full(50, 0.01)
     with pytest.raises(NumericsError, match="not converged after 1 "):
-        _secular_roots(1.0, weights, freqs, max_iter=1)
+        _secular_roots(1.0, weights, centers, 0.01, max_iter=1)
+
+
+@st.composite
+def _small_baths(draw):
+    m = draw(st.integers(1, 60))
+    # centres on a 0.01 grid over [0, 2], so that some repeat
+    ticks = draw(st.lists(st.integers(0, 200), min_size=m, max_size=m))
+    exponents = draw(st.lists(st.floats(-20.0, -1.0), min_size=m,
+                              max_size=m))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1)))
+    head = draw(st.floats(-0.5, 2.5))
+    return head, 10.0 ** np.array(exponents), np.array(ticks) / 100.0, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(bath=_small_baths())
+def test_secular_roots_match_the_dense_oracle_over_random_small_baths(bath):
+    # every solve also passes the trace and residue-sum certificates, or
+    # it raises
+    roots = _secular_roots(*bath)
+    oracle, scale = _arrowhead_eigvals(*bath)
+    assert roots.shape == oracle.shape
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("frac", [0.70, 0.78, 0.84])
+def test_secular_roots_converge_within_eight_steps_on_the_pole_sweep_range(
+        frac):
+    # the two-pole start converges here in 5-6 steps
+    p = default_params()
+    resp = build_response(p.with_pump(frac * critical_coupling(p)))
+    _secular_roots(resp.omega_s, *resp.bath.active_poles, resp.bath.epsilon,
+                   max_iter=8)
+
+
+def test_certificates_catch_a_lost_zero_and_a_scaled_residue(monkeypatch):
+    p = default_params(site_count=101, atom_number=1010)
+    resp = build_response(p.with_pump(0.78 * critical_coupling(p)))
+    args = (resp.omega_s, *resp.bath.active_poles, resp.bath.epsilon)
+    certify = continuation._certify
+
+    def lose_a_zero(u, head, centers, residues, slack):
+        u = u.copy()
+        u[0] = u[1]
+        certify(u, head, centers, residues, slack)
+
+    def scale_a_residue(u, head, centers, residues, slack):
+        residues = residues.copy()
+        k = np.argsort(np.abs(residues))[residues.size // 2]
+        residues[k] *= 1.0 + 1e-6
+        certify(u, head, centers, residues, slack)
+
+    _secular_roots(*args)
+    for mutant, match in ((lose_a_zero, "trace"),
+                          (scale_a_residue, "residues")):
+        monkeypatch.setattr(continuation, "_certify", mutant)
+        with pytest.raises(NumericsError, match=match):
+            _secular_roots(*args)
 
 
 # -- pole_sweep: secular zeros with residues 1/r'(z) ------------------------
