@@ -354,6 +354,13 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
 
 _ROW_CHUNK = 64  # root estimates per block: bounds the (block, m) temporaries
 
+# the local model of each bath zero (_local_start): the poles it takes
+# exactly on each side of its own, the Taylor terms of the others, and
+# the Newton steps on it
+_NEAR_POLES = 8
+_TAIL_TERMS = 8
+_MODEL_STEPS = 3
+
 # a zero closer than this to its pole stays on it: a pass forms
 # 1/|u - x|^4, which overflows below about 1e-77; only a pole within about
 # that of 0 lets a zero sit so close without rounding onto it
@@ -371,10 +378,13 @@ def companion_pole_candidates(resp: Response):
     is a secular function: its m + 1 zeros (= all dressed poles, polariton
     and collective phonon alike) are the eigenvalues of the arrowhead
     matrix [[omega_s, v^T], [v, diag(x) - i eps]] with v = sqrt(w).  They
-    are found without forming that matrix, by a simultaneous
-    Aberth-Ehrlich iteration on the secular equation (Bini & Robol,
-    J. Comput. Appl. Math. 272, 2014) in O(m^2) real work per pass, on the
-    bath's pole table as pole_sum reads it.
+    are found without forming that matrix, on the bath's pole table as
+    pole_sum reads it: each bath zero starts from a local model of its
+    nearest poles plus a Taylor tail of the others (R.-C. Li, LAPACK
+    Working Note 89, 1993), one pass of the secular sums confirms those
+    already within the stop test, and a simultaneous Aberth-Ehrlich
+    iteration on the secular equation (Bini & Robol, J. Comput. Appl.
+    Math. 272, 2014) finishes the rest, in O(m^2) real work per pass.
     """
     return _secular_roots(resp.omega_s, *resp.bath.active_poles,
                           resp.bath.epsilon)
@@ -386,15 +396,19 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
     weights > 0, centers real.  The solve runs in u = z + i eps, where every
     pole is real: r = u - (head + i eps) - sum_j w_j/(u - x_j).  k equal
     centers are first merged into one pole with the summed weight, leaving
-    k - 1 zeros exactly at x_j - i eps.  The other zeros start from the
-    roots of local two-pole models (_two_pole_start).
-    Aberth-Ehrlich steps on the polynomial r(u) prod_j (u - x_j), written
-    in the form that stays finite where r vanishes, refine all of them;
-    every sum of a pass is a real matrix-vector product, as in pole_sum.
-    A zero is frozen once its step falls below 1e-15 max(|z|, 1).  A zero
-    that the start rounds onto its pole, or puts within _POLE_GAP of it,
-    stays there.  Raises NumericsError if any zero is still moving after
-    max_iter steps, or if the zeros fail a certificate (_certify).
+    k - 1 zeros exactly at x_j - i eps.  The other zeros start from local
+    models of r (_local_start).  A zero is frozen once its step falls below
+    1e-15 max(|z|, 1), and every sum of a pass is a real matrix-vector
+    product, as in pole_sum.  The first pass confirms: it evaluates r and
+    r' at every start with the secular sums alone and freezes each zero
+    whose Newton step r/r' already meets that test.  The other zeros keep
+    their starts; the later passes are Aberth-Ehrlich steps on them alone,
+    on the polynomial r(u) prod_j (u - x_j) in the form that stays finite
+    where r vanishes, with the frozen zeros still in the repulsion sum.  A
+    zero that the start rounds onto its pole, or puts within _POLE_GAP of
+    it, stays there.  Raises NumericsError if any zero is still moving
+    after max_iter passes, the confirming one included, or if the zeros
+    fail a certificate (_certify).
     """
     given = np.asarray(centers, dtype=float)
     centers, inverse, counts = np.unique(given, return_inverse=True,
@@ -405,7 +419,7 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
     head = head + 1j * eps
     # per zero: 1/r'(u) of its last pass, its rounding scale
     # |1/r'|^2 (1 + sum_j w_j/|u - x_j|^2) and |1/r'|^2 times a bound on |r''|
-    u, residues, size = _two_pole_start(head, weights, centers)
+    u, residues, size = _local_start(head, weights, centers)
     tail = np.zeros(m + 1)
 
     # a zero that the start rounds onto its pole (as z = u - i eps), or
@@ -420,7 +434,7 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
     rows_max = min(_ROW_CHUNK, m + 1)
     a, dd, prod = (np.empty((rows_max, m)) for _ in range(3))
     p, q, e = (np.empty((rows_max, m + 1)) for _ in range(3))
-    for _ in range(max_iter):
+    for it in range(max_iter):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -446,21 +460,26 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
             re_sq = 2.0 * (tb @ weights) - s_d[:, 0]
             np.multiply(ab, db, out=tb)
             df = 1.0 + re_sq - 2j * b * (tb @ weights)
-            # Newton step of the polynomial: f / (f' + f sum_j 1/(u - x_j))
-            newton = f / (df + f * inv_sum)
-            # repulsion sum_{k != i} 1/(u_i - u_k), i.e. (p - i q)/(p^2 + q^2)
-            pb, qb, eb = p[:n], q[:n], e[:n]
-            np.subtract(ur[block, None], ur, out=pb)
-            np.subtract(b[:, None], ui, out=qb)
-            np.multiply(pb, pb, out=eb)
-            eb += qb * qb
-            eb[np.arange(n), block] = np.inf  # drops k = i
-            np.divide(1.0, eb, out=eb)
-            pb *= eb
-            qb *= eb
-            repulsion = pb @ ones - 1j * (qb @ ones)
-            sb = newton / (1.0 - newton * repulsion)
-            step[lo:lo + n] = sb
+            if it == 0:
+                # the confirmation pass: the Newton step of r alone
+                sb = f / df
+            else:
+                # Newton step of the polynomial:
+                # f / (f' + f sum_j 1/(u - x_j))
+                newton = f / (df + f * inv_sum)
+                # repulsion sum_{k != i} 1/(u_i - u_k),
+                # i.e. (p - i q)/(p^2 + q^2)
+                pb, qb, eb = p[:n], q[:n], e[:n]
+                np.subtract(ur[block, None], ur, out=pb)
+                np.subtract(b[:, None], ui, out=qb)
+                np.multiply(pb, pb, out=eb)
+                eb += qb * qb
+                eb[np.arange(n), block] = np.inf  # drops k = i
+                np.divide(1.0, eb, out=eb)
+                pb *= eb
+                qb *= eb
+                repulsion = pb @ ones - 1j * (qb @ ones)
+                sb = newton / (1.0 - newton * repulsion)
             residues[block] = 1.0 / df
             inv_sq = 1.0 / np.abs(df) ** 2
             size[block] = inv_sq * (1.0 + s_d[:, 0])
@@ -468,6 +487,9 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
             tol = 1e-15 * np.maximum(np.abs(u[block] - sb - 1j * eps), 1.0)
             done = np.abs(sb) <= tol
             active[block] = ~done
+            if it == 0:
+                sb[~done] = 0.0  # an unconfirmed zero keeps its start
+            step[lo:lo + n] = sb
             # |r''| <= 2 sum_j w_j D^(3/2) <= 2 sqrt(sum w D^2 sum w D)
             near = db[done]
             tail[block[done]] = (2.0 * inv_sq[done]
@@ -488,35 +510,40 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
     return u - 1j * eps
 
 
-def _two_pole_start(head, weights, centers):
+def _local_start(head, weights, centers):
     """Starting zeros in u, with 1/r' and its rounding scale there.
 
-    Near the pole x_j, r ~ D_j + (1 - T'_j) d - w_j/d with d = u - x_j,
-    D_j = x_j - head - T_j, T_j = sum_{k != j} w_k/(x_j - x_k) and
-    T'_j = -sum_{k != j} w_k/(x_j - x_k)^2 <= 0.  Its root
+    Zero j starts at u = x_j + d from a local model of r near its pole:
+    the 2 _NEAR_POLES + 1 consecutive poles around x_j (all of them when
+    m is smaller), its own among them, are taken exactly, and the others
+    through the Taylor tail sum_n (-d)^n M_nj, n < _TAIL_TERMS, with
+    M_nj = sum_{k far} w_k/(x_j - x_k)^(n+1).  _MODEL_STEPS Newton steps
+    on the model start from the root of the two-pole model
+    r ~ D_j + (1 - T'_j) d - w_j/d, where D_j = x_j - head - T_j,
+    T_j = sum_{k != j} w_k/(x_j - x_k) and T'_j = -sum_{k != j}
+    w_k/(x_j - x_k)^2 <= 0 are the first two moments over all the other
+    poles (_pole_moments).  That root is
     d = 2 w_j/(D_j + s sqrt(D_j^2 + 4 (1 - T'_j) w_j)), with the sign s
-    that makes the denominator the larger, is continuous with the
-    first-order w_j/D_j.  T_j and T'_j come from one real pass over
-    x_j - x_k.  1/r' is the model's, 4 w_j/(4 w_j (1 - T'_j) + den^2) with
-    den the denominator above, which is what a zero that rounds onto its
-    pole keeps, with |1/r'| as its scale.  The head's zero starts at the
+    that makes the denominator the larger, which is continuous with the
+    first-order w_j/D_j.  The model's root replaces it only where it stays
+    on the same side of x_j and short of the next pole there, and where no
+    other start shares that interval between poles (the head's by its
+    real part, the others by the side of their two-pole roots): the
+    interlacing of the zeros of r with its poles at eps = 0.  1/r' is the
+    two-pole model's, 4 w_j/(4 w_j (1 - T'_j) + den^2) with den the
+    denominator above, which is what a zero that rounds onto its pole
+    keeps, with |1/r'| as its scale.  The head's zero starts at the
     Born-Markov pole head + sum_j w_j/(head - x_j), unless the nearest
     pole is within sqrt(w_j) of the head.
     """
     m = len(centers)
-    curv = np.empty(m)
-    den = np.empty(m, dtype=complex)
-    for lo in range(0, m, _ROW_CHUNK):
-        x = centers[lo:lo + _ROW_CHUNK]
-        inv = x[:, None] - centers
-        inv[np.arange(len(x)), np.arange(lo, lo + len(x))] = np.inf  # k != j
-        np.divide(1.0, inv, out=inv)
-        curv[lo:lo + len(x)] = 1.0 + (inv * inv) @ weights
-        den[lo:lo + len(x)] = x - head - inv @ weights
+    moments = _pole_moments(weights, centers)
+    curv = 1.0 + moments[1]
+    den = centers - head - moments[0]
     root = np.sqrt(den * den + 4.0 * curv * weights)
     den = np.where(np.abs(den + root) >= np.abs(den - root),
                    den + root, den - root)
-    u = np.append(centers + 2.0 * weights / den, 0.0)
+    two_pole = 2.0 * weights / den
     residues = np.append(4.0 * weights / (4.0 * weights * curv + den * den),
                          1.0)
     size = np.abs(residues)
@@ -526,10 +553,93 @@ def _two_pole_start(head, weights, centers):
         # the pole's own first-order shift of the head exceeds their
         # distance (infinite on the pole): the model's other root,
         # d = -den/(2 (1 - T'_j)), is the head's zero
-        u[m] = centers[j] - den[j] / (2.0 * curv[j])
+        head_zero = centers[j] - den[j] / (2.0 * curv[j])
     else:
-        u[m] = head + (weights / (head - centers)).sum()
+        head_zero = head + (weights / (head - centers)).sum()
+
+    # the window of each pole, as rows of the pole's neighbours, and the
+    # far moments without the window's terms
+    width = min(2 * _NEAR_POLES + 1, m)
+    near = (np.clip(np.arange(m) - _NEAR_POLES, 0, m - width)
+            + np.arange(width)[:, None])
+    gaps = centers - centers[near]  # 0 in the pole's own row
+    near_weights = weights[near]
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / gaps
+    inv[gaps == 0.0] = 0.0
+    term = near_weights * inv
+    for n in range(_TAIL_TERMS):
+        moments[n] -= term.sum(axis=0)
+        term *= inv
+    # Newton steps on the model in real arithmetic, d = a + i b, as in the
+    # Aberth passes: 1/(g + d) = A - i b D with D = 1/((g + a)^2 + b^2)
+    # and A = (g + a) D
+    d = two_pole
+    offset = centers - head
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MODEL_STEPS):
+            b = d.imag
+            big_a = gaps + d.real
+            big_d = big_a * big_a
+            big_d += b * b
+            np.divide(1.0, big_d, out=big_d)
+            big_a *= big_d
+            wd = near_weights * big_d
+            wa = near_weights * big_a
+            s_d = wd.sum(axis=0)
+            near_sum = wa.sum(axis=0) - 1j * b * s_d
+            # w/(g + d)^2 = w (A^2 - b^2 D^2 - 2i b A D), A^2 + b^2 D^2 = D
+            wd *= big_a
+            wa *= big_a
+            near_sq = 2.0 * wa.sum(axis=0) - s_d - 2j * b * wd.sum(axis=0)
+            # Horner's rule for the tail and its slope in s = -d
+            tail, slope = moments[-1], 0.0
+            for moment in moments[-2::-1]:
+                slope = slope * -d + tail
+                tail = tail * -d + moment
+            d = d - ((offset + d - near_sum - tail)
+                     / (1.0 + near_sq + slope))
+    # interval k lies between the poles k - 1 and k
+    right = two_pole.real > 0
+    room = np.diff(centers)
+    room = np.where(right, np.append(room, np.inf), np.append(np.inf, room))
+    interval = np.arange(m) + right
+    starts = np.bincount(np.append(interval, np.searchsorted(
+        centers, head_zero.real)), minlength=m + 1)
+    take = (np.isfinite(d) & (starts[interval] == 1)
+            & np.where(right, d.real > 0, d.real < 0)
+            & (np.abs(d.real) < room))
+    u = np.append(centers + np.where(take, d, two_pole), head_zero)
     return u, residues, size
+
+
+def _pole_moments(weights, centers):
+    """M[n, j] = sum_{k != j} w_k/(x_j - x_k)^(n+1) for n < _TAIL_TERMS.
+
+    One real pass that reads each pair once: a block of _ROW_CHUNK rows
+    meets the columns from its own on, and since
+    1/(x_k - x_j) = -1/(x_j - x_k) the powers it forms give the block's
+    row sums and, transposed with the sign (-1)^(n+1), the sums of the
+    later columns.
+    """
+    m = len(centers)
+    moments = np.zeros((_TAIL_TERMS, m))
+    for lo in range(0, m, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, m)
+        inv = centers[lo:hi, None] - centers[lo:]
+        inv[np.arange(hi - lo), np.arange(hi - lo)] = np.inf  # k != j
+        np.divide(1.0, inv, out=inv)
+        power = inv.copy()
+        for n in range(_TAIL_TERMS):
+            if n:
+                power *= inv
+            moments[n, lo:hi] += power @ weights[lo:]
+            later = weights[lo:hi] @ power[:, hi - lo:]
+            if n % 2:
+                moments[n, hi:] += later
+            else:
+                moments[n, hi:] -= later
+    return moments
 
 
 def _certify(u, head, centers, residues, slack):

@@ -373,7 +373,19 @@ def _matched_deviation(roots, oracle):
     return cost[rows, cols].max()
 
 
+def _assert_in_strip(roots, eps):
+    # every zero of r has -eps < Im z < 0, and the zeros left on a repeated
+    # centre have Im z = -eps; z = u - i eps rounds Im z by about
+    # u max(eps, |z|)
+    slack = 4.0 * np.finfo(float).eps * np.maximum(eps, np.abs(roots))
+    assert np.all(roots.imag <= slack)
+    assert np.all(roots.imag >= -eps - slack)
+
+
 @pytest.mark.parametrize("site_count, eps, temperature, dos_mode, frac", [
+    (1001, 0.01, 0.0, "3d", 0.3),
+    (1001, 0.01, 0.0, "3d", 0.78),
+    (1001, 0.01, 0.0, "3d", 1.2),
     (1001, 0.001, 0.0, "3d", 0.78),   # normal phase
     (1001, 0.03, 0.0, "3d", 1.3),     # ordered phase
     (101, 0.01, 0.05, "1d", 0.78),    # Landau channel open
@@ -398,6 +410,32 @@ def test_secular_roots_match_dense_arrowhead_eigenvalues(
     roots = companion_pole_candidates(resp)
     assert roots.shape == oracle.shape
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+    _assert_in_strip(roots, resp.bath.epsilon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(detuning=st.floats(-2000.0, -2.0), u=st.floats(0.0, 5.0),
+       g_coll=st.floats(0.0, 0.5), frac=st.floats(0.0, 1.6),
+       temperature=st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+       eps=st.floats(2e-3, 0.1), site_count=st.sampled_from([101, 11]))
+def test_secular_roots_match_the_dense_oracle_over_random_responses(
+        detuning, u, g_coll, frac, temperature, eps, site_count):
+    # only build_response may refuse a draw; the solve itself must return
+    # all m + 1 zeros of every response it is given
+    p = default_params(cavity_detuning=detuning, u=u, g_coll=g_coll,
+                       temperature=temperature, phonon_damping=eps,
+                       site_count=site_count, atom_number=10 * site_count)
+    try:
+        resp = build_response(p.with_pump(frac * critical_coupling(p)))
+    except _TYPED_ERRORS:
+        return
+    weights, centers = resp.bath.active_poles
+    oracle, scale = _arrowhead_eigvals(resp.omega_s, weights, centers,
+                                       resp.bath.epsilon)
+    roots = companion_pole_candidates(resp)
+    assert roots.shape == (centers.size + 1,)
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+    _assert_in_strip(roots, resp.bath.epsilon)
 
 
 def test_secular_roots_deflate_coincident_frequencies():
@@ -469,16 +507,39 @@ def test_secular_roots_match_the_dense_oracle_over_random_small_baths(bath):
     oracle, scale = _arrowhead_eigvals(*bath)
     assert roots.shape == oracle.shape
     assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+    _assert_in_strip(roots, bath[3])
 
 
 @pytest.mark.parametrize("frac", [0.70, 0.78, 0.84])
 def test_secular_roots_converge_within_eight_steps_on_the_pole_sweep_range(
         frac):
-    # the two-pole start converges here in 5-6 steps
+    # from the local start the solve takes 5-7 steps here, the confirmation
+    # pass among them (the two-pole start alone took 5-6 Aberth steps)
     p = default_params()
     resp = build_response(p.with_pump(frac * critical_coupling(p)))
     _secular_roots(resp.omega_s, *resp.bath.active_poles, resp.bath.epsilon,
                    max_iter=8)
+
+
+@pytest.mark.parametrize("frac", [0.70, 0.78, 0.84])
+def test_local_start_meets_the_stop_test_on_the_pole_sweep_range(frac):
+    # the local start lies within the stop test 1e-15 max(|z|, 1) of the
+    # zero the solve converges to from it for 482, 482 and 486 of the 501
+    # zeros at 0.70, 0.78 and 0.84 y_crit (the two-pole start: 40, 33 and
+    # 27), so the confirmation pass freezes them and the Aberth loop runs
+    # on the rest; the bound is 95 %
+    p = default_params()
+    resp = build_response(p.with_pump(frac * critical_coupling(p)))
+    weights, centers = resp.bath.active_poles
+    eps = resp.bath.epsilon
+    assert np.unique(centers).size == centers.size  # zeros in start order
+    order = np.argsort(centers)
+    zeros = _secular_roots(resp.omega_s, weights, centers, eps)
+    start = continuation._local_start(resp.omega_s + 1j * eps,
+                                      weights[order], centers[order])[0]
+    close = (np.abs(start - 1j * eps - zeros)
+             <= 1e-15 * np.maximum(np.abs(zeros), 1.0))
+    assert np.count_nonzero(close) >= 0.95 * zeros.size
 
 
 def test_certificates_catch_a_lost_zero_and_a_scaled_residue(monkeypatch):
