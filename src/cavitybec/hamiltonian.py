@@ -11,13 +11,16 @@ ever derived by hand.
 
 The quasi-momentum q stays symbolic: each monomial carries its coefficient
 as the q-power triple (c0, c1, c2) of c0 + c1 q + c2 q^2 (q^2 in the kinetic
-energies, 2 i q in the c-s coupling).  The monomial structure does not
-depend on any parameter, so the differentiation is done once per process:
-a table lists, for every entry of F, G, V, W and the mean-field residual,
-the monomials that survive the entry's derivatives, each with its
-multiplicity factor, row sign and leftover variables.  Pairs whose leftover
-variables include a fluctuation slot vanish at the mean field and are
-pruned.  A ModelExpansion then evaluates each entry as the sum over its
+energies, 2 i q in the c-s coupling).  Every coefficient is linear in six
+couplings (1, Delta_C, mu, eta, U0, g/2L), so the list is written once,
+without parameters, with each coefficient as its rows over them.  It is
+compiled once per process into those rows and a table that lists, for
+every entry of F, G, V, W and the mean-field residual, the monomials that
+survive the entry's derivatives, each with its multiplicity factor, row
+sign and leftover variables.  Pairs whose leftover variables include a
+fluctuation slot vanish at the mean field and are pruned.  A
+ModelExpansion takes the coefficients as one product of the rows with its
+couplings and evaluates each entry as the sum over its
 pairs of coefficient x factor x product of the mean-field point over the
 leftover variables, one array reduction per q power; G(q) comes out as the
 exact polynomial g0 + q g1 + q^2 g2.
@@ -40,7 +43,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .params import ThermoParams, default_params
+from .params import ThermoParams
 
 NVARS = 20
 # slots 0..5 carry the condensate amplitudes; the mean-field point is zero
@@ -111,56 +114,68 @@ _MOMENTUM_COMBOS = tuple(
     if n3 + n4 - n1 - n2 == 0)
 
 
-def build_terms(p: ThermoParams, mu: float):
+# the couplings every coefficient is linear in, (1, Delta_C, mu, eta, U0,
+# g/2L), as unit rows: a coefficient written over them is its own row
+_ONE, _DETUNING, _MU, _ETA, _U0, _G_HALF = np.eye(6)
+
+
+def build_terms():
     """Monomial list of the grand-canonical Hamiltonian restricted to
     momenta {0, +q, -q}, with q symbolic.
 
     Returns a list of (coeffs, vars): vars is a tuple of variable indices
-    with repetition, coeffs the q-power triple (c0, c1, c2) of the
-    coefficient c0 + c1 q + c2 q^2.  Every term is listed whatever its
-    coefficient, so the list has the same structure for every parameter
-    set.  Microscopic couplings are reconstructed from the thermodynamic
-    ones at the stored atom number; every extracted matrix element is
-    independent of that choice.
+    with repetition, coeffs the (3, 6) rows of the q-power triple
+    (c0, c1, c2) of the coefficient c0 + c1 q + c2 q^2 over the couplings
+    of _couplings.  Every term is listed whatever its coefficient.
     """
-    n_atoms = float(p.atom_number)
-    eta = p.y / math.sqrt(2.0 * n_atoms)
-    u0 = 4.0 * p.u / n_atoms
-    g_half = p.g_coll / (2.0 * n_atoms)  # g / (2L) with g = g_coll * L / N_c
-
     terms = []
+    zero = np.zeros(6)
 
-    def add(c0, *vars_, c1=0.0, c2=0.0):
-        terms.append(((complex(c0), complex(c1), complex(c2)), vars_))
+    def add(c0, *vars_, c1=zero, c2=zero):
+        terms.append((np.array([c0, c1, c2], dtype=complex), vars_))
 
     # photon energy
-    add(-p.cavity_detuning, 1, 0)
+    add(-_DETUNING, 1, 0)
 
     for lab in _MOM_LABELS:
         b, c, s = _VAR[("b", lab)], _VAR[("c", lab)], _VAR[("s", lab)]
         # kinetic energy (lab q)^2
-        add(-mu, b + 1, b, c2=lab * lab)
-        add(1.0 - mu, c + 1, c, c2=lab * lab)
-        add(1.0 - mu, s + 1, s, c2=lab * lab)
+        add(-_MU, b + 1, b, c2=lab * lab * _ONE)
+        add(_ONE - _MU, c + 1, c, c2=lab * lab * _ONE)
+        add(_ONE - _MU, s + 1, s, c2=lab * lab * _ONE)
         # kinetic c-s coupling i (lab q) k / m = 2 i lab q
-        add(0.0, s + 1, c, c1=2.0j * lab)
-        add(0.0, c + 1, s, c1=-2.0j * lab)
+        add(zero, s + 1, c, c1=2.0j * lab * _ONE)
+        add(zero, c + 1, s, c1=-2.0j * lab * _ONE)
         # pump: (sqrt2/2) eta (a+ + a)(b+ c + c+ b)
         for photon in (0, 1):
-            add(math.sqrt(2.0) / 2.0 * eta, photon, b + 1, c)
-            add(math.sqrt(2.0) / 2.0 * eta, photon, c + 1, b)
+            add(math.sqrt(2.0) / 2.0 * _ETA, photon, b + 1, c)
+            add(math.sqrt(2.0) / 2.0 * _ETA, photon, c + 1, b)
         # dispersive shift: (U0/4) a+ a (2 b+b + 3 c+c + s+s)
-        add(0.5 * u0, 1, 0, b + 1, b)
-        add(0.75 * u0, 1, 0, c + 1, c)
-        add(0.25 * u0, 1, 0, s + 1, s)
+        add(0.5 * _U0, 1, 0, b + 1, b)
+        add(0.75 * _U0, 1, 0, c + 1, c)
+        add(0.25 * _U0, 1, 0, s + 1, s)
 
     for x1, x2, x3, x4, weight in _COLLISION_CHANNELS:
         for n1, n2, n3, n4 in _MOMENTUM_COMBOS:
-            add(weight * g_half,
+            add(weight * _G_HALF,
                 _VAR[(x1, n1)] + 1, _VAR[(x2, n2)] + 1,
                 _VAR[(x3, n3)], _VAR[(x4, n4)])
 
     return terms
+
+
+def _couplings(p: ThermoParams, mu: float) -> np.ndarray:
+    """(1, Delta_C, mu, eta, U0, g/2L) of one parameter point.
+
+    The microscopic couplings are reconstructed from the thermodynamic
+    ones at the stored atom number; every extracted matrix element is
+    independent of that choice.
+    """
+    n_atoms = float(p.atom_number)
+    return np.array([1.0, p.cavity_detuning, mu,
+                     p.y / math.sqrt(2.0 * n_atoms),
+                     4.0 * p.u / n_atoms,
+                     p.g_coll / (2.0 * n_atoms)])  # g = g_coll * L / N_c
 
 
 # -- derivative table, compiled once ------------------------------------------
@@ -237,17 +252,18 @@ def _compile_block(shape, derivs, monomials) -> _Block:
 
 
 @cache
-def _compiled_table() -> tuple[tuple, dict[str, _Block]]:
-    """(monomials, derivative table of every block), compiled once.
+def _compiled_table() -> tuple[np.ndarray, dict[str, _Block]]:
+    """(coefficient rows, derivative table of every block), both read off
+    one build_terms list, once per process.
 
-    Only the monomials' variables are read.  build_terms lists every
-    monomial whatever its coefficient, so its structure at the default
-    parameters is its structure everywhere; ModelExpansion checks that on
-    every term list it evaluates.
+    rows[t] is the (3, 6) linear map from the couplings to the q-power
+    coefficients of monomial t.
     """
-    monomials = tuple(vars_ for _, vars_ in build_terms(default_params(), 0.0))
-    return monomials, {name: _compile_block(shape, derivs, monomials)
-                       for name, (shape, derivs) in _BLOCKS.items()}
+    terms = build_terms()
+    monomials = [vars_ for _, vars_ in terms]
+    return (np.array([c for c, _ in terms]),
+            {name: _compile_block(shape, derivs, monomials)
+             for name, (shape, derivs) in _BLOCKS.items()})
 
 
 def _reduce(block: _Block, coeffs: np.ndarray,
@@ -290,12 +306,8 @@ class ModelExpansion:
         point[5] = root_n * np.conj(mf.gamma)
         point[NVARS] = 1.0
         self._point = point
-        terms = build_terms(p, mf.mu)
-        monomials, self._table = _compiled_table()
-        if tuple(vars_ for _, vars_ in terms) != monomials:
-            raise RuntimeError("build_terms listed other monomials than the "
-                               "derivative table was compiled from")
-        self._coeffs = np.array([c for c, _ in terms], dtype=complex)
+        rows, self._table = _compiled_table()
+        self._coeffs = rows @ _couplings(p, mf.mu)
 
     def _q0(self, name: str) -> np.ndarray:
         # F, V, W and the residual involve no q-dependent monomial

@@ -3,6 +3,7 @@ import itertools
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -15,9 +16,9 @@ from cavitybec import (
     DiagonalizationError, continuation,
 )
 from cavitybec.continuation import (
-    MeromorphicModel, _secular_roots, cauchy_riemann_residual,
-    companion_pole_candidates, continue_green, find_poles,
-    march_cauchy_riemann, pole_sweep, reconstruct_meromorphic,
+    MeromorphicModel, _secular_roots, companion_pole_candidates,
+    continue_green, find_poles, march_cauchy_riemann, pole_sweep,
+    reconstruct_meromorphic,
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.response import NumericsError, build_response
@@ -313,12 +314,34 @@ def test_continue_green_keeps_real_axis_row_verbatim():
     assert grid.nu[0] == 0.0
 
 
+def _cauchy_riemann_residual(grid):
+    """Pointwise analyticity certificate |df/dnu + i df/domega| (4th order).
+
+    For f(omega, nu) = F(omega - i nu) analytic the residual vanishes; the
+    map is normalized by the local gradient magnitude so it is
+    dimensionless.  The two rows and columns at each edge, which the
+    five-point stencils do not reach (the verbatim data row among them),
+    are NaN.
+    """
+    f = grid.values
+    res = np.full(f.shape, np.nan)
+    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    h_omega = grid.omega[1] - grid.omega[0]
+    h_nu = grid.nu[1] - grid.nu[0]
+    dfo = sum(c[i] * f[:, i:f.shape[1] - 4 + i] for i in range(5)) / h_omega
+    dfn = sum(c[i] * f[i:f.shape[0] - 4 + i, :] for i in range(5)) / h_nu
+    num = np.abs(dfn[:, 2:-2] + 1j * dfo[2:-2, :])
+    den = np.abs(dfn[:, 2:-2]) + np.abs(dfo[2:-2, :]) + 1e-30
+    res[2:-2, 2:-2] = num / den
+    return res
+
+
 def test_cauchy_riemann_certificate_on_analytic_continuation():
     model = _toy_model()
     omega = np.arange(0.2, 1.6, 0.002)
     grid, _fit = continue_green(omega, model.green(omega), model.eps,
                                 nu_max=0.005, n_nu=24)
-    res = cauchy_riemann_residual(grid)
+    res = _cauchy_riemann_residual(grid)
     # certify analyticity away from the pole line's neighbourhood, where
     # the finite-difference stencils resolve the function
     smooth = (grid.omega < 0.5) | (grid.omega > 1.2)
@@ -490,6 +513,23 @@ def test_secular_roots_raise_when_the_step_cap_is_exhausted():
         _secular_roots(1.0, weights, centers, 0.01, max_iter=1)
 
 
+def test_local_start_on_subnormal_weights_warns_nothing():
+    # g_coll = 1.67e-80 at y = 0 gives bath weights ~1e-160, so the local
+    # start's model denominators are subnormal and their reciprocals
+    # overflow; the start falls back to the two-pole values silently
+    p = default_params(cavity_detuning=-2.0, u=0.0, g_coll=1.67e-80,
+                       temperature=0.0, phonon_damping=0.0625,
+                       site_count=101, atom_number=1010)
+    resp = build_response(p.with_pump(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = companion_pole_candidates(resp)
+    oracle, scale = _arrowhead_eigvals(resp.omega_s, *resp.bath.active_poles,
+                                       resp.bath.epsilon)
+    assert roots.shape == oracle.shape
+    assert _matched_deviation(roots, oracle) <= 1e-12 * scale
+
+
 @st.composite
 def _small_baths(draw):
     m = draw(st.integers(1, 60))
@@ -587,6 +627,24 @@ def test_residue_beside_a_neighbouring_zero_leaves_that_zero_out():
     circle = gap / 4 * np.exp(2j * np.pi * np.arange(256) / 256)
     contour = np.mean(resp.green(pole.z + circle) * circle)
     assert abs(pole.residue - contour) <= 1e-8 * abs(contour)
+
+
+def test_pole_sweep_residues_match_40_digit_reciprocal_slopes():
+    # pole_sweep evaluates r'(z) afresh at the zeros it keeps: that 1/r' is
+    # off by <= 2.2e-16 relative on these tracks, while the solve's
+    # last-pass values are off by up to 4.6e-13 on the bath-level ones
+    p = default_params()
+    ys = np.array([0.70, 0.78, 0.84]) * critical_coupling(p)
+    for rec in pole_sweep(p, ys):
+        resp = build_response(p.with_pump(rec["y"]))
+        weights, centers = resp.bath.active_poles
+        with mpmath.workdps(40):
+            freqs = [mpmath.mpc(x, -resp.bath.epsilon) for x in centers]
+            for pole in rec["poles"]:
+                z = mpmath.mpc(pole.z.real, pole.z.imag)
+                exact = complex(1 / (1 + mpmath.fsum(
+                    w / (z - f) ** 2 for w, f in zip(weights, freqs))))
+                assert abs(pole.residue - exact) <= 1e-14 * abs(exact)
 
 
 def test_window_without_a_zero_is_a_numerics_error():

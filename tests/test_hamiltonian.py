@@ -189,15 +189,23 @@ def test_zero_coefficient_corner_and_build_order_change_no_value():
     _assert_scaled_close(w_t, oracle.w_tensor())
 
 
-def test_term_list_unlike_the_compiled_one_raises(monkeypatch):
-    p = P.with_pump(0.5 * Y_CRIT)
-    mf = solve_steady_state(p)
-    hamiltonian._compiled_table()
+def test_term_list_is_built_once_per_process(monkeypatch):
+    # every coefficient is linear in the six couplings, so one term list
+    # gives the table and the rows every parameter point evaluates
+    calls = []
     full = hamiltonian.build_terms
-    monkeypatch.setattr(hamiltonian, "build_terms",
-                        lambda pp, mu: full(pp, mu)[:-1])
-    with pytest.raises(RuntimeError, match="derivative table"):
-        ModelExpansion(p, mf)
+
+    def counting():
+        calls.append(1)
+        return full()
+
+    monkeypatch.setattr(hamiltonian, "build_terms", counting)
+    hamiltonian._compiled_table.cache_clear()
+    for frac, overrides in ((0.5, {}), (1.2, {"u": 2.0, "g_coll": 0.3})):
+        base = default_params(**overrides)
+        p = base.with_pump(frac * critical_coupling(base))
+        ModelExpansion(p, solve_steady_state(p))
+    assert len(calls) == 1
 
 
 def test_meanfield_residual_vanishes_on_both_branches():
