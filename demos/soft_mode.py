@@ -43,7 +43,6 @@ def main(out_dir="demo_output"):
     pp = p.with_pump(frac * y_crit)
     mf = solve_steady_state(pp)
     q_grid = momentum_grid(p)
-    q_grid = q_grid[q_grid > 0]
     bands = phonon_bands(pp, mf, q_grid)
     band_rows = [{"q": float(q), "omega1": w1, "omega2": w2, "omega3": w3}
                  for q, (w1, w2, w3) in zip(q_grid, bands.frequencies)]

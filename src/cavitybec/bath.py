@@ -29,7 +29,7 @@ def thermal_occupation(omega, temperature: float):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigError("thermal occupation needs omega > 0")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ConfigError("temperature must be >= 0")
     if temperature == 0.0:
         out = np.zeros_like(omega)
@@ -114,7 +114,7 @@ def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
     negative temperature does in thermal_occupation.  dos is the
     density-of-modes weight w_q of each entry (mode_density).
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ConfigError(f"phonon damping epsilon must be >= 0, got {epsilon}")
     q = np.asarray(q, dtype=float)
     omega1 = np.asarray(omega1, dtype=float)

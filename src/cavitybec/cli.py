@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -20,11 +21,9 @@ import numpy as np
 
 from . import __version__
 from .params import (ConfigError, critical_coupling, momentum_grid,
-                     parse_config_text, default_params, thermo_from_mapping,
-                     _THERMO_KEYS, _MICRO_KEYS)
+                     parse_config_text, thermo_from_mapping)
 from .meanfield import (ConvergenceError, CriticalPointError,
                         solve_steady_state)
-from .hamiltonian import ModelExpansion
 from .bogoliubov import DiagonalizationError, soft_mode
 from .bath import BathConstructionError
 from .response import (NumericsError, build_response, damping_sweep,
@@ -34,23 +33,42 @@ from .csvio import write_table, write_json_lines
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NUMERICS = 0, 1, 2, 3
 
-# run-control settings (everything that is not a physics parameter)
-RUN_DEFAULTS = {
-    "y_frac": 0.629,       # pump strength for single-point commands
-    "y_frac_min": None,    # sweep grid, as fractions of y_crit;
-    "y_frac_max": None,    # None picks a per-command default
-    "y_points": None,
-    "epsilons": "0.01",    # comma-separated list for damping-sweep
-    "temperatures": "0.02,0.05,0.1",  # list for temperature-sweep
-    "omega_min": 0.5,
-    "omega_max": 1.5,
-    "omega_points": 1024,
-    "n_track": 2,          # pole trajectories to follow
-    "dump_grid": 0,        # poles: also dump a continued complex grid
-    "nu_max": 0.1,         # depth of the dumped grid
-    "dos_mode": "3d",
-    "workers": 1,
-    "seed": 0,             # seeds the random parameter sets verify draws
+
+def _real(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("expected a finite number")
+    return number
+
+
+def _count(value) -> int:
+    if isinstance(value, str) or value < 0 or not float(value).is_integer():
+        raise ValueError("expected a whole number >= 0")
+    return int(value)
+
+
+def _reals(value) -> list:
+    return [_real(tok) for tok in str(value).split(",")]
+
+
+# run-control settings (everything that is not a physics parameter):
+# name -> (parser, default); a default of None picks a per-command value
+RUN_SETTINGS = {
+    "y_frac": (_real, 0.629),      # pump strength for single-point commands
+    "y_frac_min": (_real, None),   # sweep grid, as fractions of y_crit
+    "y_frac_max": (_real, None),
+    "y_points": (_count, None),
+    "epsilons": (_reals, "0.01"),  # comma-separated list for damping-sweep
+    "temperatures": (_reals, "0.02,0.05,0.1"),  # list for temperature-sweep
+    "omega_min": (_real, 0.5),
+    "omega_max": (_real, 1.5),
+    "omega_points": (_count, 1024),
+    "n_track": (_count, 2),        # pole trajectories to follow
+    "dump_grid": (_count, 0),      # poles: also dump a continued grid
+    "nu_max": (_real, 0.1),        # depth of the dumped grid
+    "dos_mode": (str, "3d"),
+    "workers": (_count, 1),
+    "seed": (_count, 0),           # seeds verify's random parameter sets
 }
 
 _SWEEP_DEFAULTS = {
@@ -63,14 +81,9 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def _parse_list(value):
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(tok) for tok in str(value).split(",") if tok.strip()]
-
-
 def load_settings(config_path, overrides):
-    """Split config + --set pairs into (ThermoParams, run-settings dict)."""
+    """Split config + --set pairs into (ThermoParams, run-settings dict);
+    each run setting is parsed here, once."""
     mapping = {}
     if config_path:
         text = Path(config_path).read_text()
@@ -78,23 +91,16 @@ def load_settings(config_path, overrides):
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        parsed = parse_config_text(item)
-        mapping.update(parsed)
+        mapping.update(parse_config_text(item))
 
-    run = dict(RUN_DEFAULTS)
-    param_keys = {}
-    for key, value in mapping.items():
-        if key in RUN_DEFAULTS:
-            run[key] = value
-        elif key in _THERMO_KEYS or key in _MICRO_KEYS:
-            param_keys[key] = value
-        else:
-            raise ConfigError(f"unknown config key: {key!r}")
-    if param_keys:
-        p = thermo_from_mapping(param_keys)
-    else:
-        p = default_params()
-    return p, run
+    run = {}
+    for key, (parse, default) in RUN_SETTINGS.items():
+        value = mapping.pop(key, default)
+        try:
+            run[key] = None if value is None else parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}, got {value!r}") from None
+    return thermo_from_mapping(mapping), run
 
 
 def _meta(p, run, command):
@@ -104,15 +110,11 @@ def _meta(p, run, command):
 
 
 def _y_grid(p, run, command):
-    lo, hi, n = _SWEEP_DEFAULTS.get(command, (0.1, 0.95, 40))
-    if run["y_frac_min"] is not None:
-        lo = float(run["y_frac_min"])
-    if run["y_frac_max"] is not None:
-        hi = float(run["y_frac_max"])
-    if run["y_points"] is not None:
-        n = int(run["y_points"])
+    keys = ("y_frac_min", "y_frac_max", "y_points")
+    lo, hi, n = (default if run[key] is None else run[key]
+                 for key, default in zip(keys, _SWEEP_DEFAULTS[command]))
     y_crit = critical_coupling(p)
-    return np.linspace(lo, hi, int(n)) * y_crit, y_crit
+    return np.linspace(lo, hi, n) * y_crit, y_crit
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -130,12 +132,11 @@ def cmd_meanfield(p, run, outdir):
 
 def cmd_bands(p, run, outdir):
     y_crit = critical_coupling(p)
-    pp = p.with_pump(float(run["y_frac"]) * y_crit)
+    pp = p.with_pump(run["y_frac"] * y_crit)
     mf = solve_steady_state(pp)
-    grid = momentum_grid(pp)
-    q_half = grid[grid > 0]
-    modes = phonon_bands(pp, mf, q_half)
-    rows = [[q, *omegas] for q, omegas in zip(q_half, modes.frequencies)]
+    q_grid = momentum_grid(pp)
+    modes = phonon_bands(pp, mf, q_grid)
+    rows = [[q, *omegas] for q, omegas in zip(q_grid, modes.frequencies)]
     write_table(outdir / "bands.csv",
                 ["q", "omega1", "omega2", "omega3"], rows,
                 _meta(pp, run, "bands"))
@@ -154,10 +155,10 @@ def cmd_softmode(p, run, outdir):
 
 def _write_damping(p, run, outdir, epsilons, temperatures, command):
     y_values, y_crit = _y_grid(p, run, command)
-    workers = int(run["workers"]) or None
     records = damping_sweep(p, y_values, epsilons=epsilons,
                             temperatures=temperatures,
-                            dos_mode=str(run["dos_mode"]), workers=workers)
+                            dos_mode=run["dos_mode"],
+                            workers=run["workers"] or None)
     write_table(outdir / f"{command.replace('-', '_')}_long.csv",
                 ["y_frac", "epsilon", "temperature", "omega_s",
                  "delta_l", "gamma_l", "delta_b", "gamma_b"],
@@ -184,7 +185,7 @@ def _pivot(records, key, values, fields):
 
 
 def cmd_damping_sweep(p, run, outdir):
-    epsilons = _parse_list(run["epsilons"])
+    epsilons = run["epsilons"]
     records = _write_damping(p, run, outdir, epsilons, (p.temperature,),
                              "damping-sweep")
     for name, field in (("damping", "gamma_b"), ("shifts", "delta_b")):
@@ -195,7 +196,7 @@ def cmd_damping_sweep(p, run, outdir):
 
 
 def cmd_temperature_sweep(p, run, outdir):
-    temps = _parse_list(run["temperatures"])
+    temps = run["temperatures"]
     records = _write_damping(p, run, outdir, (p.phonon_damping,), temps,
                              "temperature-sweep")
     write_table(outdir / "temperature.csv",
@@ -207,12 +208,12 @@ def cmd_temperature_sweep(p, run, outdir):
 
 def cmd_spectral(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "spectral")
-    omega = np.linspace(float(run["omega_min"]), float(run["omega_max"]),
-                        int(run["omega_points"]))
+    omega = np.linspace(run["omega_min"], run["omega_max"],
+                        run["omega_points"])
     rows = []
     for y in y_values:
         resp = build_response(p.with_pump(float(y)),
-                              dos_mode=str(run["dos_mode"]))
+                              dos_mode=run["dos_mode"])
         rho = resp.spectral(omega)
         yf = float(y) / y_crit
         rows.extend([[w, yf, r] for w, r in zip(omega, rho)])
@@ -222,14 +223,14 @@ def cmd_spectral(p, run, outdir):
 
 def cmd_poles(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "poles")
-    n_track = int(run["n_track"])
-    window = (float(run["omega_min"]), float(run["omega_max"]) + 1.5)
-    if int(run["dump_grid"]):
+    n_track = run["n_track"]
+    window = (run["omega_min"], run["omega_max"] + 1.5)
+    if run["dump_grid"]:
         # the comb fit behind the dump needs the bath band in its window;
         # checked before the sweep, so a refused run writes nothing
         resp = build_response(
             p.with_pump(float(y_values[len(y_values) // 2])),
-            dos_mode=str(run["dos_mode"]))
+            dos_mode=run["dos_mode"])
         eps = resp.bath.epsilon
         _, centres = resp.bath.active_poles
         band = (np.min(centres, initial=np.inf),
@@ -240,7 +241,7 @@ def cmd_poles(p, run, outdir):
                 f"+- 5 eps leaves the omega window [{window[0]:.6g}, "
                 f"{window[1]:.6g}] (omega_min, omega_max + 1.5)")
     records = pole_sweep(p, y_values, omega_window=window, n_track=n_track,
-                         dos_mode=str(run["dos_mode"]))
+                         dos_mode=run["dos_mode"])
     names = ["y_frac"]
     for i in range(1, n_track + 1):
         names += [f"re_z{i}", f"im_z{i}", f"abs_residue{i}"]
@@ -252,11 +253,11 @@ def cmd_poles(p, run, outdir):
         rows.append(row)
     write_table(outdir / "poles.csv", names, rows, _meta(p, run, "poles"))
 
-    if int(run["dump_grid"]):
+    if run["dump_grid"]:
         omega = np.linspace(*window, 2048)
         grid, _model = continue_green(omega, resp.green(omega),
                                       p.phonon_damping,
-                                      nu_max=float(run["nu_max"]))
+                                      nu_max=run["nu_max"])
         zs = grid.z()
         recs = ({"re_z": float(z.real), "im_z": float(z.imag),
                  "re_G": float(v.real), "im_G": float(v.imag)}
@@ -268,7 +269,7 @@ def cmd_poles(p, run, outdir):
 def cmd_verify(p, run, outdir):
     from .verify import run_verification
 
-    results = run_verification(p, seed=int(run["seed"]))
+    results = run_verification(p, seed=run["seed"])
     width = max(len(name) for name, _, _ in results)
     all_ok = True
     for name, ok, detail in results:

@@ -146,8 +146,6 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
     gamma > 0 self-organized branch, from branch-appropriate seeds.
     """
     y = p.y
-    if y < 0:
-        raise ConfigError(f"pump strength must be non-negative, got {y}")
     y_crit = critical_coupling(p)
     if abs(y - y_crit) < CRIT_WINDOW * y_crit:
         raise CriticalPointError(

@@ -9,6 +9,7 @@ excited bands sit at 1 + q^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace, fields
 
 
@@ -54,8 +55,8 @@ class MicroParams:
     temperature: float = 0.0
     phonon_damping: float = 0.01
 
-    def validate(self) -> None:
-        _validate_shared(self)
+    def __post_init__(self) -> None:
+        _check_shared(self)
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class ThermoParams:
 
     y is the collective pump strength, u the collective dispersive shift and
     g_coll the collisional mean-field energy; all in recoil units.  The
-    remaining fields are carried through from :class:`MicroParams`.
+    remaining fields are carried through from :class:`MicroParams`.  Every
+    way of making one checks the fields, so it is always a valid point.
     """
 
     y: float
@@ -77,17 +79,23 @@ class ThermoParams:
     site_count: int = 1001
     condensate_width: float = 2.0 * math.pi * math.sqrt(2.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        _check_shared(self)
         if self.y < 0 or self.g_coll < 0:
             raise ConfigError("y and g_coll must be non-negative")
-        _validate_shared(self)
 
     def with_pump(self, y: float) -> "ThermoParams":
         return replace(self, y=y)
 
 
-def _validate_shared(p) -> None:
-    """Checks of the fields MicroParams and ThermoParams have in common."""
+def _check_shared(p) -> None:
+    """Construction checks of the fields MicroParams and ThermoParams
+    share, after every field has proved a finite real number."""
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ConfigError(
+                f"{f.name} must be a finite real number, got {value!r}")
     if not p.cavity_detuning < 0:
         raise ConfigError(
             f"cavity detuning must be negative, got {p.cavity_detuning}")
@@ -110,9 +118,8 @@ def derive_thermo(raw: MicroParams) -> ThermoParams:
     y = sqrt(2 N_c) eta_t, u = N_c U_0 / 4, g_coll = (N_c / L) g, with
     L = 2 pi * site_count (in 1/k units).
     """
-    raw.validate()
     box_length = 2.0 * math.pi * raw.site_count
-    p = ThermoParams(
+    return ThermoParams(
         y=math.sqrt(2.0 * raw.atom_number) * raw.pump_amplitude,
         u=0.25 * raw.atom_number * raw.single_atom_shift,
         g_coll=raw.atom_number / box_length * raw.collision_strength,
@@ -123,8 +130,6 @@ def derive_thermo(raw: MicroParams) -> ThermoParams:
         site_count=raw.site_count,
         condensate_width=raw.condensate_width,
     )
-    p.validate()
-    return p
 
 
 def critical_coupling(p: ThermoParams) -> float:
@@ -147,25 +152,21 @@ def default_params(**overrides) -> ThermoParams:
     kw = 2 pi sqrt(2), epsilon = 0.01, T = 0, y = 0 (set the pump with
     ``with_pump`` or an override).
     """
-    p = ThermoParams(y=0.0, u=0.0, g_coll=0.1, cavity_detuning=-1000.0)
-    if overrides:
-        p = replace(p, **overrides)
-    p.validate()
-    return p
+    return ThermoParams(**{"y": 0.0, "u": 0.0, "g_coll": 0.1,
+                           "cavity_detuning": -1000.0, **overrides})
 
 
 def momentum_grid(p: ThermoParams):
-    """Quasi-momentum grid q_n = n / site_count for n = +-1 .. +-(site_count-1)/2.
+    """Positive quasi-momenta q_n = n / site_count, n = 1 .. (site_count-1)/2.
 
     q = 0 is excluded: that sector holds the condensate and the polaritons.
-    Returned in ascending order, units of k.
+    Bands at -q are the complex conjugates of those at +q, so the pipeline
+    works on this half and counts each entry twice (the bath's +-q pair).
+    Ascending, units of k.
     """
     import numpy as np
 
-    n_max = (p.site_count - 1) // 2
-    n = np.arange(-n_max, n_max + 1)
-    n = n[n != 0]
-    return n / float(p.site_count)
+    return np.arange(1, (p.site_count - 1) // 2 + 1) / float(p.site_count)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +211,17 @@ def thermo_from_mapping(mapping: dict) -> ThermoParams:
     microscopic keys (pump_amplitude, collision_strength, ...), but not a
     mixture of the two coupling conventions.
     """
-    unknown = set(mapping) - _THERMO_KEYS - _MICRO_KEYS
+    keys = set(mapping)
+    unknown = keys - _THERMO_KEYS - _MICRO_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    micro_only = set(mapping) & (_MICRO_KEYS - _THERMO_KEYS)
-    if micro_only:
-        base = MicroParams(cavity_detuning=mapping.get("cavity_detuning", -1000.0))
-        kwargs = {k: v for k, v in mapping.items() if k in _MICRO_KEYS}
-        return derive_thermo(replace(base, **kwargs))
-    defaults = default_params()
-    kwargs = {k: v for k, v in mapping.items() if k in _THERMO_KEYS}
-    p = replace(defaults, **kwargs)
-    p.validate()
-    return p
+    micro = keys - _THERMO_KEYS
+    thermo = keys - _MICRO_KEYS
+    if micro and thermo:
+        raise ConfigError(
+            f"microscopic keys {sorted(micro)} and thermodynamic keys "
+            f"{sorted(thermo)} cannot be mixed")
+    if micro:
+        return derive_thermo(
+            MicroParams(**{"cavity_detuning": -1000.0, **mapping}))
+    return default_params(**mapping)

@@ -164,7 +164,6 @@ class Response:
     """Soft-mode frequency plus the bath, whose pole table G reads."""
 
     omega_s: float
-    polariton: ModeSet
     bath: BathSpectrum
 
     def inverse_green(self, z):
@@ -208,8 +207,7 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     bytes, and a repeated stack is not solved again.  The returned bands
     are read-only arrays that Responses of equal stacks share.
     """
-    grid = momentum_grid(p)
-    q_half = grid[grid > 0]
+    q_half = momentum_grid(p)
     dos = mode_density(q_half, dos_mode, p.condensate_width)
     mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
@@ -221,7 +219,7 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
                                phonons.frequencies[:, 1], g_l, g_b,
                                p.temperature, p.phonon_damping, dos,
                                p.atom_number)
-    return Response(omega_s=float(omega_s), polariton=pol, bath=bath)
+    return Response(omega_s=float(omega_s), bath=bath)
 
 
 def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,

@@ -110,3 +110,12 @@ def test_negative_epsilon_is_a_config_error():
     with pytest.raises(ConfigError, match="epsilon must be >= 0"):
         _bath([0.2], [0.3], [0.7], [0.1], [0.1],
               temperature=0.0, epsilon=-0.01)
+
+
+def test_nan_epsilon_or_temperature_is_a_config_error():
+    # both used to pass and give NaN rates
+    with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+        _bath([0.2], [0.3], [0.7], [0.1], [0.1],
+              temperature=0.0, epsilon=math.nan)
+    with pytest.raises(ConfigError, match="temperature must be >= 0"):
+        thermal_occupation(0.3, math.nan)

@@ -155,9 +155,7 @@ def test_near_crossing_bands_stay_ascending_and_match_the_bath():
     # ones build_response hands to the bath
     p = P.with_pump(0.78 * Y_CRIT)
     mf = solve_steady_state(p)
-    grid = momentum_grid(p)
-    q_half = grid[grid > 0]
-    table = phonon_bands(p, mf, q_half).frequencies
+    table = phonon_bands(p, mf, momentum_grid(p)).frequencies
     gap = table[:, 1] - table[:, 0]
     assert float(np.min(gap)) < 2e-3
     assert np.all(np.diff(table, axis=1) > 0.0)
@@ -208,8 +206,8 @@ def _phonon_stack(seed, frac, site_count):
         np.random.default_rng(seed))
     base = replace(base, site_count=site_count, atom_number=10 * site_count)
     p = base.with_pump(frac * critical_coupling(base))
-    grid = momentum_grid(p)
-    return ModelExpansion(p, solve_steady_state(p)).phonon_matrix(grid[grid > 0])
+    return ModelExpansion(p, solve_steady_state(p)).phonon_matrix(
+        momentum_grid(p))
 
 
 def _solve(solver, m):

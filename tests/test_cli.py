@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.optimize
 
 from cavitybec import response
@@ -163,3 +164,69 @@ def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
     assert "bath band [1.35529, 1.70519]" in err
     assert "omega window [0.5, 1.6]" in err
     assert not (tmp_path / "poles.csv").exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("meanfield", ["pump_amplitude=0.01", "u=5"]),
+    ("softmode", ["g_coll=abc"]),
+    ("softmode", ["u=inf"]),
+    ("softmode", ["temperature=nan"]),
+    ("temperature-sweep", ["temperatures=nan"]),
+    ("softmode", ["y_points=abc"]),
+    ("softmode", ["y_points=-3"]),
+    ("softmode", ["y_points=1.5"]),
+    ("damping-sweep", ["epsilons=a,b"]),
+    ("bands", ["y_frac=abc"]),
+    ("poles", ["n_track=two"]),
+])
+def test_malformed_or_mixed_settings_exit_1_with_one_line(
+        command, settings, tmp_path, capsys):
+    # these used to exit 0 with wrong physics or end in a traceback
+    args = [command, "--output-dir", str(tmp_path)]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_header_records_the_parsed_run_settings(tmp_path):
+    code = main(["damping-sweep", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", "epsilons=0.03,0.01", "--set", "omega_min=1"])
+    assert code == 0
+    meta, _, _ = read_table(tmp_path / "damping.csv")
+    assert meta["run"]["epsilons"] == [0.03, 0.01]
+    assert meta["run"]["temperatures"] == [0.02, 0.05, 0.1]
+    assert meta["run"]["omega_min"] == 1.0
+    assert isinstance(meta["run"]["omega_min"], float)
+    assert meta["run"]["y_frac_max"] is None
+
+
+def test_spectral_and_temperature_sweep_commands_write_their_tables(
+        tmp_path):
+    small = ["--set", "site_count=101", "--set", "y_points=2"]
+    assert main(["spectral", "--output-dir", str(tmp_path),
+                 "--set", "omega_points=16", *small]) == 0
+    _, names, rows = read_table(tmp_path / "spectral.csv")
+    assert names == ["omega", "y_frac", "rho"]
+    assert len(rows) == 2 * 16
+    assert all(r["rho"] >= 0.0 for r in rows)
+
+    assert main(["temperature-sweep", "--output-dir", str(tmp_path),
+                 "--set", "temperatures=0,0.1", *small]) == 0
+    _, names, rows = read_table(tmp_path / "temperature.csv")
+    assert names == ["y_frac", "gamma_l_T0", "gamma_b_T0",
+                     "gamma_l_T0.1", "gamma_b_T0.1"]
+    assert len(rows) == 2
+    assert all(r["gamma_l_T0"] == 0.0 < r["gamma_l_T0.1"] for r in rows)
+    _, _, rows = read_table(tmp_path / "temperature_sweep_long.csv")
+    assert len(rows) == 2 * 2
+
+
+def test_verify_command_passes_every_check(tmp_path, capsys):
+    assert main(["verify", "--output-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert all("  PASS  " in line for line in lines)

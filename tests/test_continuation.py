@@ -647,6 +647,30 @@ def test_pole_sweep_residues_match_40_digit_reciprocal_slopes():
                 assert abs(pole.residue - exact) <= 1e-14 * abs(exact)
 
 
+def test_polariton_track_converges_with_the_site_count():
+    # criterion 11's grid at 1001 and 2001 sites, the atom number scaled
+    # with the sites as in criterion 12; measured: z to 3.4e-8, |residue|
+    # to 8.9e-7 relative
+    base = default_params()
+    ys = np.linspace(0.70, 0.84, 15) * critical_coupling(base)
+    eps = base.phonon_damping
+    polariton = {}
+    for sites in (1001, 2001):
+        p = replace(base, site_count=sites,
+                    atom_number=base.atom_number * sites / base.site_count)
+        polariton[sites] = []
+        for rec in pole_sweep(p, ys, omega_window=(0.0, 3.0)):
+            # every other tracked pole is a bath level on Im z = -eps
+            off_line = [pl for pl in rec["poles"]
+                        if abs(pl.z.imag + eps) > eps / 10]
+            assert len(off_line) == 1
+            polariton[sites].append(off_line[0])
+    for small, large in zip(polariton[1001], polariton[2001]):
+        assert abs(small.z - large.z) <= 1e-6
+        assert (abs(abs(small.residue) - abs(large.residue))
+                <= 1e-5 * abs(small.residue))
+
+
 def test_window_without_a_zero_is_a_numerics_error():
     p = default_params(site_count=101, atom_number=1010)
     with pytest.raises(NumericsError, match="only 0 verified poles"):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from cavitybec import meanfield
 from cavitybec.params import ConfigError, critical_coupling, default_params
 from cavitybec.meanfield import (
-    CriticalPointError, jacobian, residual, solve_normal_phase,
+    TOL, CriticalPointError, jacobian, residual, solve_normal_phase,
     solve_steady_state,
 )
 
@@ -78,3 +79,44 @@ def test_sweep_is_continuous_across_threshold():
     alphas = np.array([abs(mf.alpha) for mf in branch])
     assert np.all(np.diff(alphas) >= -1e-10)  # order parameter grows with y
     assert np.max(np.abs(np.diff(alphas))) < 0.2  # no branch jumps
+
+
+def _ordered_point(detuning, u, g_coll, frac):
+    p = default_params(cavity_detuning=detuning, u=u, g_coll=g_coll)
+    return p.with_pump(frac * critical_coupling(p))
+
+
+def test_damped_newton_fallback_reaches_the_ordered_branch(monkeypatch):
+    # a point of a 20 000-draw scan where both full-step solves fail
+    p = _ordered_point(-12.760426519335313, 16.250876935454905,
+                       3.25374730302172, 65.94624218686948)
+    newton = meanfield._newton
+    dampings = []
+
+    def counted(p, y, x0, damping=1.0, max_iter=meanfield.MAX_ITER):
+        dampings.append(damping)
+        return newton(p, y, x0, damping, max_iter)
+
+    monkeypatch.setattr(meanfield, "_newton", counted)
+    mf = solve_steady_state(p)
+    assert dampings.count(0.2) >= 1
+    assert mf.gamma > 0.0
+    assert np.max(np.abs(residual(p, p.y, mf.as_array()))) < TOL
+
+
+def test_canonical_gauge_flips_a_negative_beta(monkeypatch):
+    # Newton lands on beta ~ -1e-25 here; the global phase makes it >= 0
+    p = _ordered_point(-19.85577043468967, 0.0, 1.5723266083874399,
+                       90.41122953283323)
+    canonical = meanfield._canonical
+    raw = []
+
+    def recorded(x):
+        raw.append(np.array(x))
+        return canonical(x)
+
+    monkeypatch.setattr(meanfield, "_canonical", recorded)
+    mf = solve_steady_state(p)
+    assert raw[0][1] < 0.0
+    assert mf.beta >= 0.0
+    assert mf.gamma == pytest.approx(1.0, abs=1e-12)

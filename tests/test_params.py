@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,9 +47,9 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         default_params(cavity_detuning=+5.0)
     with pytest.raises(ConfigError):
-        MicroParams(cavity_detuning=-10.0, temperature=-1.0).validate()
+        MicroParams(cavity_detuning=-10.0, temperature=-1.0)
     with pytest.raises(ConfigError):
-        MicroParams(cavity_detuning=-10.0, phonon_damping=-0.1).validate()
+        MicroParams(cavity_detuning=-10.0, phonon_damping=-0.1)
     # ThermoParams checks the same two fields as MicroParams
     with pytest.raises(ConfigError, match="temperature"):
         default_params(temperature=-1.0)
@@ -61,12 +62,38 @@ def test_validation_rejects_bad_values():
         thermo_from_mapping({"condensate_width": -3.0})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: default_params(temperature=math.nan),
+    lambda: default_params(g_coll="abc"),
+    lambda: default_params(u=math.inf),
+    lambda: default_params(site_count=None),
+    lambda: default_params().with_pump(math.nan),
+    lambda: dataclasses.replace(default_params(), phonon_damping=-math.inf),
+    lambda: thermo_from_mapping({"cavity_detuning": "abc"}),
+    lambda: thermo_from_mapping({"pump_amplitude": math.nan}),
+    lambda: MicroParams(cavity_detuning=-10.0, single_atom_shift=1j),
+], ids=["nan-T", "str-g_coll", "inf-u", "none-sites", "nan-pump",
+        "inf-replace", "str-mapping", "nan-micro", "complex-micro"])
+def test_every_field_must_be_a_finite_real_number(make):
+    with pytest.raises(ConfigError, match="must be a finite real number"):
+        make()
+
+
+def test_negative_pump_is_refused_on_construction():
+    # solve_steady_state no longer checks the pump sign: no ThermoParams
+    # can hold a negative y
+    with pytest.raises(ConfigError, match="non-negative"):
+        default_params().with_pump(-1.0)
+    with pytest.raises(ConfigError, match="non-negative"):
+        derive_thermo(MicroParams(cavity_detuning=-10.0,
+                                  pump_amplitude=-0.1))
+
+
 def test_momentum_grid_shape_and_symmetry():
+    # the positive half: -q is the conjugate partner the bath counts twice
     grid = momentum_grid(default_params())
-    assert len(grid) == 1000
-    assert 0.0 not in grid
-    np.testing.assert_allclose(grid, -grid[::-1])
-    assert grid.max() == pytest.approx(500 / 1001)
+    assert len(grid) == 500
+    np.testing.assert_array_equal(grid, np.arange(1, 501) / 1001)
 
 
 def test_parse_config_text_roundtrip():
@@ -95,6 +122,17 @@ def test_thermo_from_mapping_routes_micro_keys():
 def test_thermo_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         thermo_from_mapping({"not_a_key": 1.0})
+
+
+def test_thermo_from_mapping_refuses_mixed_coupling_conventions():
+    # u used to be dropped silently next to pump_amplitude
+    with pytest.raises(ConfigError, match="cannot be mixed"):
+        thermo_from_mapping({"pump_amplitude": 0.01, "u": 5.0})
+    # keys both conventions share go with either
+    p = thermo_from_mapping({"pump_amplitude": 0.1, "temperature": 0.05})
+    assert p.temperature == 0.05 and p.y > 0.0
+    assert thermo_from_mapping({"u": 5.0, "temperature": 0.05}).u == 5.0
+    assert thermo_from_mapping({}) == default_params()
 
 
 def test_with_pump_preserves_other_fields():
