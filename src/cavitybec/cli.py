@@ -48,7 +48,10 @@ def _count(value) -> int:
 
 
 def _reals(value) -> list:
-    return [_real(tok) for tok in str(value).split(",")]
+    values = [_real(tok) for tok in str(value).split(",")]
+    if len(set(values)) != len(values):
+        raise ValueError("repeated value")
+    return values
 
 
 # run-control settings (everything that is not a physics parameter):
@@ -228,6 +231,8 @@ def cmd_poles(p, run, outdir):
     if run["dump_grid"]:
         # the comb fit behind the dump needs the bath band in its window;
         # checked before the sweep, so a refused run writes nothing
+        if not len(y_values):
+            raise ConfigError("dump_grid needs y_points >= 1")
         resp = build_response(
             p.with_pump(float(y_values[len(y_values) // 2])),
             dos_mode=run["dos_mode"])

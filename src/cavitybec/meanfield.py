@@ -1,25 +1,40 @@
 """Stationary mean field of the pumped cavity-condensate system.
 
-The steady state is a root of four coupled real equations for the photon
-amplitude alpha, the condensate amplitudes beta (homogeneous) and gamma
-(cosine mode) and the chemical potential mu, closed by the normalization
-|beta|^2 + |gamma|^2 = 1.  All amplitudes are taken real (the equations
-admit a global phase); above threshold the gamma > 0 representative of the
-two Z2-related self-organized solutions is reported.
+The steady state is a root of four coupled real equations (`residual`) for
+the photon amplitude alpha, the condensate amplitudes beta (homogeneous) and
+gamma (cosine mode) and the chemical potential mu, closed by the
+normalization beta^2 + gamma^2 = 1.  All amplitudes are taken real (the
+equations admit a global phase); of the two Z2-related self-organized
+solutions the one with beta, gamma > 0 is reported.
+
+The equations reduce to one cubic in s = gamma^2.  With g = g_coll,
+d0 = -Delta_C + 2u and D = d0 + u s, equation 0 gives
+alpha = -y beta gamma / D and equation 1 over beta
+mu = -y^2 s / D + 2u alpha^2 + g (beta^2 + 3 gamma^2); equation 2 over gamma,
+f(s) = 1 + g (2 - 3.5 s) + y^2 (2s - 1) / D + u y^2 s (1 - s) / D^2 = 0,
+times D^2 is c0 + c1 s + c2 s^2 + c3 s^3 with c0 = d0^2 (1 + 2g)
+(1 - y^2 / y_crit^2), c1 = 2 (1 + 2g) d0 u - 3.5 g d0^2 + 2 y^2 d0,
+c2 = (1 + 2g) u^2 - 7 g d0 u + y^2 u and c3 = -3.5 g u^2 (linear at u = 0).
+So s = 0 is the normal state, s = 1 forces alpha = 0 and mu = 1 + 1.5 g,
+and every other state with D != 0 is a root of the cubic in (0, 1).  Above
+threshold (c0 < 0) the ordered state is the cubic's smallest root in
+(0, 1), the one that leaves s = 0 at y_crit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .params import ThermoParams, ConfigError, critical_coupling
 
 
 class ConvergenceError(RuntimeError):
-    """Root finder failed to reach tolerance."""
+    """No ordered stationary state within tolerance."""
 
 
 class CriticalPointError(RuntimeError):
@@ -32,8 +47,8 @@ class CriticalPointError(RuntimeError):
 
 
 TOL = 1e-12
-MAX_ITER = 200
 CRIT_WINDOW = 1e-6  # relative half-width of the refused window around y_crit
+_POLISH_STEPS = 5  # plain Newton steps allowed after the closed form
 
 
 @dataclass(frozen=True)
@@ -91,59 +106,57 @@ def solve_normal_phase(p: ThermoParams) -> MeanField:
     return MeanField(alpha=0.0, beta=1.0, gamma=0.0, mu=p.g_coll)
 
 
-def _newton(p, y, x0, damping=1.0, max_iter=MAX_ITER):
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
-        r = residual(p, y, x)
-        if np.max(np.abs(r)) < TOL:
-            return x
-        jac = jacobian(p, y, x)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        # backtracking keeps the iteration inside the branch's basin
-        lam = damping
-        norm0 = np.max(np.abs(r))
-        for _ in range(30):
-            xn = x + lam * step
-            if np.max(np.abs(residual(p, y, xn))) < norm0 or lam < 1e-6:
-                break
-            lam *= 0.5
-        x = xn
-    r = residual(p, y, x)
-    if np.max(np.abs(r)) < TOL:
-        return x
+def _smallest_root(c):
+    """Smallest root in (0, 1) of c0 + c1 s + c2 s^2 + c3 s^3 with c0 < 0,
+    or None.  Cut at the roots of the derivative (formed without
+    cancellation; a spare cut does no harm), the cubic is monotonic on each
+    piece, so the root lies in the first piece that ends >= 0."""
+    def cubic(s):
+        return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
+
+    a, b = 3.0 * c[3], 2.0 * c[2]
+    disc = max(b * b - 4.0 * a * c[1], 0.0)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    cuts = (q / a if a else 1.0, c[1] / q if q else 1.0)
+    lo = 0.0
+    for hi in sorted(t for t in cuts if 0.0 < t < 1.0) + [1.0]:
+        if cubic(hi) >= 0.0:
+            s = brentq(cubic, lo, hi, xtol=1e-300,
+                       rtol=4.0 * np.finfo(float).eps)
+            return s if s < 1.0 else None
+        lo = hi
     return None
 
 
-def _canonical(x):
-    a, b, g, mu = x
-    if b < 0:  # global phase: flip both condensate amplitudes
-        b, g = -b, -g
-    if g < 0:  # Z2: flip photon and cosine amplitudes together
-        a, g = -a, -g
-    return np.array([a, b, g, mu])
-
-
-def _organized_seed(p, y, y_crit):
-    gt = p.g_coll
-    frac = max(0.0, 1.0 - (y_crit / y) ** 2)
-    g0 = min(0.9, math.sqrt(frac) if frac > 0 else 0.05)
-    g0 = max(g0, 1e-3)
-    b0 = math.sqrt(1.0 - g0 * g0)
-    denom = -p.cavity_detuning + p.u * (2 * b0 * b0 + 3 * g0 * g0)
-    a0 = -y * b0 * g0 / denom
-    mu0 = (y * a0 * g0 + 2 * p.u * a0 * a0 * b0
-           + gt * (b0 ** 3 + 3 * b0 * g0 * g0)) / b0
-    return np.array([a0, b0, g0, mu0])
+def _ordered_state(p: ThermoParams) -> np.ndarray:
+    """(alpha, beta, gamma, mu) of the cubic's smallest root in (0, 1)."""
+    y, u, g = p.y, p.u, p.g_coll
+    d0 = -p.cavity_detuning + 2.0 * u
+    with localcontext(Context(prec=60)):  # c0 cancels near y_crit
+        wide_d0 = 2 * Decimal(u) - Decimal(p.cavity_detuning)
+        c0 = wide_d0 * ((1 + 2 * Decimal(g)) * wide_d0 - Decimal(y) ** 2)
+    s = _smallest_root((
+        float(c0),
+        2.0 * (1.0 + 2.0 * g) * d0 * u - 3.5 * g * d0 * d0 + 2.0 * y * y * d0,
+        (1.0 + 2.0 * g) * u * u - 7.0 * g * d0 * u + y * y * u,
+        -3.5 * g * u * u))
+    if s is None:
+        raise ConvergenceError(
+            f"no self-organized root with 0 < gamma^2 < 1 at y = {y}")
+    beta, gamma = math.sqrt(1.0 - s), math.sqrt(s)
+    denom = d0 + u * s
+    alpha = -y * beta * gamma / denom
+    mu = (-y * y * s / denom + 2.0 * u * alpha * alpha
+          + g * (beta * beta + 3.0 * gamma * gamma))
+    return np.array([alpha, beta, gamma, mu])
 
 
 def solve_steady_state(p: ThermoParams) -> MeanField:
-    """Newton solve of the stationary equations at pump strength p.y.
+    """Stationary state at pump strength p.y.
 
-    Below threshold converges to the normal phase; above threshold to the
-    gamma > 0 self-organized branch, from branch-appropriate seeds.
+    Below threshold the normal phase; above it the state of the cubic's
+    smallest root in (0, 1) (see the module docstring), followed by at most
+    `_POLISH_STEPS` Newton steps until every residual is below TOL.
     """
     y = p.y
     y_crit = critical_coupling(p)
@@ -151,37 +164,22 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
         raise CriticalPointError(
             f"y = {y} within {CRIT_WINDOW:.0e} (relative) of y_crit = {y_crit}; "
             "Jacobian is singular at the critical point")
-
     if y < y_crit:
-        seeds = [np.array([0.0, 1.0, 0.0, p.g_coll])]
-    else:
-        seeds = [_organized_seed(p, y, y_crit),
-                 _organized_seed(p, y, y_crit) * [1.0, 1.0, 2.0, 1.0]
-                 + [0.0, 0.0, 0.0, 0.1]]
+        return solve_normal_phase(p)
 
-    x = None
-    for x0 in seeds:
-        x = _newton(p, y, x0)
-        if x is not None:
+    x = _ordered_state(p)
+    r = residual(p, y, x)
+    for _ in range(_POLISH_STEPS):
+        if np.max(np.abs(r)) < TOL:
             break
-    if x is None:
-        # damped iteration fallback: heavier damping, longer leash
-        for x0 in seeds:
-            x = _newton(p, y, x0, damping=0.2, max_iter=5 * MAX_ITER)
-            if x is not None:
-                break
-    if x is None:
+        try:
+            x = x - np.linalg.solve(jacobian(p, y, x), r)
+        except np.linalg.LinAlgError:
+            break
+        r = residual(p, y, x)
+    worst = np.max(np.abs(r))
+    if not worst < TOL:
         raise ConvergenceError(
-            f"mean-field solve failed to converge at y = {y}")
-
-    x = _canonical(x)
-    if y > y_crit and abs(x[2]) < 1e-8:
-        # Newton fell back onto the (unstable) normal branch; push off it
-        x = _newton(p, y, _organized_seed(p, y, y_crit), damping=0.5,
-                    max_iter=5 * MAX_ITER)
-        if x is None or abs(x[2]) < 1e-8:
-            raise ConvergenceError(
-                f"could not reach the self-organized branch at y = {y}")
-        x = _canonical(x)
+            f"mean-field residual {worst:.3g} not below TOL = {TOL:g} at "
+            f"y = {y} after {_POLISH_STEPS} Newton steps")
     return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3])
-

@@ -178,6 +178,9 @@ def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
     ("damping-sweep", ["epsilons=a,b"]),
     ("bands", ["y_frac=abc"]),
     ("poles", ["n_track=two"]),
+    ("damping-sweep", ["epsilons=0.01,0.01"]),
+    ("temperature-sweep", ["temperatures=0.05,0.1,0.05"]),
+    ("poles", ["y_points=0", "dump_grid=1"]),
 ])
 def test_malformed_or_mixed_settings_exit_1_with_one_line(
         command, settings, tmp_path, capsys):

@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cavitybec import meanfield
+from cavitybec.hamiltonian import ModelExpansion
 from cavitybec.params import ConfigError, critical_coupling, default_params
 from cavitybec.meanfield import (
-    TOL, CriticalPointError, jacobian, residual, solve_normal_phase,
-    solve_steady_state,
+    TOL, ConvergenceError, CriticalPointError, jacobian, residual,
+    solve_normal_phase, solve_steady_state,
 )
 
 P = default_params()
@@ -86,37 +89,85 @@ def _ordered_point(detuning, u, g_coll, frac):
     return p.with_pump(frac * critical_coupling(p))
 
 
-def test_damped_newton_fallback_reaches_the_ordered_branch(monkeypatch):
-    # a point of a 20 000-draw scan where both full-step solves fail
-    p = _ordered_point(-12.760426519335313, 16.250876935454905,
-                       3.25374730302172, 65.94624218686948)
-    newton = meanfield._newton
-    dampings = []
+def _mpmath_root(p, x):
+    """The four stationary equations solved in 40 digits from x."""
+    with mpmath.workdps(40):
+        det, y, u, gt = (mpmath.mpf(v) for v in
+                         (p.cavity_detuning, p.y, p.u, p.g_coll))
 
-    def counted(p, y, x0, damping=1.0, max_iter=meanfield.MAX_ITER):
-        dampings.append(damping)
-        return newton(p, y, x0, damping, max_iter)
+        def equations(a, b, g, mu):
+            return [-det * a + y * b * g + u * (2 * b * b + 3 * g * g) * a,
+                    -mu * b + y * a * g + 2 * u * a * a * b
+                    + gt * (b ** 3 + 3 * b * g * g),
+                    (1 - mu) * g + y * a * b + 3 * u * a * a * g
+                    + gt * (1.5 * g ** 3 + 3 * b * b * g),
+                    b * b + g * g - 1]
 
-    monkeypatch.setattr(meanfield, "_newton", counted)
+        root = mpmath.findroot(equations, [mpmath.mpf(float(v)) for v in x])
+        return np.array([float(v) for v in root])
+
+
+# (Delta_C, u, g_coll, y / y_crit): two points where a seeded Newton search
+# ends on the normal branch although an ordered root exists (F1 1.3e-6
+# above y_crit), and two at |mu| > 8e3 where the exact state reads a
+# residual above TOL
+F1 = (-314.0463546681571, -17.044989718297465, 9.479231543684373,
+      1.0000012952411015)
+F2 = (-0.5450858857872216, -0.06528385120255466, 7.039633340513116,
+      1.0564769166478347)
+A = (-12.760426519335313, 16.250876935454905, 3.25374730302172,
+     65.94624218686948)
+B = (-19.85577043468967, 0.0, 1.5723266083874399, 90.41122953283323)
+
+
+@pytest.mark.parametrize("point", [F1, F2, A, B])
+def test_closed_form_state_matches_a_40_digit_root(point):
+    p = _ordered_point(*point)
+    x = meanfield._ordered_state(p)
+    assert x[1] > 0.0 and x[2] > 0.0
+    np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("point, alpha, gamma, mu", [
+    (F1, -9.2483e-4, 3.4637e-3, 9.479190),
+    (F2, -3.06134, 0.546790, 4.744731),
+])
+def test_ordered_root_found_where_a_seeded_search_fails(
+        point, alpha, gamma, mu):
+    p = _ordered_point(*point)
     mf = solve_steady_state(p)
-    assert dampings.count(0.2) >= 1
-    assert mf.gamma > 0.0
+    assert mf.alpha == pytest.approx(alpha, rel=1e-4)
+    assert mf.gamma == pytest.approx(gamma, rel=1e-5)
+    assert mf.mu == pytest.approx(mu, rel=1e-6)
     assert np.max(np.abs(residual(p, p.y, mf.as_array()))) < TOL
 
 
-def test_canonical_gauge_flips_a_negative_beta(monkeypatch):
-    # Newton lands on beta ~ -1e-25 here; the global phase makes it >= 0
-    p = _ordered_point(-19.85577043468967, 0.0, 1.5723266083874399,
-                       90.41122953283323)
-    canonical = meanfield._canonical
-    raw = []
+def test_no_photon_free_state_above_threshold():
+    # at B the earlier search returned alpha = beta = 0, gamma = 1, whose
+    # polariton eigenvalues are +-50.40 +- 48.42i; the ordered root has
+    # gamma = 0.707092
+    p = _ordered_point(*B)
+    assert meanfield._ordered_state(p)[2] == pytest.approx(0.707092, abs=1e-6)
+    try:
+        mf = solve_steady_state(p)
+    except ConvergenceError:
+        return
+    assert abs(mf.alpha) > 1e-8
 
-    def recorded(x):
-        raw.append(np.array(x))
-        return canonical(x)
 
-    monkeypatch.setattr(meanfield, "_canonical", recorded)
-    mf = solve_steady_state(p)
-    assert raw[0][1] < 0.0
-    assert mf.beta >= 0.0
-    assert mf.gamma == pytest.approx(1.0, abs=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(detuning=st.floats(-1e4, -0.5), u=st.floats(-0.4, 30.0),
+       g_coll=st.floats(0.0, 10.0), frac=st.floats(1.0, 10.0))
+def test_ordered_solve_over_a_wide_draw(detuning, u, g_coll, frac):
+    assume(-detuning + 2.0 * u > 0.0)
+    p = _ordered_point(detuning, u, g_coll, frac)
+    try:
+        mf = solve_steady_state(p)
+    except (ConvergenceError, CriticalPointError):
+        return
+    x = mf.as_array()
+    assert mf.beta > 0.0 and mf.gamma > 0.0
+    assert np.max(np.abs(residual(p, p.y, x))) < TOL
+    # the Hamiltonian polynomial, independent of the hand-coded equations
+    assert np.max(np.abs(ModelExpansion(p, mf).meanfield_residual())) <= 1e-9
+    np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-12, atol=0.0)

@@ -453,6 +453,9 @@ _TYPED_ERRORS = (BathConstructionError, ConfigError, ConvergenceError,
 # 0.2022 - 0.0095i, and narrower than the grid step eps / 5
 @example(detuning=-4.0, u=0.0, g_coll=0.5, frac=0.96484375, temperature=0.125,
          eps=0.0078125, site_count=11)
+# u at the smallest normal double: u^2 in the mean-field cubic underflows
+@example(detuning=-2.0, u=2.2250738585072014e-308, g_coll=0.0, frac=1.5,
+         temperature=0.0, eps=0.01, site_count=1)
 def test_pipeline_properties_over_random_parameters(
         detuning, u, g_coll, frac, temperature, eps, site_count):
     # the whole pipeline either returns physical numbers or raises one of
