@@ -48,7 +48,6 @@ class CriticalPointError(RuntimeError):
 
 TOL = 1e-12
 CRIT_WINDOW = 1e-6  # relative half-width of the refused window around y_crit
-_POLISH_STEPS = 5  # plain Newton steps allowed after the closed form
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,11 @@ def _smallest_root(c):
 
 def _ordered_state(p: ThermoParams) -> np.ndarray:
     """(alpha, beta, gamma, mu) of the cubic's smallest root in (0, 1)."""
-    y, u, g = p.y, p.u, p.g_coll
-    d0 = -p.cavity_detuning + 2.0 * u
+    y, u, g = float(p.y), float(p.u), float(p.g_coll)
+    detuning = float(p.cavity_detuning)
+    d0 = -detuning + 2.0 * u
     with localcontext(Context(prec=60)):  # c0 cancels near y_crit
-        wide_d0 = 2 * Decimal(u) - Decimal(p.cavity_detuning)
+        wide_d0 = 2 * Decimal(u) - Decimal(detuning)
         c0 = wide_d0 * ((1 + 2 * Decimal(g)) * wide_d0 - Decimal(y) ** 2)
     s = _smallest_root((
         float(c0),
@@ -155,8 +155,8 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
     """Stationary state at pump strength p.y.
 
     Below threshold the normal phase; above it the state of the cubic's
-    smallest root in (0, 1) (see the module docstring), followed by at most
-    `_POLISH_STEPS` Newton steps until every residual is below TOL.
+    smallest root in (0, 1) (see the module docstring), refused unless
+    every residual is below TOL.
     """
     y = p.y
     y_crit = critical_coupling(p)
@@ -168,18 +168,9 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
         return solve_normal_phase(p)
 
     x = _ordered_state(p)
-    r = residual(p, y, x)
-    for _ in range(_POLISH_STEPS):
-        if np.max(np.abs(r)) < TOL:
-            break
-        try:
-            x = x - np.linalg.solve(jacobian(p, y, x), r)
-        except np.linalg.LinAlgError:
-            break
-        r = residual(p, y, x)
-    worst = np.max(np.abs(r))
+    worst = np.max(np.abs(residual(p, y, x)))
     if not worst < TOL:
         raise ConvergenceError(
             f"mean-field residual {worst:.3g} not below TOL = {TOL:g} at "
-            f"y = {y} after {_POLISH_STEPS} Newton steps")
+            f"y = {y}")
     return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3])

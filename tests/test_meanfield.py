@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ def test_steady_state_below_threshold_is_normal():
 def test_steady_state_above_threshold_is_organized_and_stationary():
     p = P.with_pump(1.2 * Y_CRIT)
     mf = solve_steady_state(p)
+    # fields of other real types are read as the floats they equal
+    other = default_params(cavity_detuning=np.int64(-1000), u=np.float32(0.0),
+                           g_coll=Fraction(1, 10)).with_pump(p.y)
+    np.testing.assert_array_equal(solve_steady_state(other).as_array(),
+                                  mf.as_array())
     # alpha = -y beta gamma / (-Delta_C) at u = 0, negative for Delta_C < 0
     assert abs(mf.alpha) > 1e-3 and mf.gamma > 1e-3
     assert np.sign(mf.alpha) == -np.sign(mf.gamma)
@@ -120,11 +127,15 @@ A = (-12.760426519335313, 16.250876935454905, 3.25374730302172,
 B = (-19.85577043468967, 0.0, 1.5723266083874399, 90.41122953283323)
 
 
-@pytest.mark.parametrize("point", [F1, F2, A, B])
-def test_closed_form_state_matches_a_40_digit_root(point):
+# at B a seeded search returned the photon-free alpha = beta = 0, gamma = 1,
+# whose polariton eigenvalues are +-50.40 +- 48.42i
+@pytest.mark.parametrize("point, gamma", [
+    (F1, 3.4637e-3), (F2, 0.546790), (A, 0.679476), (B, 0.707092),
+])
+def test_closed_form_state_matches_a_40_digit_root(point, gamma):
     p = _ordered_point(*point)
     x = meanfield._ordered_state(p)
-    assert x[1] > 0.0 and x[2] > 0.0
+    assert x[1] > 0.0 and x[2] == pytest.approx(gamma, rel=1e-5)
     np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-13, atol=0.0)
 
 
@@ -140,19 +151,6 @@ def test_ordered_root_found_where_a_seeded_search_fails(
     assert mf.gamma == pytest.approx(gamma, rel=1e-5)
     assert mf.mu == pytest.approx(mu, rel=1e-6)
     assert np.max(np.abs(residual(p, p.y, mf.as_array()))) < TOL
-
-
-def test_no_photon_free_state_above_threshold():
-    # at B the earlier search returned alpha = beta = 0, gamma = 1, whose
-    # polariton eigenvalues are +-50.40 +- 48.42i; the ordered root has
-    # gamma = 0.707092
-    p = _ordered_point(*B)
-    assert meanfield._ordered_state(p)[2] == pytest.approx(0.707092, abs=1e-6)
-    try:
-        mf = solve_steady_state(p)
-    except ConvergenceError:
-        return
-    assert abs(mf.alpha) > 1e-8
 
 
 @settings(max_examples=50, deadline=None)
