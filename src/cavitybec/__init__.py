@@ -1,8 +1,8 @@
 """Damping of the polariton soft mode in a cavity-coupled condensate."""
 
 from .params import (
-    MicroParams, ThermoParams, ConfigError, derive_thermo,
-    critical_coupling, default_params, momentum_grid,
+    ThermoParams, ConfigError, critical_coupling, default_params,
+    momentum_grid,
 )
 from .meanfield import (
     MeanField, ConvergenceError, CriticalPointError,

@@ -12,7 +12,7 @@ poles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,23 +53,52 @@ class BathSpectrum:
     """Composite Landau/Beliaev modes on the positive-q half grid.
 
     Each entry represents the +-q pair, so bath sums over the full grid
-    carry a factor 2.  nl and nb are the pair-normalization factors,
-    g_landau and g_beliaev the soft-mode coupling strengths, dos the
-    density-of-modes weight w_q and atom_number N_c.  Every pole sits at
-    Im = -epsilon.  The pole table is derived, not a field, so
-    dataclasses.replace rebuilds it.
+    carry a factor 2.  g_landau and g_beliaev are the soft-mode coupling
+    strengths, dos the density-of-modes weight w_q (mode_density) and
+    atom_number N_c.  Every pole sits at Im = -epsilon.
+
+    A bath checks itself on construction: epsilon and the temperature must
+    be >= 0 (ConfigError), and 0 < omega1 < omega2 must hold at every q
+    (BathConstructionError; a violation means the bands were mislabeled
+    upstream, and it would also make the Landau radicand n1 - n2 negative
+    at finite temperature).  The pair-normalization factors nl and nb
+    follow from the thermal occupations at the temperature, and the pole
+    table is derived too, so dataclasses.replace(bath, epsilon=...,
+    temperature=...) is a checked bath with both rebuilt.
     """
 
     q: np.ndarray
     omega1: np.ndarray
     omega2: np.ndarray
-    nl: np.ndarray
-    nb: np.ndarray
     g_landau: np.ndarray
     g_beliaev: np.ndarray
+    temperature: float
     epsilon: float
     dos: np.ndarray
     atom_number: float
+    nl: np.ndarray = field(init=False)
+    nb: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.epsilon >= 0:
+            raise ConfigError(
+                f"phonon damping epsilon must be >= 0, got {self.epsilon}")
+        omega1, omega2 = self.omega1, self.omega2
+        if np.any(omega1 <= 0) or np.any(omega2 <= omega1):
+            bad = self.q[(omega1 <= 0) | (omega2 <= omega1)]
+            raise BathConstructionError(
+                f"band ordering 0 < omega1 < omega2 violated at q = {bad[:5]}")
+        n1 = thermal_occupation(omega1, self.temperature)
+        n2 = thermal_occupation(omega2, self.temperature)
+        radicand = n1 - n2
+        if np.any(radicand < 0):
+            raise BathConstructionError(
+                "negative Landau radicand n1 - n2; bands mislabeled")
+        # frozen, so set as dataclass' own __init__ sets fields
+        object.__setattr__(self, "temperature", float(self.temperature))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "nl", np.sqrt(radicand))
+        object.__setattr__(self, "nb", np.sqrt(n1 + n2 + 1.0))
 
     def pole_weights(self, channel: str):
         """(weights, centres) of one channel's self-energy poles.
@@ -105,37 +134,15 @@ class BathSpectrum:
 def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
                         temperature: float, epsilon: float, dos,
                         atom_number: float) -> BathSpectrum:
-    """Assemble the composite-mode bath from band and coupling tables.
-
-    omega2 > omega1 is required everywhere; a violation means the bands
-    were mislabeled upstream (it would also make the Landau radicand
-    n1 - n2 negative at finite temperature).  A negative epsilon, which
-    would turn every damping rate negative, raises ConfigError, as a
-    negative temperature does in thermal_occupation.  dos is the
-    density-of-modes weight w_q of each entry (mode_density).
-    """
-    if not epsilon >= 0:
-        raise ConfigError(f"phonon damping epsilon must be >= 0, got {epsilon}")
-    q = np.asarray(q, dtype=float)
-    omega1 = np.asarray(omega1, dtype=float)
-    omega2 = np.asarray(omega2, dtype=float)
-    if np.any(omega1 <= 0) or np.any(omega2 <= omega1):
-        bad = q[(omega1 <= 0) | (omega2 <= omega1)]
-        raise BathConstructionError(
-            f"band ordering 0 < omega1 < omega2 violated at q = {bad[:5]}")
-    n1 = thermal_occupation(omega1, temperature)
-    n2 = thermal_occupation(omega2, temperature)
-    radicand = n1 - n2
-    if np.any(radicand < 0):
-        raise BathConstructionError(
-            "negative Landau radicand n1 - n2; bands mislabeled")
+    """The BathSpectrum of band and coupling tables given as array-likes
+    over q (lists or arrays), read as float and complex arrays."""
     return BathSpectrum(
-        q=q, omega1=omega1, omega2=omega2,
-        nl=np.sqrt(radicand),
-        nb=np.sqrt(n1 + n2 + 1.0),
+        q=np.asarray(q, dtype=float),
+        omega1=np.asarray(omega1, dtype=float),
+        omega2=np.asarray(omega2, dtype=float),
         g_landau=np.asarray(g_landau, dtype=complex),
         g_beliaev=np.asarray(g_beliaev, dtype=complex),
-        epsilon=float(epsilon),
+        temperature=temperature, epsilon=epsilon,
         dos=np.asarray(dos, dtype=float),
         atom_number=float(atom_number),
     )

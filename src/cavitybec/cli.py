@@ -156,12 +156,12 @@ def cmd_softmode(p, run, outdir):
                 _meta(p, run, "softmode"))
 
 
-def _write_damping(p, run, outdir, epsilons, temperatures, command):
+def _write_damping(p, run, outdir, command, **varied):
+    """damping_sweep on the command's y grid over the epsilons or the
+    temperatures in varied (the other is p's), as the long table."""
     y_values, y_crit = _y_grid(p, run, command)
-    records = damping_sweep(p, y_values, epsilons=epsilons,
-                            temperatures=temperatures,
-                            dos_mode=run["dos_mode"],
-                            workers=run["workers"] or None)
+    records = damping_sweep(p, y_values, dos_mode=run["dos_mode"],
+                            workers=run["workers"] or None, **varied)
     write_table(outdir / f"{command.replace('-', '_')}_long.csv",
                 ["y_frac", "epsilon", "temperature", "omega_s",
                  "delta_l", "gamma_l", "delta_b", "gamma_b"],
@@ -189,8 +189,8 @@ def _pivot(records, key, values, fields):
 
 def cmd_damping_sweep(p, run, outdir):
     epsilons = run["epsilons"]
-    records = _write_damping(p, run, outdir, epsilons, (p.temperature,),
-                             "damping-sweep")
+    records = _write_damping(p, run, outdir, "damping-sweep",
+                             epsilons=epsilons)
     for name, field in (("damping", "gamma_b"), ("shifts", "delta_b")):
         write_table(outdir / f"{name}.csv",
                     *_pivot(records, "epsilon", epsilons,
@@ -200,8 +200,8 @@ def cmd_damping_sweep(p, run, outdir):
 
 def cmd_temperature_sweep(p, run, outdir):
     temps = run["temperatures"]
-    records = _write_damping(p, run, outdir, (p.phonon_damping,), temps,
-                             "temperature-sweep")
+    records = _write_damping(p, run, outdir, "temperature-sweep",
+                             temperatures=temps)
     write_table(outdir / "temperature.csv",
                 *_pivot(records, "temperature", temps,
                         {"gamma_l": "gamma_l_T{:g}",
@@ -260,8 +260,7 @@ def cmd_poles(p, run, outdir):
 
     if run["dump_grid"]:
         omega = np.linspace(*window, 2048)
-        grid, _model = continue_green(omega, resp.green(omega),
-                                      p.phonon_damping,
+        grid, _model = continue_green(omega, resp.green(omega), eps,
                                       nu_max=run["nu_max"])
         zs = grid.z()
         recs = ({"re_z": float(z.real), "im_z": float(z.imag),

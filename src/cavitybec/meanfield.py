@@ -24,8 +24,10 @@ threshold (c0 < 0) the ordered state is the cubic's smallest root in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import brentq
@@ -63,34 +65,38 @@ class MeanField:
         return np.array([self.alpha, self.beta, self.gamma, self.mu])
 
 
+def _equation_terms(p: ThermoParams, y: float, x: np.ndarray):
+    """The summands of each stationary equation, in the order residual
+    adds them; x = (alpha, beta, gamma, mu)."""
+    a, b, g, mu = x
+    gt = p.g_coll
+    u = p.u
+    return (
+        (-p.cavity_detuning * a, y * b * g, u * (2 * b * b + 3 * g * g) * a),
+        (-mu * b, y * a * g, 2 * u * a * a * b,
+         gt * (b ** 3 + 3 * b * g * g)),
+        ((1.0 - mu) * g, y * a * b, 3 * u * a * a * g,
+         gt * (1.5 * g ** 3 + 3 * b * b * g)),
+        (b * b, g * g, -1.0),
+    )
+
+
 def residual(p: ThermoParams, y: float, x: np.ndarray) -> np.ndarray:
     """Stationary equations; x = (alpha, beta, gamma, mu)."""
-    a, b, g, mu = x
-    gt = p.g_coll
-    u = p.u
-    return np.array([
-        -p.cavity_detuning * a + y * b * g + u * (2 * b * b + 3 * g * g) * a,
-        -mu * b + y * a * g + 2 * u * a * a * b + gt * (b ** 3 + 3 * b * g * g),
-        (1.0 - mu) * g + y * a * b + 3 * u * a * a * g
-        + gt * (1.5 * g ** 3 + 3 * b * b * g),
-        b * b + g * g - 1.0,
-    ])
+    return np.array([reduce(operator.add, terms)
+                     for terms in _equation_terms(p, y, x)])
 
 
-def jacobian(p: ThermoParams, y: float, x: np.ndarray) -> np.ndarray:
-    a, b, g, mu = x
-    gt = p.g_coll
-    u = p.u
-    return np.array([
-        [-p.cavity_detuning + u * (2 * b * b + 3 * g * g),
-         y * g + 4 * u * b * a, y * b + 6 * u * g * a, 0.0],
-        [y * g + 4 * u * a * b,
-         -mu + 2 * u * a * a + gt * (3 * b * b + 3 * g * g),
-         y * a + 6 * gt * b * g, -b],
-        [y * b + 6 * u * a * g, y * a + 6 * gt * b * g,
-         1.0 - mu + 3 * u * a * a + gt * (4.5 * g * g + 3 * b * b), -g],
-        [0.0, 2 * b, 2 * g, 0.0],
-    ])
+def _scaled_residual(p: ThermoParams, y: float, x: np.ndarray):
+    """|residual| of each equation over max(1, its largest |summand|).
+
+    The residual of a state correct to rounding is a few ulps of the
+    equation's largest term, so at |mu| ~ 1e4 it can read 1e-12 although
+    the state matches a 40-digit root; relative to its terms it does not.
+    """
+    return np.array([abs(reduce(operator.add, terms))
+                     / max(1.0, *(abs(t) for t in terms))
+                     for terms in _equation_terms(p, y, x)])
 
 
 def solve_normal_phase(p: ThermoParams) -> MeanField:
@@ -156,7 +162,8 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
 
     Below threshold the normal phase; above it the state of the cubic's
     smallest root in (0, 1) (see the module docstring), refused unless
-    every residual is below TOL.
+    each equation's residual is below TOL times max(1, its largest term)
+    (_scaled_residual).
     """
     y = p.y
     y_crit = critical_coupling(p)
@@ -168,9 +175,9 @@ def solve_steady_state(p: ThermoParams) -> MeanField:
         return solve_normal_phase(p)
 
     x = _ordered_state(p)
-    worst = np.max(np.abs(residual(p, y, x)))
+    worst = np.max(_scaled_residual(p, y, x))
     if not worst < TOL:
         raise ConvergenceError(
-            f"mean-field residual {worst:.3g} not below TOL = {TOL:g} at "
-            f"y = {y}")
+            f"mean-field residual {worst:.3g} (relative to the largest term "
+            f"of its equation) not below TOL = {TOL:g} at y = {y}")
     return MeanField(alpha=x[0], beta=x[1], gamma=x[2], mu=x[3])

@@ -18,55 +18,42 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class MicroParams:
-    """Microscopic parameters of the driven cavity-condensate system.
+class ThermoParams:
+    """Coupling strengths that stay finite in the thermodynamic limit, and
+    the rest of a parameter point.
+
+    Energies and rates are in recoil units.  Every way of making one
+    (default_params, thermo_from_mapping, dataclasses.replace, with_pump)
+    checks the fields, so it is always a valid point: each must be a
+    finite real number, and then in range.
 
     Attributes
     ----------
+    y : float
+        Collective pump strength sqrt(2 N_c) eta_t, with eta_t the
+        transverse pump two-photon amplitude.  Must be >= 0.
+    u : float
+        Collective dispersive shift N_c U_0 / 4, with U_0 the shift of the
+        cavity resonance per atom.
+    g_coll : float
+        Collisional mean-field energy (N_c / L) g, with g the s-wave
+        coupling (frequency times length) and L = 2 pi site_count.  Must be
+        >= 0.
     cavity_detuning : float
-        Pump-cavity detuning Delta_C (recoil units). Must be negative.
-    single_atom_shift : float
-        Dispersive shift U_0 of the cavity resonance per atom.
-    collision_strength : float
-        s-wave coupling g (frequency times length).
-    pump_amplitude : float
-        Transverse pump two-photon amplitude eta_t.
+        Pump-cavity detuning Delta_C.  Must be negative.
+    temperature : float
+        Temperature (k_B = 1).  Must be >= 0.
+    phonon_damping : float
+        Phenomenological phonon decay rate epsilon.  Must be >= 0.
     atom_number : int
-        Condensate atom number N_c.
+        Condensate atom number N_c.  Must be >= 1.
     site_count : int
         Box length in cavity wavelengths, kL/(2 pi).  Also the number of
-        quasi-momentum grid points per band (including q = 0).
+        quasi-momentum grid points per band (including q = 0).  Must be a
+        positive integer.
     condensate_width : float
         Transverse condensate width as kw; enters the 3D density-of-modes
-        weight.
-    temperature : float
-        Temperature in recoil units (k_B = 1).
-    phonon_damping : float
-        Phenomenological phonon decay rate epsilon (recoil units).
-    """
-
-    cavity_detuning: float
-    single_atom_shift: float = 0.0
-    collision_strength: float = 0.0
-    pump_amplitude: float = 0.0
-    atom_number: int = 10_000
-    site_count: int = 1001
-    condensate_width: float = 2.0 * math.pi * math.sqrt(2.0)
-    temperature: float = 0.0
-    phonon_damping: float = 0.01
-
-    def __post_init__(self) -> None:
-        _check_shared(self)
-
-
-@dataclass(frozen=True)
-class ThermoParams:
-    """Coupling strengths that stay finite in the thermodynamic limit.
-
-    y is the collective pump strength, u the collective dispersive shift and
-    g_coll the collisional mean-field energy; all in recoil units.  The
-    remaining fields are carried through from :class:`MicroParams`.  Every
-    way of making one checks the fields, so it is always a valid point.
+        weight.  Must be > 0.
     """
 
     y: float
@@ -80,7 +67,26 @@ class ThermoParams:
     condensate_width: float = 2.0 * math.pi * math.sqrt(2.0)
 
     def __post_init__(self) -> None:
-        _check_shared(self)
+        for f in fields(self):
+            _check_finite_real(f.name, getattr(self, f.name))
+        if not self.cavity_detuning < 0:
+            raise ConfigError(
+                f"cavity detuning must be negative, got {self.cavity_detuning}")
+        if self.atom_number < 1:
+            raise ConfigError(
+                f"atom_number must be >= 1, got {self.atom_number}")
+        if self.site_count < 1 or self.site_count != int(self.site_count):
+            raise ConfigError("site_count (kL/2pi) must be a positive "
+                              f"integer, got {self.site_count}")
+        if self.phonon_damping < 0:
+            raise ConfigError(
+                f"phonon_damping must be >= 0, got {self.phonon_damping}")
+        if self.temperature < 0:
+            raise ConfigError(
+                f"temperature must be >= 0, got {self.temperature}")
+        if self.condensate_width <= 0:
+            raise ConfigError(
+                f"condensate_width must be > 0, got {self.condensate_width}")
         if self.y < 0 or self.g_coll < 0:
             raise ConfigError("y and g_coll must be non-negative")
 
@@ -88,48 +94,9 @@ class ThermoParams:
         return replace(self, y=y)
 
 
-def _check_shared(p) -> None:
-    """Construction checks of the fields MicroParams and ThermoParams
-    share, after every field has proved a finite real number."""
-    for f in fields(p):
-        value = getattr(p, f.name)
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ConfigError(
-                f"{f.name} must be a finite real number, got {value!r}")
-    if not p.cavity_detuning < 0:
-        raise ConfigError(
-            f"cavity detuning must be negative, got {p.cavity_detuning}")
-    if p.atom_number < 1:
-        raise ConfigError(f"atom_number must be >= 1, got {p.atom_number}")
-    if p.site_count < 1 or p.site_count != int(p.site_count):
-        raise ConfigError(
-            f"site_count (kL/2pi) must be a positive integer, got {p.site_count}")
-    if p.phonon_damping < 0:
-        raise ConfigError(f"phonon_damping must be >= 0, got {p.phonon_damping}")
-    if p.temperature < 0:
-        raise ConfigError(f"temperature must be >= 0, got {p.temperature}")
-    if p.condensate_width <= 0:
-        raise ConfigError(f"condensate_width must be > 0, got {p.condensate_width}")
-
-
-def derive_thermo(raw: MicroParams) -> ThermoParams:
-    """Reduce microscopic parameters to thermodynamic-limit couplings.
-
-    y = sqrt(2 N_c) eta_t, u = N_c U_0 / 4, g_coll = (N_c / L) g, with
-    L = 2 pi * site_count (in 1/k units).
-    """
-    box_length = 2.0 * math.pi * raw.site_count
-    return ThermoParams(
-        y=math.sqrt(2.0 * raw.atom_number) * raw.pump_amplitude,
-        u=0.25 * raw.atom_number * raw.single_atom_shift,
-        g_coll=raw.atom_number / box_length * raw.collision_strength,
-        cavity_detuning=raw.cavity_detuning,
-        temperature=raw.temperature,
-        phonon_damping=raw.phonon_damping,
-        atom_number=raw.atom_number,
-        site_count=raw.site_count,
-        condensate_width=raw.condensate_width,
-    )
+def _check_finite_real(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 def critical_coupling(p: ThermoParams) -> float:
@@ -173,7 +140,8 @@ def momentum_grid(p: ThermoParams):
 # plain-text config ingestion: one "name = value" per line, '#' comments
 
 _THERMO_KEYS = {f.name for f in fields(ThermoParams)}
-_MICRO_KEYS = {f.name for f in fields(MicroParams)}
+# the microscopic couplings, which stand in for y, u and g_coll
+_MICRO_KEYS = ("pump_amplitude", "single_atom_shift", "collision_strength")
 
 
 def parse_config_text(text: str) -> dict:
@@ -207,21 +175,29 @@ def parse_config_text(text: str) -> dict:
 def thermo_from_mapping(mapping: dict) -> ThermoParams:
     """Build ThermoParams from a config mapping.
 
-    Accepts either thermodynamic keys directly (y, u, g_coll, ...) or
-    microscopic keys (pump_amplitude, collision_strength, ...), but not a
-    mixture of the two coupling conventions.
+    Accepts either thermodynamic couplings (y, u, g_coll) or microscopic
+    ones (pump_amplitude eta_t, single_atom_shift U_0, collision_strength
+    g; an absent one is 0, and the three are reduced to y, u and g_coll as
+    ThermoParams states), but not a mixture of the two conventions.  The
+    other ThermoParams keys go with either.
     """
     keys = set(mapping)
-    unknown = keys - _THERMO_KEYS - _MICRO_KEYS
+    unknown = keys - _THERMO_KEYS - set(_MICRO_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    micro = keys - _THERMO_KEYS
-    thermo = keys - _MICRO_KEYS
+    micro = keys & set(_MICRO_KEYS)
+    thermo = keys & {"y", "u", "g_coll"}
     if micro and thermo:
         raise ConfigError(
             f"microscopic keys {sorted(micro)} and thermodynamic keys "
             f"{sorted(thermo)} cannot be mixed")
-    if micro:
-        return derive_thermo(
-            MicroParams(**{"cavity_detuning": -1000.0, **mapping}))
-    return default_params(**mapping)
+    if not micro:
+        return default_params(**mapping)
+    eta, shift, g = (mapping.get(key, 0.0) for key in _MICRO_KEYS)
+    for key, value in zip(_MICRO_KEYS, (eta, shift, g)):
+        _check_finite_real(key, value)
+    p = default_params(**{k: v for k, v in mapping.items() if k not in micro})
+    box_length = 2.0 * math.pi * p.site_count
+    return replace(p, y=math.sqrt(2.0 * p.atom_number) * eta,
+                   u=0.25 * p.atom_number * shift,
+                   g_coll=p.atom_number / box_length * g)

@@ -354,25 +354,24 @@ def _sweep_point(args):
     p, y, epsilons, temperatures, dos_mode = args
     rows = []
     base = build_response(p.with_pump(y), dos_mode=dos_mode)
-    b = base.bath
     for eps in epsilons:
         for temp in temperatures:
-            bath = build_bath_spectrum(b.q, b.omega1, b.omega2, b.g_landau,
-                                       b.g_beliaev, temp, eps, b.dos,
-                                       b.atom_number)
+            bath = replace(base.bath, epsilon=eps, temperature=temp)
             rows.append((eps, temp, replace(base, bath=bath).born_markov()))
     return y, base.omega_s, rows
 
 
-def damping_sweep(p: ThermoParams, y_values, epsilons=(0.01,),
+def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
                   temperatures=(None,), dos_mode: str = "3d",
                   workers: int | None = None):
     """Born-Markov rates over a pump sweep, for each (epsilon, T) pair.
 
     Bands and couplings are computed once per y and shared across the
     epsilon/temperature variations (they only alter the bath bookkeeping).
-    Returns a list of records, ordered as the inputs.
+    A None in epsilons or temperatures stands for p.phonon_damping or
+    p.temperature.  Returns a list of records, ordered as the inputs.
     """
+    epsilons = [p.phonon_damping if e is None else e for e in epsilons]
     temperatures = [p.temperature if t is None else t for t in temperatures]
     tasks = [(p, float(y), tuple(epsilons), tuple(temperatures), dos_mode)
              for y in y_values]

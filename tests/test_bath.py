@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,3 +120,38 @@ def test_nan_epsilon_or_temperature_is_a_config_error():
               temperature=0.0, epsilon=math.nan)
     with pytest.raises(ConfigError, match="temperature must be >= 0"):
         thermal_occupation(0.3, math.nan)
+
+
+@pytest.mark.parametrize("changes, error, match", [
+    ({"epsilon": -0.01}, ConfigError, "epsilon must be >= 0"),
+    ({"epsilon": math.nan}, ConfigError, "epsilon must be >= 0"),
+    ({"temperature": -0.1}, ConfigError, "temperature must be >= 0"),
+    ("swap", BathConstructionError, "band ordering"),
+], ids=["negative-eps", "nan-eps", "negative-T", "swapped-bands"])
+def test_replace_cannot_make_an_invalid_bath(changes, error, match):
+    # a replaced bath used to skip every check: epsilon = -0.01 gave
+    # negative damping rates
+    q, o1, o2, g = _toy_bands()
+    bath = _bath(q, o1, o2, g, g, temperature=0.05, epsilon=0.01)
+    if changes == "swap":
+        changes = {"omega1": bath.omega2, "omega2": bath.omega1}
+    with pytest.raises(error, match=match):
+        dataclasses.replace(bath, **changes)
+
+
+@pytest.mark.parametrize("temperature, epsilon", [
+    (0.0, 0.03), (0.05, 0.001), (0.2, 0.0)])
+def test_replaced_bath_equals_a_built_one(temperature, epsilon):
+    q, o1, o2, g = _toy_bands()
+    base = _bath(q, o1, o2, g, 2.0 * g, temperature=0.1, epsilon=0.01,
+                 dos_mode="3d", width=2.0, atom_number=50.0)
+    base.active_poles  # a cached table must not carry over
+    got = dataclasses.replace(base, temperature=temperature,
+                              epsilon=epsilon)
+    ref = _bath(q, o1, o2, g, 2.0 * g, temperature, epsilon,
+                dos_mode="3d", width=2.0, atom_number=50.0)
+    assert (got.temperature, got.epsilon) == (temperature, epsilon)
+    # bitwise: the same arrays as a bath built at (temperature, epsilon)
+    for a, b in [(got.nl, ref.nl), (got.nb, ref.nb),
+                 *zip(got.active_poles, ref.active_poles)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cavitybec import meanfield
 from cavitybec.hamiltonian import ModelExpansion
+from cavitybec.response import build_response
 from cavitybec.params import ConfigError, critical_coupling, default_params
 from cavitybec.meanfield import (
-    TOL, ConvergenceError, CriticalPointError, jacobian, residual,
+    TOL, ConvergenceError, CriticalPointError, residual,
     solve_normal_phase, solve_steady_state,
 )
 
@@ -68,19 +69,6 @@ def test_critical_window_refused():
         solve_steady_state(P.with_pump(Y_CRIT * (1.0 + 1e-8)))
 
 
-def test_jacobian_matches_finite_differences():
-    p = P.with_pump(1.2 * Y_CRIT)
-    x = solve_steady_state(p).as_array()
-    x = x + 0.01  # move off the root so the Jacobian test is non-trivial
-    jac = jacobian(p, p.y, x)
-    h = 1e-7
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        col = (residual(p, p.y, x + e) - residual(p, p.y, x - e)) / (2 * h)
-        np.testing.assert_allclose(jac[:, j], col, rtol=1e-5, atol=1e-6)
-
-
 def test_sweep_is_continuous_across_threshold():
     # each y solved unseeded, as the meanfield command does
     y_grid = np.linspace(0.5, 1.4, 60) * Y_CRIT
@@ -116,8 +104,9 @@ def _mpmath_root(p, x):
 
 # (Delta_C, u, g_coll, y / y_crit): two points where a seeded Newton search
 # ends on the normal branch although an ordered root exists (F1 1.3e-6
-# above y_crit), and two at |mu| > 8e3 where the exact state reads a
-# residual above TOL
+# above y_crit), and two at |mu| > 8e3 where the exact state reads an
+# absolute residual above TOL, 1.8e-12 and 2.5e-12, but below 3e-16 of
+# its equation's largest term
 F1 = (-314.0463546681571, -17.044989718297465, 9.479231543684373,
       1.0000012952411015)
 F2 = (-0.5450858857872216, -0.06528385120255466, 7.039633340513116,
@@ -137,6 +126,16 @@ def test_closed_form_state_matches_a_40_digit_root(point, gamma):
     x = meanfield._ordered_state(p)
     assert x[1] > 0.0 and x[2] == pytest.approx(gamma, rel=1e-5)
     np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-13, atol=0.0)
+    # and the solve returns it: A and B used to raise ConvergenceError
+    np.testing.assert_array_equal(solve_steady_state(p).as_array(), x)
+
+
+@pytest.mark.parametrize("point, omega_s", [(A, 52.6105), (B, 19.8558)])
+def test_large_mu_states_run_through_build_response(point, omega_s):
+    p = default_params(cavity_detuning=point[0], u=point[1],
+                       g_coll=point[2], site_count=101)
+    p = p.with_pump(point[3] * critical_coupling(p))
+    assert build_response(p).omega_s == pytest.approx(omega_s, rel=1e-5)
 
 
 @pytest.mark.parametrize("point, alpha, gamma, mu", [
@@ -165,7 +164,7 @@ def test_ordered_solve_over_a_wide_draw(detuning, u, g_coll, frac):
         return
     x = mf.as_array()
     assert mf.beta > 0.0 and mf.gamma > 0.0
-    assert np.max(np.abs(residual(p, p.y, x))) < TOL
+    assert np.max(meanfield._scaled_residual(p, p.y, x)) < TOL
     # the Hamiltonian polynomial, independent of the hand-coded equations
     assert np.max(np.abs(ModelExpansion(p, mf).meanfield_residual())) <= 1e-9
     np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-12, atol=0.0)

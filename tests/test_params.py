@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cavitybec.params import (
-    ConfigError, MicroParams, ThermoParams, critical_coupling, derive_thermo,
-    momentum_grid, default_params, parse_config_text, thermo_from_mapping,
+    ConfigError, ThermoParams, critical_coupling, momentum_grid,
+    default_params, parse_config_text, thermo_from_mapping,
 )
 
 
@@ -33,29 +33,38 @@ def test_unstable_photon_sector_rejected():
         critical_coupling(default_params(cavity_detuning=-1.0, u=-1.0))
 
 
-def test_derive_thermo_scalings():
-    raw = MicroParams(cavity_detuning=-1000.0, single_atom_shift=0.004,
-                      collision_strength=0.05, pump_amplitude=0.1,
-                      atom_number=10_000, site_count=1001)
-    p = derive_thermo(raw)
+def test_micro_keys_reduce_to_thermo_couplings():
+    raw = {"cavity_detuning": -1000.0, "single_atom_shift": 0.004,
+           "collision_strength": 0.05, "pump_amplitude": 0.1,
+           "atom_number": 10_000, "site_count": 1001}
+    given = dict(raw)
+    p = thermo_from_mapping(raw)
     assert p.y == pytest.approx(math.sqrt(20_000) * 0.1)
     assert p.u == pytest.approx(10.0)
     assert p.g_coll == pytest.approx(10_000 / (2 * math.pi * 1001) * 0.05)
+    assert raw == given  # the caller's mapping is left as it was
+    # an absent microscopic coupling is 0, not a default_params value
+    assert thermo_from_mapping({"pump_amplitude": 0.1}).g_coll == 0.0
 
 
 def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         default_params(cavity_detuning=+5.0)
+    # with microscopic couplings as with thermodynamic ones
     with pytest.raises(ConfigError):
-        MicroParams(cavity_detuning=-10.0, temperature=-1.0)
+        thermo_from_mapping({"cavity_detuning": -10.0,
+                             "pump_amplitude": 0.1, "temperature": -1.0})
     with pytest.raises(ConfigError):
-        MicroParams(cavity_detuning=-10.0, phonon_damping=-0.1)
-    # ThermoParams checks the same two fields as MicroParams
+        thermo_from_mapping({"cavity_detuning": -10.0,
+                             "pump_amplitude": 0.1, "phonon_damping": -0.1})
+    # site_count is checked before g_coll is divided by it
+    with pytest.raises(ConfigError, match="site_count"):
+        thermo_from_mapping({"collision_strength": 0.05, "site_count": 0})
     with pytest.raises(ConfigError, match="temperature"):
         default_params(temperature=-1.0)
     with pytest.raises(ConfigError, match="phonon_damping"):
         thermo_from_mapping({"phonon_damping": -0.1})
-    # ... and atom_number and condensate_width as MicroParams does
+    # ... and atom_number and condensate_width
     with pytest.raises(ConfigError, match="atom_number"):
         default_params(atom_number=0)
     with pytest.raises(ConfigError, match="condensate_width"):
@@ -71,7 +80,8 @@ def test_validation_rejects_bad_values():
     lambda: dataclasses.replace(default_params(), phonon_damping=-math.inf),
     lambda: thermo_from_mapping({"cavity_detuning": "abc"}),
     lambda: thermo_from_mapping({"pump_amplitude": math.nan}),
-    lambda: MicroParams(cavity_detuning=-10.0, single_atom_shift=1j),
+    lambda: thermo_from_mapping({"cavity_detuning": -10.0,
+                                 "single_atom_shift": 1j}),
 ], ids=["nan-T", "str-g_coll", "inf-u", "none-sites", "nan-pump",
         "inf-replace", "str-mapping", "nan-micro", "complex-micro"])
 def test_every_field_must_be_a_finite_real_number(make):
@@ -85,8 +95,8 @@ def test_negative_pump_is_refused_on_construction():
     with pytest.raises(ConfigError, match="non-negative"):
         default_params().with_pump(-1.0)
     with pytest.raises(ConfigError, match="non-negative"):
-        derive_thermo(MicroParams(cavity_detuning=-10.0,
-                                  pump_amplitude=-0.1))
+        thermo_from_mapping({"cavity_detuning": -10.0,
+                             "pump_amplitude": -0.1})
 
 
 def test_momentum_grid_shape_and_symmetry():

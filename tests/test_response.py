@@ -241,9 +241,9 @@ def test_replaced_bath_rebuilds_the_pole_table(resp):
     # the path _sweep_point takes: one Response, then replace(bath=...)
     before = resp.inverse_green(_PROBES)
     b = resp.bath
-    other = build_bath_spectrum(b.q, b.omega1, b.omega2, 1.5 * b.g_landau,
-                                1.5 * b.g_beliaev, 0.05, 0.03, b.dos,
-                                b.atom_number)
+    other = dataclasses.replace(b, g_landau=1.5 * b.g_landau,
+                                g_beliaev=1.5 * b.g_beliaev,
+                                temperature=0.05, epsilon=0.03)
     resp2 = dataclasses.replace(resp, bath=other)
     ref, scale = _two_channel_reference(resp2, _PROBES)
     assert np.all(np.abs(resp2.inverse_green(_PROBES) - ref) <= 1e-13 * scale)
@@ -257,10 +257,8 @@ def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
     def no_scan(self, omega_grid):
         raise AssertionError("spectral scanned at epsilon = 0")
 
-    b = resp.bath
-    undamped = dataclasses.replace(resp, bath=build_bath_spectrum(
-        b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, 0.0, b.dos,
-        b.atom_number))
+    undamped = dataclasses.replace(resp, bath=dataclasses.replace(
+        resp.bath, temperature=0.0, epsilon=0.0))
     monkeypatch.setattr(Response, "spectral", no_scan)
     with pytest.raises(NumericsError, match="epsilon > 0"):
         spectral_sum_rule(undamped)
@@ -297,12 +295,10 @@ def test_sum_rule_refuses_epsilon_below_its_grid_resolution(monkeypatch):
     # 1.0093 after a five-million-point scan; 1e-4 is still resolved
     p = default_params(site_count=101, atom_number=1000)
     base = build_response(p.with_pump(0.5 * critical_coupling(p)))
-    b = base.bath
 
     def with_eps(eps):
-        return dataclasses.replace(base, bath=build_bath_spectrum(
-            b.q, b.omega1, b.omega2, b.g_landau, b.g_beliaev, 0.0, eps,
-            b.dos, b.atom_number))
+        return dataclasses.replace(base, bath=dataclasses.replace(
+            base.bath, temperature=0.0, epsilon=eps))
 
     total, _, _ = spectral_sum_rule(with_eps(1e-4))
     assert total == pytest.approx(1.0, abs=1e-2)
@@ -492,6 +488,18 @@ def test_sweep_in_two_worker_processes_matches_one():
     kwargs = dict(epsilons=(0.03, 0.01), temperatures=(0.0,))
     assert (damping_sweep(p, ys, workers=2, **kwargs)
             == damping_sweep(p, ys, workers=1, **kwargs))
+
+
+def test_sweep_defaults_to_the_damping_and_temperature_of_p():
+    # epsilons used to default to 0.01 whatever p.phonon_damping was
+    p = default_params(site_count=101, atom_number=1010,
+                       phonon_damping=0.003, temperature=0.05)
+    ys = [0.5 * critical_coupling(p)]
+    records = damping_sweep(p, ys)
+    assert [(r["epsilon"], r["temperature"]) for r in records] == [
+        (0.003, 0.05)]
+    assert records == damping_sweep(p, ys, epsilons=(0.003,),
+                                    temperatures=(0.05,))
 
 
 def test_negative_epsilon_or_temperature_is_a_config_error():
