@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from cavitybec import (
-    critical_coupling, momentum_grid, default_params, phonon_bands,
-    soft_mode, solve_steady_state, write_table,
+    ModelExpansion, critical_coupling, momentum_grid, default_params,
+    phonon_bands, soft_mode, solve_steady_state, write_table,
 )
 
 
@@ -30,7 +30,7 @@ def main(out_dir="demo_output"):
     rows = []
     for frac in fracs:
         pp = p.with_pump(float(frac) * y_crit)
-        omega_s, _ = soft_mode(pp, solve_steady_state(pp))
+        omega_s, _ = soft_mode(ModelExpansion(pp, solve_steady_state(pp)))
         rows.append({"y_frac": float(frac), "omega_s": float(omega_s)})
     write_table(out / "soft_mode.csv", ["y_frac", "omega_s"], rows,
                 {"command": "demo-soft-mode"})
@@ -41,9 +41,8 @@ def main(out_dir="demo_output"):
 
     frac = 0.8
     pp = p.with_pump(frac * y_crit)
-    mf = solve_steady_state(pp)
     q_grid = momentum_grid(p)
-    bands = phonon_bands(pp, mf, q_grid)
+    bands = phonon_bands(ModelExpansion(pp, solve_steady_state(pp)), q_grid)
     band_rows = [{"q": float(q), "omega1": w1, "omega2": w2, "omega3": w3}
                  for q, (w1, w2, w3) in zip(q_grid, bands.frequencies)]
     write_table(out / "phonon_bands.csv", ["q", "omega1", "omega2", "omega3"],

@@ -38,6 +38,10 @@ def thermal_occupation(omega, temperature: float):
     return out if out.ndim else float(out)
 
 
+# the accepted dos_mode values, checked here and by the CLI's run settings
+_DOS_MODES = ("1d", "3d")
+
+
 def mode_density(q, dos_mode: str, condensate_width: float):
     """Density-of-modes weight w_q: 1 for dos_mode '1d' and (q w)^2 / 2 pi
     for '3d' (w the condensate width)."""
@@ -45,7 +49,8 @@ def mode_density(q, dos_mode: str, condensate_width: float):
         return (q * condensate_width) ** 2 / (2.0 * np.pi)
     if dos_mode == "1d":
         return np.ones_like(q)
-    raise ConfigError(f"dos_mode must be '1d' or '3d', got {dos_mode!r}")
+    raise ConfigError(f"dos_mode must be {' or '.join(map(repr, _DOS_MODES))}"
+                      f", got {dos_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ structure (GAMMA, pairing eigenmodes at +-omega) and a pseudo-Hermiticity
 r+ OMEGA r = sgn(omega).  Left eigenvectors follow as l = sgn(omega) OMEGA r.
 
 The polariton matrix F always carries an exact zero-frequency pair from
-atom-number conservation (the condensate phase mode); it is detected and set
-aside, leaving two normalizable positive polariton modes.  Phonon matrices
-G(q) have three positive modes, one per band.
+atom-number conservation (the condensate phase mode); soft_mode sets it
+aside by count, leaving two normalizable positive polariton modes.  Phonon
+matrices G(q) have no zero pair and three positive modes, one per band.
 
 diagonalize_symplectic has two routes, and its input picks one.  A stable
 G(q) makes H = OMEGA G Hermitian and positive definite, and then Colpa's
@@ -19,11 +19,11 @@ mean-field amplitude is real except the kinetic c-s coupling +-2 i q (the
 momentum operator between the cos and sin bands), so the diagonal phase
 P = diag(1, 1, 1, 1, i, -i) on the (s_q, s+_{-q}) slots makes P^+ H P real
 symmetric.  P commutes with OMEGA, so the modes of G are P times those of
-the real problem.  F, whose zero pair makes H only semidefinite, and any
-stack holding an unstable, defective or otherwise complex matrix go through
-the general complex eigensolve, which checks every matrix and words the
-errors.  Both routes share the phase rule, the reciprocity check and the
-ModeSet assembly.
+the real problem.  Any stack holding an unstable, defective or otherwise
+complex matrix goes through the general complex eigensolve, which checks
+every matrix and words the errors; F, whose zero pair makes H only
+semidefinite, always does.  Both routes share the phase rule, the
+reciprocity check and the ModeSet assembly.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ThermoParams
-from .meanfield import MeanField
 from .hamiltonian import ModelExpansion
 
 # pairwise swap of (annihilation, creation) slots
@@ -45,8 +43,8 @@ _GAUGE = np.array([1.0, 1.0, 1.0, 1.0, 1.0j, -1.0j])
 # entry (j, k) of P^+ OMEGA m P is m[j, k] times this
 _GAUGE_H = np.diag(OMEGA)[:, None] * np.conj(_GAUGE)[:, None] * _GAUGE
 
-# eigenvalues within ZERO_TOL of zero, relative to max(1, max |omega|), are
-# zero modes; an imaginary part above REAL_TOL (same scale) is an instability
+# a positive mode of OMEGA-norm <= ZERO_TOL is not normalizable; an imaginary
+# part above REAL_TOL, relative to max(1, max |omega|), is an instability
 ZERO_TOL = 1e-8
 REAL_TOL = 1e-8
 
@@ -78,18 +76,9 @@ class ModeSet:
     right: np.ndarray
 
     @property
-    def zero_count(self) -> int:
-        """Exact zero-frequency directions excluded from the mode list."""
-        return 6 - 2 * self.frequencies.shape[-1]
-
-    @property
     def left(self) -> np.ndarray:
         """Left eigenvectors l = OMEGA r of the positive-frequency modes."""
         return OMEGA @ self.right
-
-    def mode(self, i):
-        return (self.frequencies[..., i], self.right[..., :, i],
-                self.left[..., :, i])
 
 
 def symmetry_residuals(f: np.ndarray, g_minus: np.ndarray | None = None) -> dict:
@@ -109,26 +98,26 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
     """Extract the positive-frequency bosonic modes of a 6x6 matrix, or of
     every matrix of a (..., 6, 6) stack in one batched solve.
 
-    Modes ascend in frequency; each right vector is OMEGA-normalized and
-    made real and positive at its largest component (the first one within
-    a relative 1e-8 of the largest, so that roundoff does not pick it).
+    Every eigenvalue of m is a mode, as in a phonon matrix G(q); the
+    polariton matrix F, with its zero pair, goes through soft_mode.  Modes
+    ascend in frequency; each right vector is OMEGA-normalized and made
+    real and positive at its largest component (the first one within a
+    relative 1e-8 of the largest, so that roundoff does not pick it).
     Every check applies to each matrix of a stack.  Raises
     DiagonalizationError for non-real spectra (dynamical instability or
-    criticality), unpaired +-omega, non-normalizable or defective
-    positive-frequency subspaces, and for a stack whose matrices differ in
-    their number of positive modes; for a stack the message and the
-    error's index name the first offending matrix.
+    criticality), unpaired +-omega, and non-normalizable or defective
+    positive-frequency subspaces; for a stack the message and the error's
+    index name the first offending matrix.
 
     The input picks one of two routes.  When P^+ OMEGA m P (P the real
     gauge of the module docstring) is real, symmetric and positive definite
-    for every matrix of the stack, with no eigenvalue within ZERO_TOL of
-    zero, Colpa's Cholesky method applies: one batched real Cholesky factor
-    and one real symmetric eigensolve.  That is the stable phonon matrix
-    G(q), and for a real, paired spectrum positive definiteness is exactly
-    the condition the general route accepts.  Every other stack (the
-    polariton matrix with its exact zero pair, or a stack holding an
-    unstable, defective or otherwise complex matrix) takes the general
-    complex eigensolve, which does the checks above and words the errors.
+    for every matrix of the stack, Colpa's Cholesky method applies: one
+    batched real Cholesky factor and one real symmetric eigensolve.  That
+    is the stable phonon matrix G(q), and for a real, paired spectrum
+    positive definiteness is exactly the condition the general route
+    accepts.  A stack holding an unstable, defective or otherwise complex
+    matrix takes the general complex eigensolve, which does the checks
+    above and words the errors.
     """
     m = np.asarray(m)
     modes = _colpa_modes(m, sector)
@@ -163,18 +152,19 @@ def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
         return None
     omega_chol = np.diag(OMEGA)[:, None] * chol
     w, u = np.linalg.eigh(np.swapaxes(chol, -1, -2) @ omega_chol)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    if np.any(np.abs(w) < ZERO_TOL * scale[:, None]):
-        return None
     freqs = w[:, 3:]
     right = omega_chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
     return _mode_set(freqs, right * _GAUGE[:, None], m.shape[:-2], sector)
 
 
-def _eig_modes(m: np.ndarray, sector: str) -> ModeSet:
-    """General route: one complex eigensolve, checked matrix by matrix."""
+def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0) -> ModeSet:
+    """General route: one complex eigensolve, checked matrix by matrix,
+    of which the 2 zero_pairs eigenvalues nearest zero are set aside."""
     batch = m.shape[:-2]
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
+    keep = np.argsort(np.abs(vals), axis=-1, kind="stable")[:, 2 * zero_pairs:]
+    vals = np.take_along_axis(vals, keep, axis=-1)
+    vecs = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
     im = np.max(np.abs(vals.imag), axis=-1)
     _check(im > REAL_TOL * scale, batch, lambda i, where: (
@@ -182,18 +172,12 @@ def _eig_modes(m: np.ndarray, sector: str) -> ModeSet:
         f"max |Im omega| = {im[i]:.3e}"))
     omega = vals.real
 
-    zero_mask = np.abs(omega) < ZERO_TOL * scale[:, None]
-    pos_mask = ~zero_mask & (omega > 0)
+    n_pos = 3 - zero_pairs
+    pos_mask = omega > 0
     pos_count = np.sum(pos_mask, axis=-1)
-    neg_count = np.sum(~zero_mask & (omega < 0), axis=-1)
-    _check(pos_count != neg_count, batch, lambda i, where: (
-        f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
-        f"positive vs {neg_count[i]} negative modes"))
-    # an empty stack is taken to hold all three pairs
-    n_pos = int(pos_count[0]) if len(pos_count) else 3
     _check(pos_count != n_pos, batch, lambda i, where: (
-        f"positive-mode count differs across the stack in sector "
-        f"{sector!r}{where}: {pos_count[i]}, against {n_pos} at index 0"))
+        f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
+        f"positive modes, not {n_pos}"))
 
     order = np.argsort(np.where(pos_mask, omega, np.inf), axis=-1,
                        kind="stable")[:, :n_pos]
@@ -252,17 +236,18 @@ def mirrored_modes(ms: ModeSet) -> ModeSet:
     return ModeSet(frequencies=ms.frequencies, right=np.conj(ms.right))
 
 
-def soft_mode(p: ThermoParams, mf: MeanField,
-              expansion: ModelExpansion | None = None):
+def soft_mode(expansion: ModelExpansion):
     """Frequency and modes of the soft polariton branch.
 
-    The soft mode is the lower of the two normalizable polariton modes,
-    index 0 of the ascending ModeSet (the photon-like branch sits near
-    -Delta_C).  The same ascending convention labels the phonon bands, and
-    build_response takes its soft mode from here.
+    F holds exactly one zero pair, the condensate phase mode of atom-number
+    conservation.  It is a Jordan block, which rounding splits by about
+    sqrt(machine epsilon) ||F||, while the soft mode comes within ~1e-6 of
+    ||F|| near threshold; so the two eigenvalues nearest zero are set aside
+    by count, not by a tolerance.  The soft mode is the lower of the two
+    normalizable polariton modes left, index 0 of the ascending ModeSet
+    (the photon-like branch sits near -Delta_C).  The same ascending
+    convention labels the phonon bands, and build_response takes its soft
+    mode from here.
     """
-    exp = expansion or ModelExpansion(p, mf)
-    ms = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
-    if len(ms.frequencies) == 0:
-        raise DiagonalizationError("no normalizable polariton modes")
+    ms = _eig_modes(expansion.polariton_matrix(), "polariton", zero_pairs=1)
     return ms.frequencies[0], ms

@@ -24,8 +24,9 @@ from .params import (ConfigError, critical_coupling, momentum_grid,
                      parse_config_text, thermo_from_mapping)
 from .meanfield import (ConvergenceError, CriticalPointError,
                         solve_steady_state)
+from .hamiltonian import ModelExpansion
 from .bogoliubov import DiagonalizationError, soft_mode
-from .bath import BathConstructionError
+from .bath import _DOS_MODES, BathConstructionError
 from .response import (NumericsError, build_response, damping_sweep,
                        phonon_bands)
 from .continuation import continue_green, pole_sweep
@@ -54,6 +55,12 @@ def _reals(value) -> list:
     return values
 
 
+def _dos_mode(value) -> str:
+    if value not in _DOS_MODES:
+        raise ValueError("expected " + " or ".join(map(repr, _DOS_MODES)))
+    return value
+
+
 # run-control settings (everything that is not a physics parameter):
 # name -> (parser, default); a default of None picks a per-command value
 RUN_SETTINGS = {
@@ -69,7 +76,7 @@ RUN_SETTINGS = {
     "n_track": (_count, 2),        # pole trajectories to follow
     "dump_grid": (_count, 0),      # poles: also dump a continued grid
     "nu_max": (_real, 0.1),        # depth of the dumped grid
-    "dos_mode": (str, "3d"),
+    "dos_mode": (_dos_mode, "3d"),
     "workers": (_count, 1),
     "seed": (_count, 0),           # seeds verify's random parameter sets
 }
@@ -136,9 +143,8 @@ def cmd_meanfield(p, run, outdir):
 def cmd_bands(p, run, outdir):
     y_crit = critical_coupling(p)
     pp = p.with_pump(run["y_frac"] * y_crit)
-    mf = solve_steady_state(pp)
     q_grid = momentum_grid(pp)
-    modes = phonon_bands(pp, mf, q_grid)
+    modes = phonon_bands(ModelExpansion(pp, solve_steady_state(pp)), q_grid)
     rows = [[q, *omegas] for q, omegas in zip(q_grid, modes.frequencies)]
     write_table(outdir / "bands.csv",
                 ["q", "omega1", "omega2", "omega3"], rows,
@@ -150,7 +156,7 @@ def cmd_softmode(p, run, outdir):
     rows = []
     for y in y_values:
         pp = p.with_pump(float(y))
-        omega_s, _ = soft_mode(pp, solve_steady_state(pp))
+        omega_s, _ = soft_mode(ModelExpansion(pp, solve_steady_state(pp)))
         rows.append([y / y_crit, omega_s])
     write_table(outdir / "softmode.csv", ["y_frac", "omega_s"], rows,
                 _meta(p, run, "softmode"))

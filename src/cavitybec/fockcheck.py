@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .params import ThermoParams
 from .meanfield import MeanField
 from .hamiltonian import ModelExpansion
-from .bogoliubov import diagonalize_symplectic
+from .bogoliubov import diagonalize_symplectic, soft_mode
 from .coupling import landau_beliaev_couplings, vertex_coefficients
 
 CUTOFF = 3  # occupations 0, 1, 2
@@ -231,7 +231,7 @@ def coupling_residuals(p: ThermoParams, mf: MeanField, q: float) -> dict:
     not just the underlying tensors.
     """
     exp = ModelExpansion(p, mf)
-    pol_ms = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
+    _, pol_ms = soft_mode(exp)
     ph_q = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon+q")
     ph_mq = diagonalize_symplectic(exp.phonon_matrix(-q), sector="phonon-q")
     v_tensor, w_tensor = exp.interaction_tensors()

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import ThermoParams, critical_coupling, momentum_grid
-from .meanfield import MeanField, solve_steady_state
+from .meanfield import solve_steady_state
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
                          soft_mode)
@@ -209,10 +209,9 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     """
     q_half = momentum_grid(p)
     dos = mode_density(q_half, dos_mode, p.condensate_width)
-    mf = solve_steady_state(p)
-    exp = ModelExpansion(p, mf)
-    omega_s, pol = soft_mode(p, mf, expansion=exp)
-    phonons = phonon_bands(p, mf, q_half, expansion=exp)
+    exp = ModelExpansion(p, solve_steady_state(p))
+    omega_s, pol = soft_mode(exp)
+    phonons = phonon_bands(exp, q_half)
     g_l, g_b = soft_mode_couplings(exp.v_tensor(), pol, phonons.right)
 
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
@@ -222,8 +221,7 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     return Response(omega_s=float(omega_s), bath=bath)
 
 
-def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,
-                 expansion: ModelExpansion | None = None) -> ModeSet:
+def phonon_bands(expansion: ModelExpansion, q_grid) -> ModeSet:
     """Phonon modes of G(q) over a grid, in one stacked solve.
 
     Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
@@ -233,7 +231,7 @@ def phonon_bands(p: ThermoParams, mf: MeanField, q_grid,
     not solved again (_phonon_modes); a failing G(q) is named by its q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    stack = (expansion or ModelExpansion(p, mf)).phonon_matrix(q_grid)
+    stack = expansion.phonon_matrix(q_grid)
     try:
         return _phonon_modes(stack.shape, stack.dtype.str, stack.tobytes())
     except DiagonalizationError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 from .params import ThermoParams, critical_coupling, default_params
 from .meanfield import solve_steady_state, residual as mf_residual
 from .hamiltonian import ModelExpansion
-from .bogoliubov import (diagonalize_symplectic, mirrored_modes,
+from .bogoliubov import (diagonalize_symplectic, mirrored_modes, soft_mode,
                          symmetry_residuals)
 from .coupling import (vertex_coefficients, vw_connection_residual,
                        v_reflection_residual, vertex_duality_residuals)
@@ -86,7 +86,7 @@ def run_verification(p: ThermoParams, seed: int = 0):
         v_t, w_t = exp.interaction_tensors()
         worst_conn = max(worst_conn, vw_connection_residual(v_t, w_t),
                          v_reflection_residual(v_t))
-        pol = diagonalize_symplectic(exp.polariton_matrix(), "polariton")
+        _, pol = soft_mode(exp)
         ms = diagonalize_symplectic(exp.phonon_matrix(0.25), "phonon")
         vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms))
         worst_dual = max(worst_dual,

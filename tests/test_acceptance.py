@@ -54,7 +54,7 @@ def test_criterion_01_symmetry_suite_50_random_sets_under_10s():
                              float(np.max(np.abs(vals + vals[::-1]))) / scale)
         ms = diagonalize_symplectic(g, sector=f"q={q:g}")
         for j in range(len(ms.frequencies)):
-            _, r, _ = ms.mode(j)
+            r = ms.right[:, j]
             worst_norm = max(worst_norm,
                              abs(np.real(np.conj(r) @ OMEGA @ r) - 1.0))
     elapsed = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_criterion_02_vertex_identities_20_point_sweep_under_30s():
         v_t, w_t = exp.interaction_tensors()
         worst = max(worst, vw_connection_residual(v_t, w_t),
                     v_reflection_residual(v_t))
-        pol = diagonalize_symplectic(exp.polariton_matrix(), "polariton")
+        _, pol = soft_mode(exp)
         ms = diagonalize_symplectic(exp.phonon_matrix(0.23), "phonon")
         vs = vertex_coefficients(v_t, w_t, pol, ms, mirrored_modes(ms))
         worst = max(worst, max(vertex_duality_residuals(vs).values()))
@@ -154,7 +154,7 @@ def test_criterion_07_soft_mode_softens_to_zero_under_1min():
     omegas = []
     for frac in fracs:
         pp = P.with_pump(float(frac) * Y_CRIT)
-        omega_s, _ = soft_mode(pp, solve_normal_phase(pp))
+        omega_s, _ = soft_mode(ModelExpansion(pp, solve_normal_phase(pp)))
         omegas.append(float(omega_s))
     elapsed = time.monotonic() - t0
     omegas = np.array(omegas)

@@ -32,7 +32,7 @@ def test_normalization_and_reciprocity():
     for frac in (0.4, 1.2):
         _, ms = _modes(frac, 0.27)
         for i in range(len(ms.frequencies)):
-            _, r, l = ms.mode(i)
+            r, l = ms.right[:, i], ms.left[:, i]
             assert np.real(np.conj(r) @ OMEGA @ r) == pytest.approx(1.0, abs=1e-10)
             np.testing.assert_allclose(l, OMEGA @ r, atol=1e-14)
         gram = ms.left.conj().T @ ms.right
@@ -53,10 +53,10 @@ def test_matrix_reconstruction_from_modes():
 
 def test_polariton_sector_has_exact_zero_pair():
     p = P.with_pump(0.6 * Y_CRIT)
-    mf = solve_steady_state(p)
-    ms = diagonalize_symplectic(ModelExpansion(p, mf).polariton_matrix(),
-                                sector="polariton")
-    assert ms.zero_count == 2
+    exp = ModelExpansion(p, solve_steady_state(p))
+    vals = np.linalg.eigvals(exp.polariton_matrix())
+    assert np.sort(np.abs(vals))[1] < 1e-8 * np.max(np.abs(vals))
+    _, ms = soft_mode(exp)
     assert len(ms.frequencies) == 2
     assert ms.frequencies[1] > 100.0  # photon-like branch near -Delta_C
 
@@ -105,15 +105,7 @@ def test_stacked_diagonalization_matches_per_matrix():
             np.testing.assert_array_equal(stack.frequencies[i], one.frequencies)
             np.testing.assert_array_equal(stack.right[i], one.right)
             np.testing.assert_array_equal(stack.left[i], one.left)
-            assert stack.zero_count == one.zero_count == 0
-    # polariton matrices keep their zero pair through the stack
-    fs = [ModelExpansion(pp, solve_steady_state(pp)).polariton_matrix()
-          for pp in (P.with_pump(0.3 * Y_CRIT), P.with_pump(1.3 * Y_CRIT))]
-    stack = diagonalize_symplectic(np.stack(fs), sector="polariton")
-    assert stack.zero_count == 2 and stack.frequencies.shape == (2, 2)
-    for f, freqs in zip(fs, stack.frequencies):
-        np.testing.assert_array_equal(
-            freqs, diagonalize_symplectic(f, sector="one").frequencies)
+            assert one.frequencies.shape == (3,)
 
 
 def test_stack_failure_names_the_offending_matrix():
@@ -126,19 +118,13 @@ def test_stack_failure_names_the_offending_matrix():
         diagonalize_symplectic(stack, sector="synthetic")
     assert info.value.index == 3
     assert "non-real spectrum" in str(info.value)
-    # a matrix with fewer positive modes (the polariton zero pair) than
-    # the first one of the stack
-    stack[3] = exp.polariton_matrix()
-    with pytest.raises(DiagonalizationError, match="stack index 3") as info:
-        diagonalize_symplectic(stack, sector="mixed")
-    assert info.value.index == 3 and "count differs" in str(info.value)
 
 
 def test_phonon_bands_are_continuous_and_ordered():
     p = P.with_pump(0.8 * Y_CRIT)
     mf = solve_steady_state(p)
     q_grid = np.linspace(0.01, 0.5, 80)
-    bands = phonon_bands(p, mf, q_grid)
+    bands = phonon_bands(ModelExpansion(p, mf), q_grid)
     table = bands.frequencies
     assert table.shape == (len(q_grid), 3)
     assert bands.right.shape == bands.left.shape == (len(q_grid), 6, 3)
@@ -155,7 +141,7 @@ def test_near_crossing_bands_stay_ascending_and_match_the_bath():
     # ones build_response hands to the bath
     p = P.with_pump(0.78 * Y_CRIT)
     mf = solve_steady_state(p)
-    table = phonon_bands(p, mf, momentum_grid(p)).frequencies
+    table = phonon_bands(ModelExpansion(p, mf), momentum_grid(p)).frequencies
     gap = table[:, 1] - table[:, 0]
     assert float(np.min(gap)) < 2e-3
     assert np.all(np.diff(table, axis=1) > 0.0)
@@ -180,13 +166,13 @@ def test_bad_phonon_matrix_is_named_by_its_q(monkeypatch):
     monkeypatch.setattr(ModelExpansion, "phonon_matrix", planted)
     with pytest.raises(DiagonalizationError,
                        match=f"q = {q_grid[2]:g}: non-real") as info:
-        phonon_bands(p, mf, q_grid)
+        phonon_bands(ModelExpansion(p, mf), q_grid)
     assert info.value.index == 2
 
 
 def test_soft_mode_value_at_zero_pump():
     mf = solve_steady_state(P)
-    omega_s, _ = soft_mode(P, mf)
+    omega_s, _ = soft_mode(ModelExpansion(P, mf))
     # analytic sqrt(1 + 2 g) in recoil units
     assert omega_s == pytest.approx(np.sqrt(1.2), abs=1e-12)
 
@@ -257,7 +243,7 @@ def test_phonon_solve_matches_the_general_eigensolve(seed, frac, site_count):
         assert type(got) is type(ref) and str(got) == str(ref)
         assert got.index == ref.index
         return
-    assert got.zero_count == ref.zero_count == 0
+    assert got.frequencies.shape == ref.frequencies.shape == m.shape[:1] + (3,)
     np.testing.assert_allclose(got.frequencies, ref.frequencies, rtol=0.0,
                                atol=1e-12 * np.max(ref.frequencies))
     # elementwise, with no phase alignment: both routes share the phase rule
@@ -286,14 +272,15 @@ def test_negative_norm_block_with_real_spectrum_is_non_normalizable():
     assert info.value.index == 3
 
 
-def test_positive_definite_matrix_keeps_its_zero_pair():
-    # OMEGA m is positive definite, but omega = 5 lies within ZERO_TOL of
-    # zero on the scale 2e9 of the spectrum: it is a zero pair, as on the
-    # general route, not a third mode
+def test_small_phonon_frequency_is_a_mode_on_both_routes():
+    # omega = 5 is 2.5e-9 of the scale 2e9 of the spectrum, yet a phonon
+    # matrix has no zero pair: it is the lowest mode, on the Colpa route
+    # (OMEGA m is positive definite) and on the general one
     m = np.diag([5.0, -5.0, 1e9, -1e9, 2e9, -2e9]).astype(complex)
-    ms = diagonalize_symplectic(m, sector="synthetic")
-    assert ms.zero_count == 2
-    np.testing.assert_array_equal(ms.frequencies, [1e9, 2e9])
+    for solver in (diagonalize_symplectic, _eig_modes):
+        ms = solver(m, "synthetic")
+        np.testing.assert_allclose(ms.frequencies, [5.0, 1e9, 2e9],
+                                   rtol=1e-15)
 
 
 def test_non_pseudo_hermitian_matrix_takes_the_general_route():

@@ -31,6 +31,14 @@ def test_bands_command_orders_branches(tmp_path):
         assert 0.0 < row["omega1"] < row["omega2"] <= row["omega3"]
 
 
+def test_bands_command_runs_the_ideal_gas_at_10001_sites(tmp_path):
+    # omega_1 = q^2 = 1.0e-8 at q_min is a phonon mode, not a zero pair
+    assert main(["bands", "--output-dir", str(tmp_path),
+                 "--set", "site_count=10001", "--set", "g_coll=0"]) == 0
+    _, _, rows = read_table(tmp_path / "bands.csv")
+    assert rows[0]["omega1"] == pytest.approx(rows[0]["q"] ** 2, rel=1e-9)
+
+
 def test_softmode_command_decreases_towards_threshold(tmp_path):
     code = main(["softmode", "--output-dir", str(tmp_path),
                  "--set", "y_points=8"])
@@ -181,6 +189,10 @@ def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
     ("damping-sweep", ["epsilons=0.01,0.01"]),
     ("temperature-sweep", ["temperatures=0.05,0.1,0.05"]),
     ("poles", ["y_points=0", "dump_grid=1"]),
+    ("meanfield", ["dos_mode=2d"]),
+    ("bands", ["dos_mode=2d"]),
+    ("softmode", ["dos_mode=2d"]),
+    ("verify", ["dos_mode=2d"]),
 ])
 def test_malformed_or_mixed_settings_exit_1_with_one_line(
         command, settings, tmp_path, capsys):

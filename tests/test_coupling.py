@@ -4,7 +4,8 @@ import pytest
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.meanfield import solve_steady_state
 from cavitybec.hamiltonian import ModelExpansion
-from cavitybec.bogoliubov import diagonalize_symplectic, mirrored_modes
+from cavitybec.bogoliubov import (diagonalize_symplectic, mirrored_modes,
+                                  soft_mode)
 from cavitybec.coupling import (
     landau_beliaev_couplings, v_reflection_residual, vertex_coefficients,
     vertex_duality_residuals, vw_connection_residual,
@@ -19,7 +20,7 @@ def _setup(frac, q):
     mf = solve_steady_state(p)
     exp = ModelExpansion(p, mf)
     v_t, w_t = exp.interaction_tensors()
-    pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
+    _, pol = soft_mode(exp)
     ph = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon")
     vs = vertex_coefficients(v_t, w_t, pol, ph, mirrored_modes(ph))
     return p, v_t, w_t, pol, ph, vs

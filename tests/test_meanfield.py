@@ -3,10 +3,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cavitybec import meanfield
 from cavitybec.hamiltonian import ModelExpansion
+from cavitybec.bogoliubov import soft_mode
 from cavitybec.response import build_response
 from cavitybec.params import ConfigError, critical_coupling, default_params
 from cavitybec.meanfield import (
@@ -152,9 +153,39 @@ def test_ordered_root_found_where_a_seeded_search_fails(
     assert np.max(np.abs(residual(p, p.y, mf.as_array()))) < TOL
 
 
+def _check_polariton_modes(exp):
+    """soft_mode against the 40-digit eigenvalues of F: once the two
+    nearest zero (the phase pair) are set aside, the positive ones are its
+    two modes.  The pair, which rounding splits, stays below 1e-6 of the
+    scale max(1, max |lambda|) in double and in 40-digit arithmetic."""
+    f = exp.polariton_matrix()
+    _, ms = soft_mode(exp)
+    with mpmath.workdps(40):
+        exact = sorted((complex(v) for v in mpmath.eig(
+            mpmath.matrix(f.tolist()), left=False, right=False)), key=abs)
+    np.testing.assert_allclose(
+        ms.frequencies, sorted(v.real for v in exact[2:] if v.real > 0),
+        rtol=1e-8, atol=0.0)
+    for vals in (np.array(exact), np.linalg.eigvals(f)):
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        assert np.all(np.sort(np.abs(vals))[:2] < 1e-6 * scale)
+
+
+# (Delta_C, u, g_coll, y / y_crit) where rounding splits F's phase pair
+# past the 1e-8 relative tolerance that used to classify it: the soft mode
+# (116.6468941306008) was called non-normalizable at 6.2e-6, and the pair
+# read as a non-real spectrum at 1.4e-6 i (soft mode 24.75039843295833)
+S1 = (-115.5550528279787, 0.4377970425892783, 7.535131086748066,
+      5.843289818973504)
+S2 = (-25.30927146250717, -0.2229323087173793, 2.6249471275010148,
+      4.790699328060597)
+
+
 @settings(max_examples=50, deadline=None)
 @given(detuning=st.floats(-1e4, -0.5), u=st.floats(-0.4, 30.0),
        g_coll=st.floats(0.0, 10.0), frac=st.floats(1.0, 10.0))
+@example(*S1)
+@example(*S2)
 def test_ordered_solve_over_a_wide_draw(detuning, u, g_coll, frac):
     assume(-detuning + 2.0 * u > 0.0)
     p = _ordered_point(detuning, u, g_coll, frac)
@@ -166,5 +197,20 @@ def test_ordered_solve_over_a_wide_draw(detuning, u, g_coll, frac):
     assert mf.beta > 0.0 and mf.gamma > 0.0
     assert np.max(meanfield._scaled_residual(p, p.y, x)) < TOL
     # the Hamiltonian polynomial, independent of the hand-coded equations
-    assert np.max(np.abs(ModelExpansion(p, mf).meanfield_residual())) <= 1e-9
+    exp = ModelExpansion(p, mf)
+    assert np.max(np.abs(exp.meanfield_residual())) <= 1e-9
     np.testing.assert_allclose(x, _mpmath_root(p, x), rtol=1e-12, atol=0.0)
+    _check_polariton_modes(exp)
+
+
+@pytest.mark.parametrize("point", [None, S1])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_critical_window_edges(point, side):
+    # CRIT_WINDOW = 1e-6 refuses 1 +- 0.999e-6 y_crit; 1 +- 2e-6 solves on
+    # both branches, where the soft mode is as small as 2.2e-6 of F's scale
+    p = default_params() if point is None else _ordered_point(*point[:3], 1.0)
+    y_crit = critical_coupling(p)
+    with pytest.raises(CriticalPointError):
+        solve_steady_state(p.with_pump((1.0 + side * 0.999e-6) * y_crit))
+    pp = p.with_pump((1.0 + side * 2e-6) * y_crit)
+    _check_polariton_modes(ModelExpansion(pp, solve_steady_state(pp)))

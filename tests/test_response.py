@@ -137,7 +137,7 @@ def _per_q_bath(p):
     """Bands and couplings from one eigensolve and one full vertex set per
     q: the reference for the array-first momentum stage."""
     exp = ModelExpansion(p, solve_steady_state(p))
-    pol = diagonalize_symplectic(exp.polariton_matrix(), sector="polariton")
+    _, pol = soft_mode(exp)
     v_t, w_t = exp.interaction_tensors()
     rows = []
     for q in momentum_grid(p):
@@ -267,8 +267,7 @@ def test_sum_rule_refuses_undamped_bath_before_any_evaluation(resp,
 @pytest.mark.parametrize("frac", [0.3, 0.78, 1.2])
 def test_build_response_takes_the_soft_mode_from_soft_mode(frac):
     p = P.with_pump(frac * Y_CRIT)
-    mf = solve_steady_state(p)
-    omega_s, _ = soft_mode(p, mf)
+    omega_s, _ = soft_mode(ModelExpansion(p, solve_steady_state(p)))
     assert build_response(p).omega_s == omega_s
 
 
@@ -283,11 +282,21 @@ def test_unknown_dos_mode_is_a_config_error_before_the_mean_field(
 
 
 def test_empty_polariton_set_raises_a_typed_error(monkeypatch):
-    # an all-zero F has only zero-frequency directions: no soft mode
+    # an all-zero F has only zero-frequency directions: past its one zero
+    # pair, no positive mode is left
     monkeypatch.setattr(ModelExpansion, "polariton_matrix",
                         lambda self: np.zeros((6, 6), dtype=complex))
-    with pytest.raises(DiagonalizationError, match="no normalizable"):
+    with pytest.raises(DiagonalizationError, match="unpaired spectrum"):
         build_response(P.with_pump(0.5 * Y_CRIT))
+
+
+def test_ideal_gas_phonon_is_a_mode_at_10001_sites():
+    # without collisions the lowest band is q^2: 1.0e-8 at q_min, within
+    # the 1e-8 relative tolerance that used to call it a zero pair
+    p = default_params(site_count=10001, g_coll=0.0)
+    bath = build_response(p.with_pump(0.5 * critical_coupling(p))).bath
+    assert bath.omega1[0] == pytest.approx(momentum_grid(p)[0] ** 2,
+                                           rel=1e-9)
 
 
 def test_sum_rule_refuses_epsilon_below_its_grid_resolution(monkeypatch):
