@@ -73,6 +73,15 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
     the fit is solved again until none is left.  Every solve keeps the
     iteration cap of _NNLS_CAP_PER_COLUMN x (full comb size) and raises
     NumericsError when it is reached.  A pole-free input (Im r = 0) gives an empty comb.
+
+    A bath line that the data resolve falls between two comb nodes and is
+    split over both; off the axis that split errs by a t(1 - t) h^2 / d^3
+    at distance d from the pole line, for a line of weight a at fraction t
+    of the step h.  So the comb is subdivided _LINE_SUBDIVISION-fold around
+    every line group (_line_group_nodes) and the certified fit solved again
+    on the refined comb.  That comb contains the first, so the fit stays
+    optimal on every column of the first and can only come closer to the
+    data.
     """
     omega = np.asarray(omega, dtype=float)
     r = 1.0 / np.asarray(g_values, dtype=complex)
@@ -83,10 +92,23 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
             "input is not a retarded Green's function")
     h = omega[1] - omega[0]
     centers = np.arange(omega[0] - 5 * eps, omega[-1] + 5 * eps, h)
-    design = eps / ((omega[:, None] - centers[None, :]) ** 2 + eps ** 2)
+    design = _lorentzians(omega, centers, eps)
     support = _comb_support(design, im, stride=max(1, round(eps / h)),
                             margin=math.ceil(_SUPPORT_MARGIN * eps / h))
-    weights, resid = _certified_nnls(design, im, support)
+    weights, resid = _certified_nnls(design, im, support, centers.size)
+    fine = _line_group_nodes(centers, weights > 0, eps)
+    if fine.size:
+        comb_size = centers.size
+        centers = np.concatenate([centers, fine])
+        design = np.hstack([design, _lorentzians(omega, fine, eps)])
+        # the weighted nodes and their neighbours: the refined fit keeps its
+        # weight near the first fit's, so this support seldom needs a second
+        # solve to be certified
+        near = np.convolve(weights > 0, np.ones(3), mode="same") > 0
+        support = np.concatenate([near, np.ones(fine.size, bool)])
+        weights, resid = _certified_nnls(design, im, support, comb_size)
+        order = np.argsort(centers)
+        centers, weights = centers[order], weights[order]
     keep = weights > 0
     centers, weights = centers[keep], weights[keep]
     re_sum = pole_sum(omega, weights, centers, eps).real
@@ -95,9 +117,40 @@ def reconstruct_meromorphic(omega, g_values, eps: float) -> MeromorphicModel:
                             eps=eps, fit_residual=float(resid))
 
 
+def _lorentzians(omega, centers, eps: float):
+    """Design matrix: column j is eps / ((omega - centers[j])^2 + eps^2)."""
+    return eps / ((omega[:, None] - centers[None, :]) ** 2 + eps ** 2)
+
+
 # comb nodes kept on either side of a coarse node with weight, in units of
 # eps: the Lorentzian of width eps has fallen to 1/10 of its peak there
 _SUPPORT_MARGIN = 3.0
+
+# subdivision of the comb step around a line group: the split error falls
+# as the square of the step, 16-fold here
+_LINE_SUBDIVISION = 4
+
+
+def _line_group_nodes(centers, weighted, eps: float):
+    """Comb nodes that subdivide the steps around every line group.
+
+    The weighted nodes fall into groups wherever two of them lie more than
+    eps / 2 apart; the fits of the default 1001- and 2001-site bands keep
+    them within eps / 4 of each other, and so stay one group.  A group
+    narrower than eps holds lines the data resolve; the steps from the node
+    before it to the node after it are cut into _LINE_SUBDIVISION parts.
+    Returns the new nodes only, none of them on the comb.
+    """
+    idx = np.flatnonzero(weighted)
+    split = np.flatnonzero(np.diff(centers[idx]) > eps / 2) + 1
+    groups = np.split(idx, split)
+    h = centers[1] - centers[0]
+    parts = np.arange(1, _LINE_SUBDIVISION) / _LINE_SUBDIVISION
+    fine = [centers[max(g[0] - 1, 0):min(g[-1] + 1, centers.size - 1)]
+            [:, None] + h * parts
+            for g in groups if g.size and centers[g[-1]] - centers[g[0]] < eps]
+    return np.concatenate(fine).ravel() if fine else np.zeros(0)
+
 
 # Lawson-Hanson iterations allowed per comb column.  Near-collinear
 # columns make it drop and re-add columns: at 101 sites, eps 0.047-0.049
@@ -132,13 +185,15 @@ def _comb_support(design, im, stride: int, margin: int):
     return window > 0
 
 
-def _certified_nnls(design, im, support):
+def _certified_nnls(design, im, support, comb_size: int):
     """NNLS on the support columns, grown until the full comb's KKT holds.
 
-    Returns the weights over the whole comb and the residual norm.  A
-    dropped column j is added back when its dual w_j = d_j^T (im - D x)
+    Returns the weights over all columns of design and the residual norm.
+    A dropped column j is added back when its dual w_j = d_j^T (im - D x)
     exceeds (m + n) u d_j^T (|im| + D x), the first-order bound on the
-    rounding error of evaluating w_j (D >= 0 and x >= 0, so |D||x| = D x).
+    rounding error of evaluating w_j (D >= 0 and x >= 0, so |D||x| = D x),
+    with n = comb_size, the columns of the comb at the data step: a comb
+    refined around line groups is held to the bound of the comb it refines.
     """
     m, n = design.shape
     unit = np.finfo(float).eps
@@ -148,10 +203,10 @@ def _certified_nnls(design, im, support):
         # scipy's compiled NNLS aborts the process on a matrix with no
         # columns (scipy 1.17: "double free"), as a pole-free input has
         if support.any():
-            weights[support], resid = _nnls(design[:, support], im, n)
+            weights[support], resid = _nnls(design[:, support], im, comb_size)
         fit = design @ weights
         dual = design.T @ (im - fit)
-        tol = (m + n) * unit * (design.T @ (np.abs(im) + fit))
+        tol = (m + comb_size) * unit * (design.T @ (np.abs(im) + fit))
         missed = ~support & (dual > tol)
         if not missed.any():
             return weights, resid
