@@ -38,6 +38,15 @@ def thermal_occupation(omega, temperature: float):
     return out if out.ndim else float(out)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a phonon damping that is not >= 0 (NaN included) with
+    ConfigError: the one test of a bath's epsilon, which a sweep that
+    evaluates a whole epsilon family on one bath applies to each."""
+    if not epsilon >= 0:
+        raise ConfigError(
+            f"phonon damping epsilon must be >= 0, got {epsilon}")
+
+
 # the accepted dos_mode values, checked here and by the CLI's run settings
 _DOS_MODES = ("1d", "3d")
 
@@ -85,9 +94,7 @@ class BathSpectrum:
     nb: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.epsilon >= 0:
-            raise ConfigError(
-                f"phonon damping epsilon must be >= 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         omega1, omega2 = self.omega1, self.omega2
         if np.any(omega1 <= 0) or np.any(omega2 <= omega1):
             bad = self.q[(omega1 <= 0) | (omega2 <= omega1)]

@@ -127,6 +127,17 @@ def _y_grid(p, run, command):
     return np.linspace(lo, hi, n) * y_crit, y_crit
 
 
+def _omega_window(run, command, widen=0.0):
+    """(omega_min, omega_max + widen), refused when it is empty."""
+    lo, hi = run["omega_min"], run["omega_max"] + widen
+    if not lo < hi:
+        upper = f"omega_max + {widen:g}" if widen else "omega_max"
+        raise ConfigError(
+            f"{command} needs omega_min < {upper}, got the empty window "
+            f"({lo:g}, {hi:g})")
+    return lo, hi
+
+
 # -- subcommand bodies -----------------------------------------------------
 
 def cmd_meanfield(p, run, outdir):
@@ -217,8 +228,7 @@ def cmd_temperature_sweep(p, run, outdir):
 
 def cmd_spectral(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "spectral")
-    omega = np.linspace(run["omega_min"], run["omega_max"],
-                        run["omega_points"])
+    omega = np.linspace(*_omega_window(run, "spectral"), run["omega_points"])
     rows = []
     for y in y_values:
         resp = build_response(p.with_pump(float(y)),
@@ -233,7 +243,7 @@ def cmd_spectral(p, run, outdir):
 def cmd_poles(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "poles")
     n_track = run["n_track"]
-    window = (run["omega_min"], run["omega_max"] + 1.5)
+    window = _omega_window(run, "poles", widen=1.5)
     if run["dump_grid"]:
         # the comb fit behind the dump needs the bath band in its window;
         # checked before the sweep, so a refused run writes nothing

@@ -101,10 +101,9 @@ def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
     v_s = np.einsum('a,abg->bg', np.conj(polariton.left[:, 0]),
                     v_tensor)
     c1, c2 = phonon_right[..., :, 0], phonon_right[..., :, 1]
-    g_landau = np.einsum('...b,bg,...g->...', np.conj(c1),
-                         v_s + GAMMA @ v_s.T @ GAMMA, c2)
-    g_beliaev = 2.0 * np.einsum('...b,bg,...g->...', np.conj(c2),
-                                GAMMA @ v_s, c1)
+    g_landau = np.sum((np.conj(c1) @ (v_s + GAMMA @ v_s.T @ GAMMA)) * c2,
+                      axis=-1)
+    g_beliaev = 2.0 * np.sum((np.conj(c2) @ (GAMMA @ v_s)) * c1, axis=-1)
     return g_landau, g_beliaev
 
 

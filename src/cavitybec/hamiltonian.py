@@ -320,8 +320,12 @@ class ModelExpansion:
         return self._q0("F")
 
     @cached_property
-    def _g_poly(self) -> np.ndarray:
-        return _reduce(self._table["G"], self._coeffs, self._point)
+    def phonon_coefficients(self) -> np.ndarray:
+        """(g0, g1, g2) of G(q) = g0 + q g1 + q^2 g2, a read-only (3, 6, 6)
+        array: everything phonon_matrix computes its stacks from."""
+        coeffs = _reduce(self._table["G"], self._coeffs, self._point)
+        coeffs.flags.writeable = False
+        return coeffs
 
     def phonon_matrix(self, q) -> np.ndarray:
         """Matrix G(q) = g0 + q g1 + q^2 g2 of the linearized phonon dynamics.
@@ -333,7 +337,7 @@ class ModelExpansion:
         q = np.asarray(q, dtype=float)
         if np.any(q == 0.0):
             raise ValueError("q = 0 is the polariton sector, not a phonon mode")
-        g0, g1, g2 = self._g_poly
+        g0, g1, g2 = self.phonon_coefficients
         q = q[..., None, None]
         return g0 + q * g1 + q * q * g2
 

@@ -27,7 +27,8 @@ from .coupling import soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
 from .coupling import vertex_coefficients  # noqa: F401
-from .bath import BathSpectrum, build_bath_spectrum, mode_density
+from .bath import (BathSpectrum, build_bath_spectrum, check_epsilon,
+                   mode_density)
 
 
 class NumericsError(RuntimeError):
@@ -153,6 +154,14 @@ class BornMarkovResult:
     delta_b: float
     gamma_b: float
 
+    @classmethod
+    def from_self_energies(cls, omega_s: float, sigma_l: complex,
+                           sigma_b: complex) -> BornMarkovResult:
+        """Shifts Re Sigma and rates -Im Sigma (+ 0.0, so never -0.0)."""
+        return cls(omega_s=omega_s,
+                   delta_l=sigma_l.real, gamma_l=-sigma_l.imag + 0.0,
+                   delta_b=sigma_b.real, gamma_b=-sigma_b.imag + 0.0)
+
     @property
     def pole(self) -> complex:
         return (self.omega_s + self.delta_l + self.delta_b
@@ -179,11 +188,9 @@ class Response:
         return -2.0 * np.imag(self.green(np.asarray(omega_grid, dtype=float)))
 
     def born_markov(self) -> BornMarkovResult:
-        sl = self_energy("landau", self.omega_s, self.bath)
-        sb = self_energy("beliaev", self.omega_s, self.bath)
-        return BornMarkovResult(omega_s=self.omega_s,
-                                delta_l=sl.real, gamma_l=-sl.imag + 0.0,
-                                delta_b=sb.real, gamma_b=-sb.imag + 0.0)
+        return BornMarkovResult.from_self_energies(
+            self.omega_s, self_energy("landau", self.omega_s, self.bath),
+            self_energy("beliaev", self.omega_s, self.bath))
 
 
 def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
@@ -203,9 +210,10 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
     the soft mode and its couplings do.  The modes of the last two
-    distinct G(q) stacks are therefore kept, keyed by the stack's exact
-    bytes, and a repeated stack is not solved again.  The returned bands
-    are read-only arrays that Responses of equal stacks share.
+    distinct G(q) stacks are therefore kept, keyed by the bytes of G's
+    q-coefficients and of the q grid, so a repeated stack is neither
+    built nor solved again.  The returned bands are read-only arrays that
+    Responses of equal stacks share.
     """
     q_half = momentum_grid(p)
     dos = mode_density(q_half, dos_mode, p.condensate_width)
@@ -227,29 +235,53 @@ def phonon_bands(expansion: ModelExpansion, q_grid) -> ModeSet:
     Returns the stacked ModeSet: frequencies are (len(q_grid), 3) and band
     i at every q is the i-th lowest frequency there.  Ascending order is
     the labelling the bath needs (build_bath_spectrum pairs bands 1 and 2
-    and requires 0 < omega_1 < omega_2 at every q).  A repeated stack is
-    not solved again (_phonon_modes); a failing G(q) is named by its q.
+    and requires 0 < omega_1 < omega_2 at every q).  The modes of a G(q)
+    stack met before are served without building the stack
+    (_phonon_modes); a failing G(q) is named by its q, and a grid
+    holding q = 0 raises ValueError.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    stack = expansion.phonon_matrix(q_grid)
     try:
-        return _phonon_modes(stack.shape, stack.dtype.str, stack.tobytes())
+        return _phonon_modes(_StackKey(expansion, q_grid))
     except DiagonalizationError as exc:
         raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
                                    exc.index) from exc
 
 
+class _StackKey:
+    """The key of a G(q) stack: the bytes of G's (3, 6, 6) q-coefficients
+    and of the q grid (about 5 KB at 1001 sites), which fix the stack bit
+    for bit.  The expansion and grid it carries build the stack on a
+    miss; they take no part in the comparison."""
+
+    __slots__ = ("expansion", "q_grid", "_data", "_hash")
+
+    def __init__(self, expansion: ModelExpansion, q_grid: np.ndarray) -> None:
+        self.expansion = expansion
+        self.q_grid = q_grid
+        self._data = (expansion.phonon_coefficients.tobytes(), q_grid.shape,
+                      q_grid.tobytes())
+        self._hash = hash(self._data)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self._data == other._data
+
+
 # a pump sweep alternates one normal-phase stack with ordered-phase ones,
 # so the two most recently used stacks are kept
 @lru_cache(maxsize=2)
-def _phonon_modes(shape: tuple, dtype: str, data: bytes) -> ModeSet:
+def _phonon_modes(key: _StackKey) -> ModeSet:
     """Checked modes of a G(q) stack, solved once per distinct stack.
 
-    The key is the stack itself (shape, dtype and bytes), not the
-    parameters it came from, so a stack that differs in any bit is solved
-    afresh.  A failing solve raises and is not kept.
+    The key is what the stack is computed from (G's coefficients and the
+    q grid), not the parameters those came from, so a stack that could
+    differ in any bit is built through expansion.phonon_matrix and solved
+    afresh.  A failing build or solve raises and is not kept.
     """
-    stack = np.frombuffer(data, dtype=dtype).reshape(shape)
+    stack = key.expansion.phonon_matrix(key.q_grid)
     modes = diagonalize_symplectic(stack, sector="phonon")
     modes.frequencies.flags.writeable = False
     modes.right.flags.writeable = False
@@ -349,13 +381,28 @@ def _dressed_pole(resp: Response, z: complex):
 # -- sweep drivers ---------------------------------------------------------
 
 def _sweep_point(args):
+    """omega_s and the Born-Markov rates of one pump point, for every
+    (epsilon, T) pair, epsilon-major.
+
+    Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
+    z = omega_s + i epsilon, so one checked bath per temperature, built
+    at epsilon = 0, gives each channel's whole epsilon family in one
+    array evaluation.
+    """
     p, y, epsilons, temperatures, dos_mode = args
-    rows = []
     base = build_response(p.with_pump(y), dos_mode=dos_mode)
     for eps in epsilons:
-        for temp in temperatures:
-            bath = replace(base.bath, epsilon=eps, temperature=temp)
-            rows.append((eps, temp, replace(base, bath=bath).born_markov()))
+        check_epsilon(eps)
+    z = np.array([complex(base.omega_s, eps) for eps in epsilons])
+    rates = []
+    for temp in temperatures:
+        bath = replace(base.bath, epsilon=0.0, temperature=temp)
+        rates.append([self_energy(channel, z, bath).tolist()
+                      for channel in ("landau", "beliaev")])
+    rows = [(eps, temp,
+             BornMarkovResult.from_self_energies(base.omega_s, sl[k], sb[k]))
+            for k, eps in enumerate(epsilons)
+            for temp, (sl, sb) in zip(temperatures, rates)]
     return y, base.omega_s, rows
 
 
@@ -366,7 +413,10 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
 
     Bands and couplings are computed once per y and shared across the
     epsilon/temperature variations (they only alter the bath bookkeeping).
-    A None in epsilons or temperatures stands for p.phonon_damping or
+    Per y and T, one bath at epsilon = 0 evaluates each channel once for
+    the whole epsilon family, at z = omega_s + i epsilon (_sweep_point);
+    every epsilon is checked as a bath checks its own.  A None in
+    epsilons or temperatures stands for p.phonon_damping or
     p.temperature.  Returns a list of records, ordered as the inputs.
     """
     epsilons = [p.phonon_damping if e is None else e for e in epsilons]

@@ -206,6 +206,25 @@ def test_malformed_or_mixed_settings_exit_1_with_one_line(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, settings, window", [
+    # used to exit 0 with a descending grid
+    ("spectral", ["omega_min=2", "omega_max=1"], "(2, 1)"),
+    # used to exit 3 with "only 0 verified poles in the window (2.0, 1.6)"
+    ("poles", ["omega_min=2", "omega_max=0.1"], "(2, 1.6)"),
+])
+def test_empty_omega_window_exits_1_before_any_solve(
+        command, settings, window, tmp_path, capsys):
+    args = [command, "--output-dir", str(tmp_path), "--set", "site_count=101",
+            "--set", "y_points=2"]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"empty window {window}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_header_records_the_parsed_run_settings(tmp_path):
     code = main(["damping-sweep", "--output-dir", str(tmp_path),
                  "--set", "y_points=2", "--set", "site_count=101",

@@ -18,7 +18,7 @@ from cavitybec.bath import build_bath_spectrum
 from cavitybec import response
 from cavitybec.response import (
     _SUM_RULE_MAX_STEP_PER_WIDTH, NumericsError, Response, build_response,
-    damping_sweep, pole_sum, self_energy, spectral_sum_rule,
+    damping_sweep, phonon_bands, pole_sum, self_energy, spectral_sum_rule,
 )
 
 P = default_params()
@@ -565,10 +565,8 @@ def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
 def test_kept_phonon_modes_are_read_only():
     p = P.with_pump(0.5 * Y_CRIT)
     resp = _cold_build(0.5)
-    stack = ModelExpansion(p, solve_steady_state(p)).phonon_matrix(
-        momentum_grid(p))
-    modes = response._phonon_modes(stack.shape, stack.dtype.str,
-                                   stack.tobytes())
+    modes = phonon_bands(ModelExpansion(p, solve_steady_state(p)),
+                         momentum_grid(p))
     assert response._phonon_modes.cache_info().hits == 1
     for arr in (modes.frequencies, modes.right,
                 resp.bath.omega1, resp.bath.omega2):
@@ -587,12 +585,16 @@ def test_ordered_point_between_normal_ones_matches_a_cold_build():
     _assert_same_response(warm_normal, _cold_build(0.95))
 
 
-def test_changed_phonon_stack_is_solved_again(monkeypatch):
+def test_changed_g_coefficients_or_q_grid_are_solved_again(monkeypatch):
     # the planted complex pair of test_bad_phonon_matrix_is_named_by_its_q,
-    # after the clean stack of the same parameters has been kept
+    # after the clean modes of the same expansion and grid have been kept:
+    # the key is G's coefficients and the q grid, so a change of one bit
+    # in either builds the planted stack and meets its bad matrix
     p = P.with_pump(0.8 * Y_CRIT)
-    _cold_build(0.8)
+    exp = ModelExpansion(p, solve_steady_state(p))
     q_half = momentum_grid(p)
+    response._phonon_modes.cache_clear()
+    phonon_bands(exp, q_half)
     bad = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]).astype(complex)
     bad[0, 1], bad[1, 0] = 5.0, -5.0
     phonon_matrix = ModelExpansion.phonon_matrix
@@ -603,7 +605,61 @@ def test_changed_phonon_stack_is_solved_again(monkeypatch):
         return stack
 
     monkeypatch.setattr(ModelExpansion, "phonon_matrix", planted)
-    with pytest.raises(DiagonalizationError,
-                       match=f"q = {q_half[2]:g}: non-real") as info:
-        build_response(p)
-    assert info.value.index == 2
+    # an unchanged key is served without building the stack
+    phonon_bands(exp, q_half)
+    assert response._phonon_modes.cache_info().hits == 1
+
+    def meets_the_planted_pair(q_grid):
+        with pytest.raises(DiagonalizationError,
+                           match=f"q = {q_grid[2]:g}: non-real") as info:
+            phonon_bands(exp, q_grid)
+        assert info.value.index == 2
+
+    moved_q = q_half.copy()
+    moved_q[-1] = np.nextafter(moved_q[-1], 1.0)
+    meets_the_planted_pair(moved_q)
+    nudged = exp.phonon_coefficients.copy()
+    nudged.real[0, 0, 0] = np.nextafter(nudged.real[0, 0, 0], np.inf)
+    monkeypatch.setattr(ModelExpansion, "phonon_coefficients",
+                        property(lambda self: nudged))
+    meets_the_planted_pair(q_half)
+    assert response._phonon_modes.cache_info().misses == 3
+
+
+def test_phonon_bands_refuses_a_grid_holding_q_zero():
+    # a grid with q = 0 is never kept, so the warm expansion still raises
+    p = P.with_pump(0.5 * Y_CRIT)
+    exp = ModelExpansion(p, solve_steady_state(p))
+    q_half = momentum_grid(p)
+    phonon_bands(exp, q_half)
+    with pytest.raises(ValueError, match="q = 0"):
+        phonon_bands(exp, np.concatenate([[0.0], q_half[1:]]))
+
+
+def test_sweep_rates_match_one_bath_per_epsilon_and_temperature():
+    # the sweep evaluates each channel once per (pump, T) for the whole
+    # epsilon family, at z = omega_s + i epsilon on an epsilon = 0 bath;
+    # the checked bath of each (epsilon, T) pair, evaluated at omega_s,
+    # is the direct route
+    epsilons, temps = (0.03, 0.01, 0.003, 0.001), (0.0, 0.05)
+    pairs = [(eps, temp) for eps in epsilons for temp in temps]
+    for frac in (0.5, 1.3):
+        y = frac * Y_CRIT
+        records = damping_sweep(P, [y], epsilons=epsilons,
+                                temperatures=temps)
+        resp = build_response(P.with_pump(y))
+        assert [(r["epsilon"], r["temperature"]) for r in records] == pairs
+        for rec, (eps, temp) in zip(records, pairs):
+            bath = dataclasses.replace(resp.bath, epsilon=eps,
+                                       temperature=temp)
+            bm = dataclasses.replace(resp, bath=bath).born_markov()
+            assert rec["omega_s"] == bm.omega_s
+            for ch in ("l", "b"):
+                got = rec[f"delta_{ch}"] - 1j * rec[f"gamma_{ch}"]
+                ref = (getattr(bm, f"delta_{ch}")
+                       - 1j * getattr(bm, f"gamma_{ch}"))
+                assert abs(got - ref) <= 1e-14 * abs(ref)
+            if temp == 0.0:
+                # no Landau pole at T = 0, and no -0.0 in the tables
+                assert rec["gamma_l"] == 0.0
+                assert not np.signbit(rec["gamma_l"])
