@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import ConfigError
+from .params import ConfigError, ThermoParams
 
 
 class BathConstructionError(RuntimeError):
@@ -47,19 +47,12 @@ def check_epsilon(epsilon: float) -> None:
             f"phonon damping epsilon must be >= 0, got {epsilon}")
 
 
-# the accepted dos_mode values, checked here and by the CLI's run settings
-_DOS_MODES = ("1d", "3d")
-
-
-def mode_density(q, dos_mode: str, condensate_width: float):
-    """Density-of-modes weight w_q: 1 for dos_mode '1d' and (q w)^2 / 2 pi
-    for '3d' (w the condensate width)."""
-    if dos_mode == "3d":
-        return (q * condensate_width) ** 2 / (2.0 * np.pi)
-    if dos_mode == "1d":
+def mode_density(q, p: ThermoParams):
+    """Density-of-modes weight w_q of the point p: 1 for p.dos_mode '1d'
+    and (q w)^2 / 2 pi for '3d' (w = p.condensate_width)."""
+    if p.dos_mode == "1d":
         return np.ones_like(q)
-    raise ConfigError(f"dos_mode must be {' or '.join(map(repr, _DOS_MODES))}"
-                      f", got {dos_mode!r}")
+    return (q * p.condensate_width) ** 2 / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .meanfield import (ConvergenceError, CriticalPointError,
                         solve_steady_state)
 from .hamiltonian import ModelExpansion
 from .bogoliubov import DiagonalizationError, soft_mode
-from .bath import _DOS_MODES, BathConstructionError
+from .bath import BathConstructionError
 from .response import (NumericsError, build_response, damping_sweep,
                        phonon_bands)
 from .continuation import continue_green, pole_sweep
@@ -42,10 +42,13 @@ def _real(value) -> float:
     return number
 
 
-def _count(value) -> int:
-    if isinstance(value, str) or value < 0 or not float(value).is_integer():
-        raise ValueError("expected a whole number >= 0")
-    return int(value)
+def _count(least: int):
+    def parse(value) -> int:
+        if (isinstance(value, str) or value < least
+                or not float(value).is_integer()):
+            raise ValueError(f"expected a whole number >= {least}")
+        return int(value)
+    return parse
 
 
 def _reals(value) -> list:
@@ -55,30 +58,23 @@ def _reals(value) -> list:
     return values
 
 
-def _dos_mode(value) -> str:
-    if value not in _DOS_MODES:
-        raise ValueError("expected " + " or ".join(map(repr, _DOS_MODES)))
-    return value
-
-
 # run-control settings (everything that is not a physics parameter):
 # name -> (parser, default); a default of None picks a per-command value
 RUN_SETTINGS = {
     "y_frac": (_real, 0.629),      # pump strength for single-point commands
     "y_frac_min": (_real, None),   # sweep grid, as fractions of y_crit
     "y_frac_max": (_real, None),
-    "y_points": (_count, None),
+    "y_points": (_count(1), None),
     "epsilons": (_reals, "0.01"),  # comma-separated list for damping-sweep
     "temperatures": (_reals, "0.02,0.05,0.1"),  # list for temperature-sweep
     "omega_min": (_real, 0.5),
     "omega_max": (_real, 1.5),
-    "omega_points": (_count, 1024),
-    "n_track": (_count, 2),        # pole trajectories to follow
-    "dump_grid": (_count, 0),      # poles: also dump a continued grid
+    "omega_points": (_count(1), 1024),
+    "n_track": (_count(1), 2),     # pole trajectories to follow
+    "dump_grid": (_count(0), 0),   # poles: also dump a continued grid
     "nu_max": (_real, 0.1),        # depth of the dumped grid
-    "dos_mode": (_dos_mode, "3d"),
-    "workers": (_count, 1),
-    "seed": (_count, 0),           # seeds verify's random parameter sets
+    "workers": (_count(0), 1),
+    "seed": (_count(0), 0),        # seeds verify's random parameter sets
 }
 
 _SWEEP_DEFAULTS = {
@@ -128,13 +124,15 @@ def _y_grid(p, run, command):
 
 
 def _omega_window(run, command, widen=0.0):
-    """(omega_min, omega_max + widen), refused when it is empty."""
+    """(omega_min, omega_max + widen), refused when it is empty or its
+    width overflows."""
     lo, hi = run["omega_min"], run["omega_max"] + widen
-    if not lo < hi:
+    if not (lo < hi and math.isfinite(hi - lo)):
         upper = f"omega_max + {widen:g}" if widen else "omega_max"
+        kind = "empty" if not lo < hi else "overflowing"
         raise ConfigError(
-            f"{command} needs omega_min < {upper}, got the empty window "
-            f"({lo:g}, {hi:g})")
+            f"{command} needs a finite window omega_min < {upper}, got the "
+            f"{kind} window ({lo:g}, {hi:g})")
     return lo, hi
 
 
@@ -177,8 +175,8 @@ def _write_damping(p, run, outdir, command, **varied):
     """damping_sweep on the command's y grid over the epsilons or the
     temperatures in varied (the other is p's), as the long table."""
     y_values, y_crit = _y_grid(p, run, command)
-    records = damping_sweep(p, y_values, dos_mode=run["dos_mode"],
-                            workers=run["workers"] or None, **varied)
+    records = damping_sweep(p, y_values, workers=run["workers"] or None,
+                            **varied)
     write_table(outdir / f"{command.replace('-', '_')}_long.csv",
                 ["y_frac", "epsilon", "temperature", "omega_s",
                  "delta_l", "gamma_l", "delta_b", "gamma_b"],
@@ -231,8 +229,7 @@ def cmd_spectral(p, run, outdir):
     omega = np.linspace(*_omega_window(run, "spectral"), run["omega_points"])
     rows = []
     for y in y_values:
-        resp = build_response(p.with_pump(float(y)),
-                              dos_mode=run["dos_mode"])
+        resp = build_response(p.with_pump(float(y)))
         rho = resp.spectral(omega)
         yf = float(y) / y_crit
         rows.extend([[w, yf, r] for w, r in zip(omega, rho)])
@@ -247,11 +244,7 @@ def cmd_poles(p, run, outdir):
     if run["dump_grid"]:
         # the comb fit behind the dump needs the bath band in its window;
         # checked before the sweep, so a refused run writes nothing
-        if not len(y_values):
-            raise ConfigError("dump_grid needs y_points >= 1")
-        resp = build_response(
-            p.with_pump(float(y_values[len(y_values) // 2])),
-            dos_mode=run["dos_mode"])
+        resp = build_response(p.with_pump(float(y_values[len(y_values) // 2])))
         eps = resp.bath.epsilon
         _, centres = resp.bath.active_poles
         band = (np.min(centres, initial=np.inf),
@@ -261,8 +254,7 @@ def cmd_poles(p, run, outdir):
                 f"dump_grid: the bath band [{band[0]:.6g}, {band[1]:.6g}] "
                 f"+- 5 eps leaves the omega window [{window[0]:.6g}, "
                 f"{window[1]:.6g}] (omega_min, omega_max + 1.5)")
-    records = pole_sweep(p, y_values, omega_window=window, n_track=n_track,
-                         dos_mode=run["dos_mode"])
+    records = pole_sweep(p, y_values, omega_window=window, n_track=n_track)
     names = ["y_frac"]
     for i in range(1, n_track + 1):
         names += [f"re_z{i}", f"im_z{i}", f"abs_residue{i}"]

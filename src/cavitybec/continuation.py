@@ -704,11 +704,11 @@ def _certify(u, head, centers, residues, slack):
             f"{slack.sum():.3e}); a zero or its residue is wrong")
 
 
-def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,
-               dos_mode: str = "3d"):
+def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
     """Track the n_track smallest-|Im| poles of G across a pump sweep.
 
-    The poles of G are the zeros of its secular function r = 1/G, all of
+    Every point is p, dos_mode included, at a pump y of y_values.  The
+    poles of G are the zeros of its secular function r = 1/G, all of
     which companion_pole_candidates returns.  Per point the zeros in the
     open lower half-plane with Re z in omega_window are taken by ascending
     |Im z|, and the first n_track + 3 with |r(z)| <= 1e-8 are kept.  Their
@@ -724,7 +724,7 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2,
     records = []
     prev = None
     for y in y_values:
-        resp = build_response(p.with_pump(float(y)), dos_mode=dos_mode)
+        resp = build_response(p.with_pump(float(y)))
         z = companion_pole_candidates(resp)
         z = z[(z.real >= omega_window[0]) & (z.real <= omega_window[1])
               & (z.imag < 0)]

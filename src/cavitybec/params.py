@@ -17,6 +17,9 @@ class ConfigError(ValueError):
     """Raised for invalid parameter values or malformed config input."""
 
 
+DOS_MODES = ("1d", "3d")
+
+
 @dataclass(frozen=True)
 class ThermoParams:
     """Coupling strengths that stay finite in the thermodynamic limit, and
@@ -24,8 +27,8 @@ class ThermoParams:
 
     Energies and rates are in recoil units.  Every way of making one
     (default_params, thermo_from_mapping, dataclasses.replace, with_pump)
-    checks the fields, so it is always a valid point: each must be a
-    finite real number, and then in range.
+    checks the fields, so it is always a valid point: each numeric one
+    must be a finite real number, and then in range.
 
     Attributes
     ----------
@@ -54,6 +57,9 @@ class ThermoParams:
     condensate_width : float
         Transverse condensate width as kw; enters the 3D density-of-modes
         weight.  Must be > 0.
+    dos_mode : str
+        Density of modes w_q of the bath (bath.mode_density): '1d' for
+        w_q = 1, '3d' for w_q = (q w)^2 / 2 pi.  One of DOS_MODES.
     """
 
     y: float
@@ -65,10 +71,16 @@ class ThermoParams:
     atom_number: int = 10_000
     site_count: int = 1001
     condensate_width: float = 2.0 * math.pi * math.sqrt(2.0)
+    dos_mode: str = "3d"
 
     def __post_init__(self) -> None:
+        if self.dos_mode not in DOS_MODES:
+            raise ConfigError(
+                f"dos_mode must be {' or '.join(map(repr, DOS_MODES))}, "
+                f"got {self.dos_mode!r}")
         for f in fields(self):
-            _check_finite_real(f.name, getattr(self, f.name))
+            if f.name != "dos_mode":
+                _check_finite_real(f.name, getattr(self, f.name))
         if not self.cavity_detuning < 0:
             raise ConfigError(
                 f"cavity detuning must be negative, got {self.cavity_detuning}")

@@ -193,7 +193,7 @@ class Response:
             self_energy("beliaev", self.omega_s, self.bath))
 
 
-def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
+def build_response(p: ThermoParams) -> Response:
     """Full pipeline at one parameter point: mean field, soft mode, bands,
     couplings, bath.
 
@@ -204,8 +204,8 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     soft_mode_couplings contracts the soft-mode row of V with the stacked
     eigenvectors for every q at once.  Band labels are by ascending
     frequency (the two lowest branches feed the Landau/Beliaev pairs).
-    The soft mode is the one bogoliubov.soft_mode picks.  A dos_mode
-    other than '1d' or '3d' raises ConfigError before any solve.
+    The soft mode is the one bogoliubov.soft_mode picks, and the bath's
+    density of modes is the one p.dos_mode names (bath.mode_density).
 
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
@@ -216,7 +216,7 @@ def build_response(p: ThermoParams, dos_mode: str = "3d") -> Response:
     Responses of equal stacks share.
     """
     q_half = momentum_grid(p)
-    dos = mode_density(q_half, dos_mode, p.condensate_width)
+    dos = mode_density(q_half, p)
     exp = ModelExpansion(p, solve_steady_state(p))
     omega_s, pol = soft_mode(exp)
     phonons = phonon_bands(exp, q_half)
@@ -389,8 +389,8 @@ def _sweep_point(args):
     at epsilon = 0, gives each channel's whole epsilon family in one
     array evaluation.
     """
-    p, y, epsilons, temperatures, dos_mode = args
-    base = build_response(p.with_pump(y), dos_mode=dos_mode)
+    p, y, epsilons, temperatures = args
+    base = build_response(p.with_pump(y))
     for eps in epsilons:
         check_epsilon(eps)
     z = np.array([complex(base.omega_s, eps) for eps in epsilons])
@@ -407,8 +407,7 @@ def _sweep_point(args):
 
 
 def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
-                  temperatures=(None,), dos_mode: str = "3d",
-                  workers: int | None = None):
+                  temperatures=(None,), workers: int | None = None):
     """Born-Markov rates over a pump sweep, for each (epsilon, T) pair.
 
     Bands and couplings are computed once per y and shared across the
@@ -417,11 +416,12 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
     the whole epsilon family, at z = omega_s + i epsilon (_sweep_point);
     every epsilon is checked as a bath checks its own.  A None in
     epsilons or temperatures stands for p.phonon_damping or
-    p.temperature.  Returns a list of records, ordered as the inputs.
+    p.temperature; the rest, dos_mode included, is p's.  Returns a list
+    of records, ordered as the inputs.
     """
     epsilons = [p.phonon_damping if e is None else e for e in epsilons]
     temperatures = [p.temperature if t is None else t for t in temperatures]
-    tasks = [(p, float(y), tuple(epsilons), tuple(temperatures), dos_mode)
+    tasks = [(p, float(y), tuple(epsilons), tuple(temperatures))
              for y in y_values]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitybec.params import ConfigError
+from cavitybec.params import ConfigError, default_params
 from cavitybec.bath import (
     BathConstructionError, build_bath_spectrum, mode_density,
     thermal_occupation,
@@ -44,10 +44,11 @@ def _toy_bands(n=5):
 
 def _bath(q, omega1, omega2, g_landau, g_beliaev, temperature, epsilon,
           dos_mode="1d", width=1.0, atom_number=1.0):
+    p = default_params(dos_mode=dos_mode, condensate_width=width)
     return build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
                                temperature, epsilon,
-                               mode_density(np.asarray(q, dtype=float),
-                                            dos_mode, width), atom_number)
+                               mode_density(np.asarray(q, dtype=float), p),
+                               atom_number)
 
 
 def test_composite_frequencies_and_weights():
@@ -83,7 +84,6 @@ def test_band_ordering_violation_is_detected():
 
 
 def test_pole_weights_and_their_config_errors():
-    from cavitybec.params import default_params
     p = default_params()
     q, omega1, omega2, g = _toy_bands()
 
@@ -103,7 +103,7 @@ def test_pole_weights_and_their_config_errors():
     with pytest.raises(ConfigError):
         b1.pole_weights("cherenkov")
     with pytest.raises(ConfigError):
-        mode_density(q, "2d", p.condensate_width)
+        default_params(dos_mode="2d")
 
 
 def test_negative_epsilon_is_a_config_error():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from cavitybec import response
+from cavitybec import response, verify
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
 
@@ -193,6 +193,10 @@ def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
     ("bands", ["dos_mode=2d"]),
     ("softmode", ["dos_mode=2d"]),
     ("verify", ["dos_mode=2d"]),
+    # these three used to exit 0 with header-only tables
+    ("spectral", ["omega_points=0"]),
+    ("damping-sweep", ["y_points=0"]),
+    ("poles", ["n_track=0"]),
 ])
 def test_malformed_or_mixed_settings_exit_1_with_one_line(
         command, settings, tmp_path, capsys):
@@ -206,14 +210,18 @@ def test_malformed_or_mixed_settings_exit_1_with_one_line(
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command, settings, window", [
+@pytest.mark.parametrize("command, settings, message", [
     # used to exit 0 with a descending grid
-    ("spectral", ["omega_min=2", "omega_max=1"], "(2, 1)"),
+    ("spectral", ["omega_min=2", "omega_max=1"], "empty window (2, 1)"),
     # used to exit 3 with "only 0 verified poles in the window (2.0, 1.6)"
-    ("poles", ["omega_min=2", "omega_max=0.1"], "(2, 1.6)"),
-])
+    ("poles", ["omega_min=2", "omega_max=0.1"], "empty window (2, 1.6)"),
+    # used to exit 0 with nan and inf rows: the width overflows
+    ("spectral", ["omega_min=-1e308", "omega_max=1e308", "omega_points=3"],
+     "overflowing window (-1e+308, 1e+308)"),
+], ids=lambda value: (value.rpartition("window ")[2]  # a case by its window
+                      if isinstance(value, str) else None))
 def test_empty_omega_window_exits_1_before_any_solve(
-        command, settings, window, tmp_path, capsys):
+        command, settings, message, tmp_path, capsys):
     args = [command, "--output-dir", str(tmp_path), "--set", "site_count=101",
             "--set", "y_points=2"]
     for item in settings:
@@ -221,7 +229,7 @@ def test_empty_omega_window_exits_1_before_any_solve(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert f"empty window {window}" in err
+    assert message in err
     assert not list(tmp_path.iterdir())
 
 
@@ -236,6 +244,9 @@ def test_header_records_the_parsed_run_settings(tmp_path):
     assert meta["run"]["omega_min"] == 1.0
     assert isinstance(meta["run"]["omega_min"], float)
     assert meta["run"]["y_frac_max"] is None
+    # the density of modes is a physics parameter of the point
+    assert meta["params"]["dos_mode"] == "3d"
+    assert "dos_mode" not in meta["run"]
 
 
 def test_spectral_and_temperature_sweep_commands_write_their_tables(
@@ -261,6 +272,24 @@ def test_spectral_and_temperature_sweep_commands_write_their_tables(
 
 def test_verify_command_passes_every_check(tmp_path, capsys):
     assert main(["verify", "--output-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert all("  PASS  " in line for line in lines)
+
+
+def test_verify_checks_the_bath_of_the_given_dos_mode(tmp_path, capsys,
+                                                      monkeypatch):
+    # verify used to check the 3D bath whatever dos_mode was set
+    seen = []
+
+    def recording_build_response(p):
+        seen.append(p.dos_mode)
+        return response.build_response(p)
+
+    monkeypatch.setattr(verify, "build_response", recording_build_response)
+    assert main(["verify", "--output-dir", str(tmp_path),
+                 "--set", "dos_mode=1d"]) == 0
+    assert seen == ["1d"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
     assert all("  PASS  " in line for line in lines)

@@ -454,9 +454,9 @@ def test_secular_roots_match_dense_arrowhead_eigenvalues(
     base = default_params()
     p = default_params(site_count=site_count,
                        atom_number=base.atom_number * site_count / base.site_count,
-                       phonon_damping=eps, temperature=temperature)
-    resp = build_response(p.with_pump(frac * critical_coupling(p)),
-                          dos_mode=dos_mode)
+                       phonon_damping=eps, temperature=temperature,
+                       dos_mode=dos_mode)
+    resp = build_response(p.with_pump(frac * critical_coupling(p)))
     weights, centers = [], []
     for channel in ("landau", "beliaev"):
         w, om = resp.bath.pole_weights(channel)
