@@ -14,7 +14,7 @@ from .bogoliubov import (
     soft_mode, symmetry_residuals, mirrored_modes,
 )
 from .coupling import (
-    VertexSet, vertex_coefficients, landau_beliaev_couplings,
+    VertexSet, vertex_coefficients, landau_beliaev_couplings, pair_kernel,
     soft_mode_couplings, vw_connection_residual, v_reflection_residual,
     vertex_duality_residuals,
 )

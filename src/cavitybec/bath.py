@@ -25,26 +25,38 @@ class BathConstructionError(RuntimeError):
 
 
 def thermal_occupation(omega, temperature: float):
-    """Bose-Einstein occupation 1/(exp(omega/T) - 1); zero at T = 0."""
+    """Bose-Einstein occupation 1/(exp(omega/T) - 1); zero at T = 0.
+
+    Where omega/T or its exponential overflows, the occupation is the
+    exact limit 0, returned without an overflow warning.
+    """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
+    if (omega <= 0).any():
         raise ConfigError("thermal occupation needs omega > 0")
     if not temperature >= 0:
         raise ConfigError("temperature must be >= 0")
     if temperature == 0.0:
         out = np.zeros_like(omega)
     else:
-        out = 1.0 / np.expm1(omega / temperature)
+        with np.errstate(over="ignore"):
+            out = 1.0 / np.expm1(omega / temperature)
     return out if out.ndim else float(out)
 
 
+# largest phonon damping: its square, the (Im z + epsilon)^2 that
+# response.pole_sum forms, stays 1e8 below the float overflow
+EPSILON_MAX = 1e150
+
+
 def check_epsilon(epsilon: float) -> None:
-    """Refuse a phonon damping that is not >= 0 (NaN included) with
-    ConfigError: the one test of a bath's epsilon, which a sweep that
-    evaluates a whole epsilon family on one bath applies to each."""
-    if not epsilon >= 0:
+    """Refuse a phonon damping outside [0, EPSILON_MAX] (NaN and inf
+    included) with ConfigError: the one test of a bath's epsilon, which a
+    sweep that evaluates a whole epsilon family on one bath applies to
+    each."""
+    if not 0 <= epsilon <= EPSILON_MAX:
         raise ConfigError(
-            f"phonon damping epsilon must be >= 0, got {epsilon}")
+            f"phonon damping epsilon must be >= 0 and <= {EPSILON_MAX:g}, "
+            f"got {epsilon}")
 
 
 def mode_density(q, p: ThermoParams):
@@ -64,14 +76,15 @@ class BathSpectrum:
     strengths, dos the density-of-modes weight w_q (mode_density) and
     atom_number N_c.  Every pole sits at Im = -epsilon.
 
-    A bath checks itself on construction: epsilon and the temperature must
-    be >= 0 (ConfigError), and 0 < omega1 < omega2 must hold at every q
-    (BathConstructionError; a violation means the bands were mislabeled
-    upstream, and it would also make the Landau radicand n1 - n2 negative
-    at finite temperature).  The pair-normalization factors nl and nb
-    follow from the thermal occupations at the temperature, and the pole
-    table is derived too, so dataclasses.replace(bath, epsilon=...,
-    temperature=...) is a checked bath with both rebuilt.
+    A bath checks itself on construction: epsilon must lie in
+    [0, EPSILON_MAX] and the temperature must be >= 0 (ConfigError), and
+    0 < omega1 < omega2 must hold at every q (BathConstructionError; a
+    violation means the bands were mislabeled upstream, and it would also
+    make the Landau radicand n1 - n2 negative at finite temperature).
+    The pair-normalization factors nl and nb follow from the thermal
+    occupations at the temperature, and the pole table is derived too, so
+    dataclasses.replace(bath, epsilon=..., temperature=...) is a checked
+    bath with both rebuilt.
     """
 
     q: np.ndarray
@@ -89,14 +102,14 @@ class BathSpectrum:
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
         omega1, omega2 = self.omega1, self.omega2
-        if np.any(omega1 <= 0) or np.any(omega2 <= omega1):
+        if (omega1 <= 0).any() or (omega2 <= omega1).any():
             bad = self.q[(omega1 <= 0) | (omega2 <= omega1)]
             raise BathConstructionError(
                 f"band ordering 0 < omega1 < omega2 violated at q = {bad[:5]}")
         n1 = thermal_occupation(omega1, self.temperature)
         n2 = thermal_occupation(omega2, self.temperature)
         radicand = n1 - n2
-        if np.any(radicand < 0):
+        if (radicand < 0).any():
             raise BathConstructionError(
                 "negative Landau radicand n1 - n2; bands mislabeled")
         # frozen, so set as dataclass' own __init__ sets fields
@@ -120,6 +133,9 @@ class BathSpectrum:
         else:
             raise ConfigError(
                 f"channel must be 'landau' or 'beliaev', got {channel!r}")
+        if not n.any():
+            # no pair factor, no weight: the Landau channel at T = 0
+            return np.zeros_like(om), om
         weights = 2.0 * self.dos * np.abs(g) ** 2 * n ** 2 / self.atom_number
         return weights, om
 

@@ -37,11 +37,12 @@ from .hamiltonian import ModelExpansion
 # pairwise swap of (annihilation, creation) slots
 GAMMA = np.kron(np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # bosonic metric
-OMEGA = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_OMEGA_DIAG = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+OMEGA = np.diag(_OMEGA_DIAG)
 # the real gauge of the phonon sector: P = diag(_GAUGE) on (b, c, s) pairs
 _GAUGE = np.array([1.0, 1.0, 1.0, 1.0, 1.0j, -1.0j])
 # entry (j, k) of P^+ OMEGA m P is m[j, k] times this
-_GAUGE_H = np.diag(OMEGA)[:, None] * np.conj(_GAUGE)[:, None] * _GAUGE
+_GAUGE_H = _OMEGA_DIAG[:, None] * np.conj(_GAUGE)[:, None] * _GAUGE
 
 # a positive mode of OMEGA-norm <= ZERO_TOL is not normalizable; an imaginary
 # part above REAL_TOL, relative to max(1, max |omega|), is an instability
@@ -150,7 +151,7 @@ def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return None
-    omega_chol = np.diag(OMEGA)[:, None] * chol
+    omega_chol = _OMEGA_DIAG[:, None] * chol
     w, u = np.linalg.eigh(np.swapaxes(chol, -1, -2) @ omega_chol)
     freqs = w[:, 3:]
     right = omega_chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
@@ -162,11 +163,11 @@ def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0) -> ModeSet:
     of which the 2 zero_pairs eigenvalues nearest zero are set aside."""
     batch = m.shape[:-2]
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
+    rows = np.arange(vals.shape[0])[:, None]
     keep = np.argsort(np.abs(vals), axis=-1, kind="stable")[:, 2 * zero_pairs:]
-    vals = np.take_along_axis(vals, keep, axis=-1)
-    vecs = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
-    im = np.max(np.abs(vals.imag), axis=-1)
+    vals = vals[rows, keep]
+    scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
+    im = np.abs(vals.imag).max(axis=-1)
     _check(im > REAL_TOL * scale, batch, lambda i, where: (
         f"non-real spectrum in sector {sector!r}{where}: "
         f"max |Im omega| = {im[i]:.3e}"))
@@ -174,17 +175,20 @@ def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0) -> ModeSet:
 
     n_pos = 3 - zero_pairs
     pos_mask = omega > 0
-    pos_count = np.sum(pos_mask, axis=-1)
+    pos_count = pos_mask.sum(axis=-1)
     _check(pos_count != n_pos, batch, lambda i, where: (
         f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
         f"positive modes, not {n_pos}"))
 
     order = np.argsort(np.where(pos_mask, omega, np.inf), axis=-1,
                        kind="stable")[:, :n_pos]
-    freqs = np.take_along_axis(omega, order, axis=-1)
-    right = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    norm = np.real(np.einsum('kam,ab,kbm->km', np.conj(right), OMEGA, right))
-    _check(np.any(norm <= ZERO_TOL, axis=-1), batch, lambda i, where: (
+    freqs = omega[rows, order]
+    # eigenvector columns of the kept modes, as (k, 6, n_pos)
+    right = np.swapaxes(np.swapaxes(vecs, -1, -2)[rows, keep[rows, order]],
+                        -1, -2)
+    norm = (_OMEGA_DIAG[:, None] * (right.real ** 2 + right.imag ** 2)).sum(
+        axis=-2)
+    _check((norm <= ZERO_TOL).any(axis=-1), batch, lambda i, where: (
         f"non-normalizable positive mode at omega = "
         f"{freqs[i][norm[i] <= ZERO_TOL][0]:.6g} in sector {sector!r}{where} "
         "(dynamical instability)"))
@@ -202,14 +206,14 @@ def _mode_set(freqs, right, batch, sector) -> ModeSet:
     """
     n_pos = freqs.shape[-1]
     mag = np.abs(right)
-    top = np.argmax(mag >= (1.0 - 1e-8) * np.max(mag, axis=-2, keepdims=True,
-                                                 initial=0.0), axis=-2)
-    top = np.take_along_axis(right, top[:, None, :], axis=-2)
-    right = right / (top / np.abs(top))
+    top = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=-2, keepdims=True,
+                                                  initial=0.0), axis=-2)
+    top = right[np.arange(right.shape[0])[:, None], top, np.arange(n_pos)]
+    right = right / (top / np.abs(top))[:, None, :]
 
     # reciprocity check doubles as a defectiveness detector
-    gram = np.swapaxes(np.conj(right), -1, -2) @ OMEGA @ right
-    gram_err = np.max(np.abs(gram - np.eye(n_pos)), axis=(-2, -1), initial=0.0)
+    gram = np.swapaxes(np.conj(right) * _OMEGA_DIAG[:, None], -1, -2) @ right
+    gram_err = np.abs(gram - np.eye(n_pos)).max(axis=(-2, -1), initial=0.0)
     _check(gram_err > 1e-8, batch, lambda i, where: (
         f"defective positive-frequency subspace in sector {sector!r}{where}"))
     return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)),
@@ -219,8 +223,8 @@ def _mode_set(freqs, right, batch, sector) -> ModeSet:
 def _check(bad, batch, describe) -> None:
     """Raise for the first matrix that bad flags; describe(i, where) words
     the error for matrix i of the flattened stack."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if bad.any():
+        i = int(bad.argmax())
         where = f" at stack index {i}" if batch else ""
         raise DiagonalizationError(describe(i, where), i if batch else None)
 

@@ -81,29 +81,51 @@ def landau_beliaev_couplings(vs: VertexSet):
     return vs.O[0, 0, 1], vs.N[0, 1, 0]
 
 
+def pair_kernel(phonon_right: np.ndarray) -> np.ndarray:
+    """The band-1/band-2 part of the soft-mode couplings at every q of a
+    stack, shaped (..., 2, 36): row 0 is vec(conj(c1) c2^T) and row 1
+    vec(conj(c2) c1^T), with c1, c2 the eigenvectors of bands 1 and 2 in
+    phonon_right (..., 6, n), bands ascending.
+
+    It depends on the phonon modes alone, so it is formed once per stack
+    and soft_mode_couplings contracts it with each soft row of V.
+    """
+    c1, c2 = phonon_right[..., :, 0], phonon_right[..., :, 1]
+    kernel = np.empty(c1.shape[:-1] + (2, 6, 6), dtype=complex)
+    np.multiply(np.conj(c1)[..., :, None], c2[..., None, :],
+                out=kernel[..., 0, :, :])
+    np.multiply(np.conj(c2)[..., :, None], c1[..., None, :],
+                out=kernel[..., 1, :, :])
+    return kernel.reshape(c1.shape[:-1] + (2, 36))
+
+
 def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
-                        phonon_right: np.ndarray):
+                        kernel: np.ndarray):
     """(gL_q, gB_q) at every q of a stack, from the soft-mode row alone.
 
-    The soft mode is polariton mode 0 (bogoliubov.soft_mode).
-    phonon_right holds the right eigenvectors of G(q), shaped (..., 6, n)
-    with bands ascending.  The result equals landau_beliaev_couplings of
-    vertex_coefficients(..., modes(q), mirrored_modes(modes(q))) at each
-    q, i.e. O^s_{12}(q) and N^s_{21}(q), but only the soft row of V is
-    contracted:
+    The soft mode is polariton mode 0 (bogoliubov.soft_mode), and kernel
+    is the stack's pair_kernel.  The result equals
+    landau_beliaev_couplings of vertex_coefficients(..., modes(q),
+    mirrored_modes(modes(q))) at each q, i.e. O^s_{12}(q) and
+    N^s_{21}(q), but only the soft row of V is contracted:
 
         V_s[b, g] = sum_a conj(l[a, s]) V[a, b, g],
         gL = c1^+ (V_s + GAMMA V_s^T GAMMA) c2,    gB = 2 c2^+ GAMMA V_s c1,
 
     with c1, c2 the eigenvectors of bands 1 and 2 (the two terms of O
     merged, and the mirrored vectors GAMMA conj(c) of N written out).
+    Both are bilinear in (c1, c2), gL = kernel[..., 0, :] .
+    vec(V_s + GAMMA V_s^T GAMMA) and gB = kernel[..., 1, :] .
+    vec(2 GAMMA V_s), so the pump-dependent work is one 6x6 soft row and
+    two (n x 36) matrix-vector products.  The kernel (n x 1152 B, 0.58 MB
+    at 1001 sites) is kept with the modes of its stack
+    (response._phonon_modes), since below threshold every pump point
+    shares one stack.
     """
-    v_s = np.einsum('a,abg->bg', np.conj(polariton.left[:, 0]),
-                    v_tensor)
-    c1, c2 = phonon_right[..., :, 0], phonon_right[..., :, 1]
-    g_landau = np.sum((np.conj(c1) @ (v_s + GAMMA @ v_s.T @ GAMMA)) * c2,
-                      axis=-1)
-    g_beliaev = 2.0 * np.sum((np.conj(c2) @ (GAMMA @ v_s)) * c1, axis=-1)
+    v_s = (np.conj(polariton.left[:, 0]) @ v_tensor.reshape(6, 36)).reshape(
+        6, 6)
+    g_landau = kernel[..., 0, :] @ (v_s + GAMMA @ v_s.T @ GAMMA).ravel()
+    g_beliaev = kernel[..., 1, :] @ (2.0 * (GAMMA @ v_s)).ravel()
     return g_landau, g_beliaev
 
 

@@ -22,8 +22,8 @@ fluctuation slot vanish at the mean field and are pruned.  A
 ModelExpansion takes the coefficients as one product of the rows with its
 couplings and evaluates each entry as the sum over its
 pairs of coefficient x factor x product of the mean-field point over the
-leftover variables, one array reduction per q power; G(q) comes out as the
-exact polynomial g0 + q g1 + q^2 g2.
+leftover variables, one array reduction for all q powers; G(q) comes out
+as the exact polynomial g0 + q g1 + q^2 g2.
 
 Variable layout (annihilation amplitude, conjugate) per slot pair::
 
@@ -203,19 +203,25 @@ _BLOCKS = {
 }
 
 
+# q powers a block is reduced over at most (G's three)
+_Q_POWERS = 3
+
+
 @dataclass(frozen=True)
 class _Block:
     """Surviving (entry, monomial) pairs of one matrix or tensor.
 
     leftover[k] lists the variables left after differentiating, in the
     monomial's order, padded with NVARS (a slot whose point value is 1).
+    bins[n, k, r] is where part r (real, imaginary) of pair k's value at
+    q power n lands in the flat float view of the (q power, entry) output.
     """
 
     shape: tuple
-    entry: np.ndarray     # flat entry index, ascending
     term: np.ndarray      # monomial index, ascending within an entry
     factor: np.ndarray    # multiplicity x row sign
     leftover: np.ndarray  # (pairs, max leftover count)
+    bins: np.ndarray      # (_Q_POWERS, pairs, 2)
 
 
 def _compile_block(shape, derivs, monomials) -> _Block:
@@ -246,9 +252,12 @@ def _compile_block(shape, derivs, monomials) -> _Block:
     padded = np.full((len(leftover), width), NVARS, dtype=np.intp)
     for k, rest in enumerate(leftover):
         padded[k, :len(rest)] = rest
-    return _Block(shape=shape, entry=np.array(entry, dtype=np.intp),
-                  term=np.array(term, dtype=np.intp),
-                  factor=np.array(factor, dtype=float), leftover=padded)
+    flat = (np.arange(_Q_POWERS)[:, None] * math.prod(shape)
+            + np.array(entry, dtype=np.intp))
+    bins = 2 * flat[:, :, None] + np.arange(2)
+    return _Block(shape=shape, term=np.array(term, dtype=np.intp),
+                  factor=np.array(factor, dtype=float), leftover=padded,
+                  bins=bins)
 
 
 @cache
@@ -271,17 +280,18 @@ def _reduce(block: _Block, coeffs: np.ndarray,
     """Entries of one block per q power, shaped (coeffs.shape[1], *shape).
 
     Each entry is sum over its pairs of coeff x factor x prod point[leftover],
-    accumulated in monomial order.
+    accumulated in monomial order: one bincount sums the real and the
+    imaginary parts of every q power, each into its own bins.
     """
     vals = coeffs[block.term] * block.factor[:, None]
     for var in block.leftover.T:
         vals = vals * point[var][:, None]
+    powers = vals.shape[1]
     size = math.prod(block.shape)
-    out = np.empty((vals.shape[1], size), dtype=complex)
-    for k, col in enumerate(vals.T):
-        out[k].real = np.bincount(block.entry, col.real, minlength=size)
-        out[k].imag = np.bincount(block.entry, col.imag, minlength=size)
-    return out.reshape((vals.shape[1],) + block.shape)
+    parts = np.ascontiguousarray(vals.T).view(float)
+    out = np.bincount(block.bins[:powers].ravel(), parts.ravel(),
+                      minlength=2 * powers * size)
+    return out.view(complex).reshape((powers,) + block.shape)
 
 
 class ModelExpansion:
@@ -307,7 +317,9 @@ class ModelExpansion:
         point[NVARS] = 1.0
         self._point = point
         rows, self._table = _compiled_table()
-        self._coeffs = rows @ _couplings(p, mf.mu)
+        # one matrix-vector product over every q power of every term
+        self._coeffs = (rows.reshape(-1, 6) @ _couplings(p, mf.mu)).reshape(
+            rows.shape[:2])
 
     def _q0(self, name: str) -> np.ndarray:
         # F, V, W and the residual involve no q-dependent monomial

@@ -107,7 +107,10 @@ class ThermoParams:
 
 
 def _check_finite_real(name: str, value) -> None:
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # a float needs no abstract-base-class lookup, the slow part of the
+    # check that every pump point's ThermoParams repeats
+    if (not (type(value) is float or isinstance(value, numbers.Real))
+            or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 

@@ -23,7 +23,7 @@ from .meanfield import solve_steady_state
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
                          soft_mode)
-from .coupling import soft_mode_couplings
+from .coupling import pair_kernel, soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
 from .coupling import vertex_coefficients  # noqa: F401
@@ -116,7 +116,7 @@ def _direct_pole_sum(flat, weights, centers, eps: float):
         np.subtract(zb.real[:, None], centers, out=ab)
         np.multiply(ab, ab, out=ib)
         ib += (b * b)[:, None]
-        if eps == 0.0 and np.any(ib < 1e-24):
+        if eps == 0.0 and (ib < 1e-24).any():
             raise NumericsError(
                 "pole sum evaluated on a pole with epsilon = 0")
         np.divide(1.0, ib, out=ib)
@@ -139,8 +139,16 @@ def _far_pole_sum(u, weights, scaled, radius: float):
 
 
 def self_energy(channel: str, z, bath: BathSpectrum):
-    """Evaluate Sigma^channel at real or complex z (scalar or array)."""
-    out = pole_sum(z, *bath.pole_weights(channel), bath.epsilon)
+    """Evaluate Sigma^channel at real or complex z (scalar or array).
+
+    A channel whose poles all have zero weight (Landau at T = 0) is zero
+    everywhere, its residues being zero, and is not summed.
+    """
+    weights, centers = bath.pole_weights(channel)
+    if weights.any():
+        out = pole_sum(z, weights, centers, bath.epsilon)
+    else:
+        out = np.zeros(np.shape(z), dtype=complex)
     return out if np.ndim(z) else complex(out)
 
 
@@ -201,26 +209,29 @@ def build_response(p: ThermoParams) -> Response:
     positive half of the momentum grid is diagonalized; each entry counts
     twice in the bath sums.  The momentum stage is array-first: the
     stack of all G(q) goes through one phonon_bands solve, and
-    soft_mode_couplings contracts the soft-mode row of V with the stacked
-    eigenvectors for every q at once.  Band labels are by ascending
-    frequency (the two lowest branches feed the Landau/Beliaev pairs).
-    The soft mode is the one bogoliubov.soft_mode picks, and the bath's
-    density of modes is the one p.dos_mode names (bath.mode_density).
+    soft_mode_couplings contracts the soft-mode row of V with the stack's
+    band-pair kernel (coupling.pair_kernel) for every q at once.  Band
+    labels are by ascending frequency (the two lowest branches feed the
+    Landau/Beliaev pairs).  The soft mode is the one bogoliubov.soft_mode
+    picks, and the bath's density of modes is the one p.dos_mode names
+    (bath.mode_density).
 
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
-    the soft mode and its couplings do.  The modes of the last two
-    distinct G(q) stacks are therefore kept, keyed by the bytes of G's
-    q-coefficients and of the q grid, so a repeated stack is neither
-    built nor solved again.  The returned bands are read-only arrays that
-    Responses of equal stacks share.
+    the soft mode and its couplings do.  The modes and the pair kernel of
+    the last two distinct G(q) stacks are therefore kept (_phonon_modes;
+    the kernel takes n x 1152 B, 0.58 MB at 1001 sites), keyed by the
+    bytes of G's q-coefficients and of the q grid, so a repeated stack is
+    neither built nor solved again, and its couplings cost one 6x6 soft
+    row and two (n x 36) products.  The returned bands are read-only
+    arrays that Responses of equal stacks share.
     """
     q_half = momentum_grid(p)
     dos = mode_density(q_half, p)
     exp = ModelExpansion(p, solve_steady_state(p))
     omega_s, pol = soft_mode(exp)
-    phonons = phonon_bands(exp, q_half)
-    g_l, g_b = soft_mode_couplings(exp.v_tensor(), pol, phonons.right)
+    phonons, kernel = _phonon_stack(exp, q_half)
+    g_l, g_b = soft_mode_couplings(exp.v_tensor(), pol, kernel)
 
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
@@ -240,6 +251,12 @@ def phonon_bands(expansion: ModelExpansion, q_grid) -> ModeSet:
     (_phonon_modes); a failing G(q) is named by its q, and a grid
     holding q = 0 raises ValueError.
     """
+    return _phonon_stack(expansion, q_grid)[0]
+
+
+def _phonon_stack(expansion: ModelExpansion, q_grid):
+    """(modes, pair kernel) of the G(q) stack over q_grid, from
+    _phonon_modes, with a failing G(q) named by its q."""
     q_grid = np.asarray(q_grid, dtype=float)
     try:
         return _phonon_modes(_StackKey(expansion, q_grid))
@@ -273,19 +290,25 @@ class _StackKey:
 # a pump sweep alternates one normal-phase stack with ordered-phase ones,
 # so the two most recently used stacks are kept
 @lru_cache(maxsize=2)
-def _phonon_modes(key: _StackKey) -> ModeSet:
-    """Checked modes of a G(q) stack, solved once per distinct stack.
+def _phonon_modes(key: _StackKey):
+    """Checked modes of a G(q) stack and their pair kernel, solved and
+    formed once per distinct stack.
 
     The key is what the stack is computed from (G's coefficients and the
     q grid), not the parameters those came from, so a stack that could
     differ in any bit is built through expansion.phonon_matrix and solved
-    afresh.  A failing build or solve raises and is not kept.
+    afresh.  A failing build or solve raises and is not kept.  The kept
+    arrays are read-only.  The (n, 2, 36) complex kernel holds everything
+    the couplings need from the modes (coupling.pair_kernel), so a warm
+    point forms no outer product of eigenvectors; it takes n x 1152 B per
+    stack, 0.58 MB at 1001 sites, next to 0.16 MB of modes.
     """
     stack = key.expansion.phonon_matrix(key.q_grid)
     modes = diagonalize_symplectic(stack, sector="phonon")
-    modes.frequencies.flags.writeable = False
-    modes.right.flags.writeable = False
-    return modes
+    kernel = pair_kernel(modes.right)
+    for arr in (modes.frequencies, modes.right, kernel):
+        arr.flags.writeable = False
+    return modes, kernel
 
 
 def spectral_sum_rule(resp: Response):
@@ -387,16 +410,19 @@ def _sweep_point(args):
     Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
     z = omega_s + i epsilon, so one checked bath per temperature, built
     at epsilon = 0, gives each channel's whole epsilon family in one
-    array evaluation.
+    array evaluation.  The point's own bath is built at epsilon = 0 and
+    serves its own temperature as it is; only another temperature is a
+    replaced bath.
     """
     p, y, epsilons, temperatures = args
-    base = build_response(p.with_pump(y))
     for eps in epsilons:
         check_epsilon(eps)
+    base = build_response(replace(p, y=y, phonon_damping=0.0))
     z = np.array([complex(base.omega_s, eps) for eps in epsilons])
     rates = []
     for temp in temperatures:
-        bath = replace(base.bath, epsilon=0.0, temperature=temp)
+        bath = (base.bath if temp == base.bath.temperature
+                else replace(base.bath, temperature=temp))
         rates.append([self_energy(channel, z, bath).tolist()
                       for channel in ("landau", "beliaev")])
     rows = [(eps, temp,

@@ -1,14 +1,18 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cavitybec.params import ConfigError, default_params
 from cavitybec.bath import (
-    BathConstructionError, build_bath_spectrum, mode_density,
+    EPSILON_MAX, BathConstructionError, build_bath_spectrum, mode_density,
     thermal_occupation,
 )
+
+# the tail of the message that refuses an epsilon above EPSILON_MAX
+_ABOVE_LIMIT = re.escape(f"<= {EPSILON_MAX:g}, got")
 
 
 def test_occupation_frozen_value_at_omega_equals_temperature():
@@ -122,12 +126,27 @@ def test_nan_epsilon_or_temperature_is_a_config_error():
         thermal_occupation(0.3, math.nan)
 
 
+def test_occupation_is_zero_without_warning_where_omega_over_t_overflows():
+    # under pytest an overflow RuntimeWarning is an error; at T = 1e-320
+    # omega / T overflows, and at T = 1e-3 exp(2 / T) does
+    assert np.all(thermal_occupation([0.5, 2.0], 1e-320) == 0.0)
+    assert thermal_occupation(1.0, 1e-320) == 0.0
+    low = thermal_occupation([0.5, 2.0], 1e-3)
+    assert low[0] == pytest.approx(math.exp(-500.0), rel=1e-12)
+    assert low[1] == 0.0
+
+
 @pytest.mark.parametrize("changes, error, match", [
     ({"epsilon": -0.01}, ConfigError, "epsilon must be >= 0"),
     ({"epsilon": math.nan}, ConfigError, "epsilon must be >= 0"),
+    # inf used to pass and give NaN rates; 1e300 overflowed (Im z + eps)^2
+    # in the pole sum and gave rates of 0.0
+    ({"epsilon": math.inf}, ConfigError, _ABOVE_LIMIT),
+    ({"epsilon": 1e300}, ConfigError, _ABOVE_LIMIT),
     ({"temperature": -0.1}, ConfigError, "temperature must be >= 0"),
     ("swap", BathConstructionError, "band ordering"),
-], ids=["negative-eps", "nan-eps", "negative-T", "swapped-bands"])
+], ids=["negative-eps", "nan-eps", "inf-eps", "overflowing-eps", "negative-T",
+        "swapped-bands"])
 def test_replace_cannot_make_an_invalid_bath(changes, error, match):
     # a replaced bath used to skip every check: epsilon = -0.01 gave
     # negative damping rates

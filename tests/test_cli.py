@@ -103,6 +103,38 @@ def test_negative_epsilon_exits_1(tmp_path):
     assert not (tmp_path / "damping.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon", ["inf", "1e300"])
+def test_infinite_or_overflowing_epsilon_exits_1_and_writes_nothing(
+        epsilon, tmp_path, capsys):
+    # 1e300 used to exit 0 with rates of 0.0, past an overflow in the pole
+    # sum; inf is refused where the setting is parsed
+    code = main(["damping-sweep", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", f"epsilons={epsilon}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_temperature_runs_without_an_overflow(tmp_path):
+    # it used to exit 0 only past an overflow in the thermal occupation;
+    # the occupation's limit 0 is exact
+    code = main(["temperature-sweep", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", "temperatures=1e-320"])
+    assert code == 0
+    _, names, rows = read_table(tmp_path / "temperature.csv")
+    # the subnormal 1e-320 is stored, and named, as 9.99989e-321
+    y_frac, landau, beliaev = names
+    assert landau.startswith("gamma_l_T") and beliaev.startswith("gamma_b_T")
+    assert len(rows) == 2
+    assert all(np.isfinite(r[name]) for r in rows for name in names)
+    assert all(r[landau] == 0.0 < r[beliaev] for r in rows)
+
+
 def test_atom_number_zero_exits_1(tmp_path):
     # it used to die with a ZeroDivisionError traceback
     code = main(["damping-sweep", "--output-dir", str(tmp_path),

@@ -155,12 +155,21 @@ def test_array_first_bath_matches_per_q_path(frac, site_count):
         P, site_count=site_count,
         atom_number=P.atom_number * site_count / P.site_count)
     p = p.with_pump(frac * critical_coupling(p))
-    bath = build_response(p).bath
-    got = (bath.omega1, bath.omega2, bath.g_landau, bath.g_beliaev)
-    for new, old in zip(got, _per_q_bath(p)):
-        # relative to each table's scale: the smallest |gL| sits ~1e-4
-        # below the largest, where both summation orders lose digits
-        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    ref = _per_q_bath(p)
+    response._phonon_modes.cache_clear()
+    cold = build_response(p).bath
+    # a warm call is served the kept modes and pair kernel; below
+    # threshold they were kept by a point at another pump
+    response._phonon_modes.cache_clear()
+    build_response(p.with_pump(0.5 * p.y if frac < 1.0 else p.y))
+    warm = build_response(p).bath
+    assert response._phonon_modes.cache_info().hits == 1
+    for bath in (cold, warm):
+        got = (bath.omega1, bath.omega2, bath.g_landau, bath.g_beliaev)
+        for new, old in zip(got, ref):
+            # relative to each table's scale: the smallest |gL| sits ~1e-4
+            # below the largest, where both summation orders lose digits
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
 def test_empty_momentum_grid_gives_empty_bath():
@@ -524,6 +533,11 @@ def test_negative_epsilon_or_temperature_is_a_config_error():
         damping_sweep(p, ys, epsilons=(np.nan,))
     with pytest.raises(ConfigError, match="temperature must be >= 0"):
         damping_sweep(p, ys, temperatures=(np.nan,))
+    # inf used to come back as gamma_l = gamma_b = nan, and 1e300 as rates
+    # of 0.0, both past an overflow RuntimeWarning in the pole sum
+    for eps in (np.inf, 1e300):
+        with pytest.raises(ConfigError, match="epsilon must be >= 0 and <="):
+            damping_sweep(p, ys, epsilons=(eps,))
 
 
 # -- the phonon modes are solved once per distinct G(q) stack ----------------
@@ -534,10 +548,12 @@ def _cold_build(frac):
 
 
 def _assert_same_response(got, ref):
+    # bit for bit: every field of the bath, arrays by their bytes
     assert got.omega_s == ref.omega_s
-    for name in ("omega1", "omega2", "g_landau", "g_beliaev", "nl", "nb"):
-        np.testing.assert_array_equal(getattr(got.bath, name),
-                                      getattr(ref.bath, name))
+    for field in dataclasses.fields(got.bath):
+        a, b = getattr(got.bath, field.name), getattr(ref.bath, field.name)
+        assert np.shape(a) == np.shape(b), field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
@@ -561,13 +577,44 @@ def test_normal_phase_points_share_one_phonon_solve(monkeypatch):
     _assert_same_response(high, _cold_build(0.78))
 
 
+def test_a_warm_point_builds_solves_and_forms_nothing_of_its_stack(
+        monkeypatch):
+    # a normal-phase point after another one pays only for what the pump
+    # changes: no G(q) stack, no eigensolve, no pair kernel
+    response._phonon_modes.cache_clear()
+    build_response(P.with_pump(0.4 * Y_CRIT))
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ModelExpansion, "phonon_matrix",
+                        counted("stack", ModelExpansion.phonon_matrix))
+    monkeypatch.setattr(response, "diagonalize_symplectic",
+                        counted("solve", response.diagonalize_symplectic))
+    monkeypatch.setattr(response, "pair_kernel",
+                        counted("kernel", response.pair_kernel))
+    warm = build_response(P.with_pump(0.9 * Y_CRIT))
+    assert calls == []
+    info = response._phonon_modes.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    monkeypatch.undo()
+    _assert_same_response(warm, _cold_build(0.9))
+
+
 def test_kept_phonon_modes_are_read_only():
     p = P.with_pump(0.5 * Y_CRIT)
     resp = _cold_build(0.5)
-    modes = phonon_bands(ModelExpansion(p, solve_steady_state(p)),
-                         momentum_grid(p))
-    assert response._phonon_modes.cache_info().hits == 1
-    for arr in (modes.frequencies, modes.right,
+    exp = ModelExpansion(p, solve_steady_state(p))
+    modes = phonon_bands(exp, momentum_grid(p))
+    kept, kernel = response._phonon_stack(exp, momentum_grid(p))
+    assert kept is modes
+    assert kernel.shape == (momentum_grid(p).size, 2, 36)
+    assert response._phonon_modes.cache_info().hits == 2
+    for arr in (modes.frequencies, modes.right, kernel,
                 resp.bath.omega1, resp.bath.omega2):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
