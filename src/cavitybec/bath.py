@@ -76,6 +76,12 @@ class BathSpectrum:
     strengths, dos the density-of-modes weight w_q (mode_density) and
     atom_number N_c.  Every pole sits at Im = -epsilon.
 
+    Pump points that share their bands (a sweep below threshold) share one
+    bath: the coupling tables then carry a leading pump axis, (P, n_q), as
+    a ModeSet stack does, and so do the pole weights; the bands, the pair
+    factors and the checks are the shared ones.  active_poles is the
+    table of a bath of one point.
+
     A bath checks itself on construction: epsilon must lie in
     [0, EPSILON_MAX] and the temperature must be >= 0 (ConfigError), and
     0 < omega1 < omega2 must hold at every q (BathConstructionError; a
@@ -124,7 +130,8 @@ class BathSpectrum:
         Sigma^channel(z) = sum_j weights[j] / (z - centres[j] + i epsilon)
         with weights = 2 w_q |g_q|^2 N_q^2 / N_c, where the 2 counts the
         +-q pair, and the real centres omega_2 - omega_1 (Landau) or
-        omega_1 + omega_2 (Beliaev).
+        omega_1 + omega_2 (Beliaev).  The weights have the couplings'
+        shape, with a bath's leading pump axis.
         """
         if channel == "landau":
             g, n, om = self.g_landau, self.nl, self.omega2 - self.omega1
@@ -135,7 +142,7 @@ class BathSpectrum:
                 f"channel must be 'landau' or 'beliaev', got {channel!r}")
         if not n.any():
             # no pair factor, no weight: the Landau channel at T = 0
-            return np.zeros_like(om), om
+            return np.zeros(g.shape), om
         weights = 2.0 * self.dos * np.abs(g) ** 2 * n ** 2 / self.atom_number
         return weights, om
 

@@ -155,29 +155,35 @@ def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
     w, u = np.linalg.eigh(np.swapaxes(chol, -1, -2) @ omega_chol)
     freqs = w[:, 3:]
     right = omega_chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
-    return _mode_set(freqs, right * _GAUGE[:, None], m.shape[:-2], sector)
-
-
-def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0) -> ModeSet:
-    """General route: one complex eigensolve, checked matrix by matrix,
-    of which the 2 zero_pairs eigenvalues nearest zero are set aside."""
     batch = m.shape[:-2]
+    return _mode_set(freqs, right * _GAUGE[:, None], batch, sector,
+                     _where(batch))
+
+
+def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0,
+               labels=None) -> ModeSet:
+    """General route: one complex eigensolve, checked matrix by matrix,
+    of which the 2 zero_pairs eigenvalues nearest zero are set aside.
+    labels, if given, name the matrices of the flattened stack in the
+    errors, in place of their stack index."""
+    batch = m.shape[:-2]
+    where = _where(batch, labels)
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
     rows = np.arange(vals.shape[0])[:, None]
     keep = np.argsort(np.abs(vals), axis=-1, kind="stable")[:, 2 * zero_pairs:]
     vals = vals[rows, keep]
     scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
     im = np.abs(vals.imag).max(axis=-1)
-    _check(im > REAL_TOL * scale, batch, lambda i, where: (
-        f"non-real spectrum in sector {sector!r}{where}: "
+    _check(im > REAL_TOL * scale, where, lambda i, at: (
+        f"non-real spectrum in sector {sector!r}{at}: "
         f"max |Im omega| = {im[i]:.3e}"))
     omega = vals.real
 
     n_pos = 3 - zero_pairs
     pos_mask = omega > 0
     pos_count = pos_mask.sum(axis=-1)
-    _check(pos_count != n_pos, batch, lambda i, where: (
-        f"unpaired spectrum in sector {sector!r}{where}: {pos_count[i]} "
+    _check(pos_count != n_pos, where, lambda i, at: (
+        f"unpaired spectrum in sector {sector!r}{at}: {pos_count[i]} "
         f"positive modes, not {n_pos}"))
 
     order = np.argsort(np.where(pos_mask, omega, np.inf), axis=-1,
@@ -188,16 +194,18 @@ def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0) -> ModeSet:
                         -1, -2)
     norm = (_OMEGA_DIAG[:, None] * (right.real ** 2 + right.imag ** 2)).sum(
         axis=-2)
-    _check((norm <= ZERO_TOL).any(axis=-1), batch, lambda i, where: (
+    _check((norm <= ZERO_TOL).any(axis=-1), where, lambda i, at: (
         f"non-normalizable positive mode at omega = "
-        f"{freqs[i][norm[i] <= ZERO_TOL][0]:.6g} in sector {sector!r}{where} "
+        f"{freqs[i][norm[i] <= ZERO_TOL][0]:.6g} in sector {sector!r}{at} "
         "(dynamical instability)"))
-    return _mode_set(freqs, right / np.sqrt(norm)[:, None, :], batch, sector)
+    return _mode_set(freqs, right / np.sqrt(norm)[:, None, :], batch, sector,
+                     where)
 
 
-def _mode_set(freqs, right, batch, sector) -> ModeSet:
+def _mode_set(freqs, right, batch, sector, where) -> ModeSet:
     """Fix the phases of OMEGA-normalized (k, 6, n) modes, check their
     reciprocity and assemble the ModeSet of a stack with leading axes batch.
+    where(i) places matrix i in an error (_where).
 
     Each vector is made real and positive at its largest component; the
     first component within a relative 1e-8 of the largest counts as it, so
@@ -214,19 +222,31 @@ def _mode_set(freqs, right, batch, sector) -> ModeSet:
     # reciprocity check doubles as a defectiveness detector
     gram = np.swapaxes(np.conj(right) * _OMEGA_DIAG[:, None], -1, -2) @ right
     gram_err = np.abs(gram - np.eye(n_pos)).max(axis=(-2, -1), initial=0.0)
-    _check(gram_err > 1e-8, batch, lambda i, where: (
-        f"defective positive-frequency subspace in sector {sector!r}{where}"))
+    _check(gram_err > 1e-8, where, lambda i, at: (
+        f"defective positive-frequency subspace in sector {sector!r}{at}"))
     return ModeSet(frequencies=freqs.reshape(batch + (n_pos,)),
                    right=right.reshape(batch + (6, n_pos)))
 
 
-def _check(bad, batch, describe) -> None:
-    """Raise for the first matrix that bad flags; describe(i, where) words
-    the error for matrix i of the flattened stack."""
+def _where(batch, labels=None):
+    """where(i): the text that places matrix i of a flattened stack in an
+    error, by its label or its stack index; None for a single matrix."""
+    if not batch:
+        return None
+    if labels is None:
+        return lambda i: f" at stack index {i}"
+    return lambda i: f" at {labels[i]}"
+
+
+def _check(bad, where, describe) -> None:
+    """Raise for the first matrix that bad flags; describe(i, at) words
+    the error for matrix i of the flattened stack, with at = where(i)
+    (_where), or empty for a single matrix."""
     if bad.any():
         i = int(bad.argmax())
-        where = f" at stack index {i}" if batch else ""
-        raise DiagonalizationError(describe(i, where), i if batch else None)
+        if where is None:
+            raise DiagonalizationError(describe(i, ""))
+        raise DiagonalizationError(describe(i, where(i)), i)
 
 
 def mirrored_modes(ms: ModeSet) -> ModeSet:
@@ -251,7 +271,18 @@ def soft_mode(expansion: ModelExpansion):
     normalizable polariton modes left, index 0 of the ascending ModeSet
     (the photon-like branch sits near -Delta_C).  The same ascending
     convention labels the phonon bands, and build_response takes its soft
-    mode from here.
+    mode from here (soft_modes).
     """
-    ms = _eig_modes(expansion.polariton_matrix(), "polariton", zero_pairs=1)
+    ms = soft_modes(expansion.polariton_matrix())
     return ms.frequencies[0], ms
+
+
+def soft_modes(f: np.ndarray, labels=None) -> ModeSet:
+    """The two normalizable polariton modes of F, or of every F of a
+    (P, 6, 6) stack of pump points in one solve; the soft mode is index 0
+    (soft_mode).  Each matrix is checked and solved as it would be alone,
+    so a point's modes do not depend on the stack it is solved in.
+    labels, if given, name the matrices of a stack in its errors (a pump
+    point by its y, say) in place of their stack index.
+    """
+    return _eig_modes(f, "polariton", zero_pairs=1, labels=labels)

@@ -6,7 +6,9 @@ spectral, poles, verify.  Parameters come from a key=value config file
 files with a '#'-prefixed JSON header written to --output-dir.
 
 Exit codes: 0 ok, 1 config error, 2 solver non-convergence/criticality,
-3 numerics failure (instability, defective spectra, continuation).
+3 numerics failure (instability, defective spectra, continuation, and a
+floating-point overflow or invalid operation, which a command raises
+instead of writing non-finite numbers).
 """
 
 from __future__ import annotations
@@ -116,11 +118,19 @@ def _meta(p, run, command):
 
 
 def _y_grid(p, run, command):
+    """(pump values, y_crit) of the command's grid, refused when a value
+    overflows."""
     keys = ("y_frac_min", "y_frac_max", "y_points")
     lo, hi, n = (default if run[key] is None else run[key]
                  for key, default in zip(keys, _SWEEP_DEFAULTS[command]))
     y_crit = critical_coupling(p)
-    return np.linspace(lo, hi, n) * y_crit, y_crit
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_values = np.linspace(lo, hi, n) * y_crit
+    if not np.isfinite(y_values).all():
+        raise ConfigError(
+            f"{command}: the pump grid y_frac in [{lo:g}, {hi:g}] times "
+            f"y_crit = {y_crit:g} overflows")
+    return y_values, y_crit
 
 
 def _omega_window(run, command, widen=0.0):
@@ -328,14 +338,16 @@ def main(argv=None) -> int:
         p, run = load_settings(args.config, args.set)
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](p, run, outdir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            COMMANDS[args.command](p, run, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, CriticalPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (NumericsError, DiagonalizationError, BathConstructionError) as exc:
+    except (NumericsError, DiagonalizationError, BathConstructionError,
+            FloatingPointError) as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

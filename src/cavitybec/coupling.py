@@ -121,12 +121,22 @@ def soft_mode_couplings(v_tensor: np.ndarray, polariton: ModeSet,
     at 1001 sites) is kept with the modes of its stack
     (response._phonon_modes), since below threshold every pump point
     shares one stack.
+
+    Pump points that share the stack come as one stack of P points:
+    v_tensor (P, 6, 6, 6) and polariton modes (P, 6, n) give couplings
+    shaped (P, n_q).  Every product is a matrix-vector product per point,
+    the same one a point alone makes, so its couplings do not depend on
+    the points stacked with it (a (n_q x 36) @ (36 x P) product would sum
+    in another order).
     """
-    v_s = (np.conj(polariton.left[:, 0]) @ v_tensor.reshape(6, 36)).reshape(
-        6, 6)
-    g_landau = kernel[..., 0, :] @ (v_s + GAMMA @ v_s.T @ GAMMA).ravel()
-    g_beliaev = kernel[..., 1, :] @ (2.0 * (GAMMA @ v_s)).ravel()
-    return g_landau, g_beliaev
+    lead = v_tensor.shape[:-3]
+    soft = np.conj(polariton.left[..., :, 0])[..., None, :]
+    v_s = (soft @ v_tensor.reshape(lead + (6, 36))).reshape(lead + (6, 6))
+    landau = v_s + GAMMA @ np.swapaxes(v_s, -1, -2) @ GAMMA
+    beliaev = 2.0 * (GAMMA @ v_s)
+    g_landau = kernel[..., 0, :] @ landau.reshape(lead + (36, 1))
+    g_beliaev = kernel[..., 1, :] @ beliaev.reshape(lead + (36, 1))
+    return g_landau[..., 0], g_beliaev[..., 0]
 
 
 # -- identity checks -------------------------------------------------------

@@ -19,11 +19,12 @@ every entry of F, G, V, W and the mean-field residual, the monomials that
 survive the entry's derivatives, each with its multiplicity factor, row
 sign and leftover variables.  Pairs whose leftover variables include a
 fluctuation slot vanish at the mean field and are pruned.  A
-ModelExpansion takes the coefficients as one product of the rows with its
-couplings and evaluates each entry as the sum over its
-pairs of coefficient x factor x product of the mean-field point over the
-leftover variables, one array reduction for all q powers; G(q) comes out
-as the exact polynomial g0 + q g1 + q^2 g2.
+ModelExpansion takes a block's coefficients as one product of its rows
+with the couplings and evaluates each entry as the sum over its pairs of
+coefficient x factor x product of the mean-field point over the leftover
+variables, one array reduction for all q powers; F, G and V, all the
+damping pipeline needs, are one block.  G(q) comes out as the exact
+polynomial g0 + q g1 + q^2 g2.
 
 Variable layout (annihilation amplitude, conjugate) per slot pair::
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -190,14 +191,14 @@ def _entry_derivatives(rows, *slots):
     return derivs
 
 
-# block name -> (shape, derivatives of each entry in C order)
+# block name -> (shape, derivatives of each entry in C order); F, G (over
+# its three q powers) and V, all the damping pipeline needs at a point,
+# are one flat block of 36 + 36 + 216 entries (ModelExpansion.__init__)
 _BLOCKS = {
-    "F": ((6, 6), _entry_derivatives(
-        _POLARITON_ROWS, [c for c, _, _ in _POLARITON_ROWS])),
-    "G": ((6, 6), _entry_derivatives(
-        _PHONON_ROWS, [c for c, _, _ in _PHONON_ROWS])),
-    "V": ((6, 6, 6), _entry_derivatives(_POLARITON_ROWS, _W_DAG_VARS,
-                                        _W_VARS)),
+    "FGV": ((288,), _entry_derivatives(
+        _POLARITON_ROWS, [c for c, _, _ in _POLARITON_ROWS])
+        + _entry_derivatives(_PHONON_ROWS, [c for c, _, _ in _PHONON_ROWS])
+        + _entry_derivatives(_POLARITON_ROWS, _W_DAG_VARS, _W_VARS)),
     "W": ((6, 6, 6), _entry_derivatives(_PHONON_ROWS, _V_VARS, _W_VARS)),
     "residual": ((3,), _entry_derivatives(_POLARITON_ROWS[::2])),
 }
@@ -211,22 +212,27 @@ _Q_POWERS = 3
 class _Block:
     """Surviving (entry, monomial) pairs of one matrix or tensor.
 
-    leftover[k] lists the variables left after differentiating, in the
-    monomial's order, padded with NVARS (a slot whose point value is 1).
-    bins[n, k, r] is where part r (real, imaginary) of pair k's value at
-    q power n lands in the flat float view of the (q power, entry) output.
+    rows[n, j] is the linear map from the couplings to the q^n
+    coefficient of the j-th monomial the block uses, and term[k] is pair
+    k's monomial among them.  leftover[k] lists the variables left after
+    differentiating, in the monomial's order, padded with NVARS (a slot
+    whose point value is 1).  bins[n, k, r] is where part r (real,
+    imaginary) of pair k's value at q power n lands in the flat float
+    view of the (q power, entry) output.
     """
 
     shape: tuple
-    term: np.ndarray      # monomial index, ascending within an entry
+    rows: np.ndarray      # (_Q_POWERS, monomials used, 6)
+    term: np.ndarray      # index into rows, ascending within an entry
     factor: np.ndarray    # multiplicity x row sign
     leftover: np.ndarray  # (pairs, max leftover count)
     bins: np.ndarray      # (_Q_POWERS, pairs, 2)
 
 
-def _compile_block(shape, derivs, monomials) -> _Block:
+def _compile_block(shape, derivs, monomials, rows) -> _Block:
     """Differentiate every monomial by every entry's variables; keep the
-    pairs whose leftover variables all sit on condensate slots."""
+    pairs whose leftover variables all sit on condensate slots, and the
+    coefficient rows (q power, monomial, coupling) of their monomials."""
     by_var = {}
     for t, vars_ in enumerate(monomials):
         for v in set(vars_):
@@ -255,40 +261,43 @@ def _compile_block(shape, derivs, monomials) -> _Block:
     flat = (np.arange(_Q_POWERS)[:, None] * math.prod(shape)
             + np.array(entry, dtype=np.intp))
     bins = 2 * flat[:, :, None] + np.arange(2)
-    return _Block(shape=shape, term=np.array(term, dtype=np.intp),
+    used, term = np.unique(np.array(term, dtype=np.intp), return_inverse=True)
+    return _Block(shape=shape, rows=rows[:, used], term=term,
                   factor=np.array(factor, dtype=float), leftover=padded,
                   bins=bins)
 
 
 @cache
-def _compiled_table() -> tuple[np.ndarray, dict[str, _Block]]:
-    """(coefficient rows, derivative table of every block), both read off
-    one build_terms list, once per process.
-
-    rows[t] is the (3, 6) linear map from the couplings to the q-power
-    coefficients of monomial t.
-    """
+def _compiled_table() -> dict[str, _Block]:
+    """The derivative table and coefficient rows of every block, read off
+    one build_terms list, once per process."""
     terms = build_terms()
     monomials = [vars_ for _, vars_ in terms]
-    return (np.array([c for c, _ in terms]),
-            {name: _compile_block(shape, derivs, monomials)
-             for name, (shape, derivs) in _BLOCKS.items()})
+    # rows[n, t]: the couplings -> q^n coefficient map of monomial t
+    rows = np.array([c for c, _ in terms]).transpose(1, 0, 2)
+    return {name: _compile_block(shape, derivs, monomials, rows)
+            for name, (shape, derivs) in _BLOCKS.items()}
 
 
-def _reduce(block: _Block, coeffs: np.ndarray,
-            point: np.ndarray) -> np.ndarray:
-    """Entries of one block per q power, shaped (coeffs.shape[1], *shape).
+def _reduce(block: _Block, couplings: np.ndarray, point: np.ndarray,
+            powers: int = _Q_POWERS) -> np.ndarray:
+    """Entries of one block at the q powers below powers, shaped
+    (powers, *shape).
 
-    Each entry is sum over its pairs of coeff x factor x prod point[leftover],
-    accumulated in monomial order: one bincount sums the real and the
-    imaginary parts of every q power, each into its own bins.
+    The coefficients of the block's monomials are one matrix-vector
+    product of its rows with the couplings.  Each entry is sum over its
+    pairs of coeff x factor x prod point[leftover], accumulated in
+    monomial order: one bincount sums the real and the imaginary parts of
+    every q power, each into its own bins.  The values are formed as
+    (q power, pair) rows, so every product runs along the pairs.
     """
-    vals = coeffs[block.term] * block.factor[:, None]
+    rows = block.rows[:powers]
+    coeffs = (rows.reshape(-1, 6) @ couplings).reshape(rows.shape[:2])
+    vals = coeffs.take(block.term, axis=1) * block.factor
     for var in block.leftover.T:
-        vals = vals * point[var][:, None]
-    powers = vals.shape[1]
+        vals *= point.take(var)
     size = math.prod(block.shape)
-    parts = np.ascontiguousarray(vals.T).view(float)
+    parts = vals.view(float)
     out = np.bincount(block.bins[:powers].ravel(), parts.ravel(),
                       minlength=2 * powers * size)
     return out.view(complex).reshape((powers,) + block.shape)
@@ -308,36 +317,39 @@ class ModelExpansion:
         self._root_n = root_n
         # one extra slot holding 1 pads the leftover lists of the table
         point = np.zeros(NVARS + 1, dtype=complex)
-        point[0] = root_n * mf.alpha
-        point[1] = root_n * np.conj(mf.alpha)
-        point[2] = root_n * mf.beta
-        point[3] = root_n * np.conj(mf.beta)
-        point[4] = root_n * mf.gamma
-        point[5] = root_n * np.conj(mf.gamma)
+        a, b, g = (root_n * x for x in (mf.alpha, mf.beta, mf.gamma))
+        point[:_N_CONDENSATE] = (a, a.conjugate(), b, b.conjugate(),
+                                 g, g.conjugate())
         point[NVARS] = 1.0
         self._point = point
-        rows, self._table = _compiled_table()
-        # one matrix-vector product over every q power of every term
-        self._coeffs = (rows.reshape(-1, 6) @ _couplings(p, mf.mu)).reshape(
-            rows.shape[:2])
+        self._couplings = _couplings(p, mf.mu)
+        self._table = _compiled_table()
+        # F, G's q-coefficients and V from one reduction; each bin sums the
+        # pairs of its entry in the order a block of its own would, so the
+        # entries are those of three separate reductions, bit for bit
+        joint = _reduce(self._table["FGV"], self._couplings, point)
+        joint.flags.writeable = False
+        self._f = joint[0, :36].reshape(6, 6)
+        self._g = joint[:, 36:72].reshape(3, 6, 6)
+        self._v = joint[0, 72:].reshape(6, 6, 6)
 
     def _q0(self, name: str) -> np.ndarray:
-        # F, V, W and the residual involve no q-dependent monomial
-        return _reduce(self._table[name], self._coeffs[:, :1], self._point)[0]
+        # W and the residual involve no q-dependent monomial
+        return _reduce(self._table[name], self._couplings, self._point,
+                       powers=1)[0]
 
     # -- linear sector -----------------------------------------------------
 
     def polariton_matrix(self) -> np.ndarray:
-        """6x6 matrix F of the linearized (a, b0, c0) fluctuation dynamics."""
-        return self._q0("F")
+        """6x6 matrix F of the linearized (a, b0, c0) fluctuation dynamics,
+        read-only."""
+        return self._f
 
-    @cached_property
+    @property
     def phonon_coefficients(self) -> np.ndarray:
         """(g0, g1, g2) of G(q) = g0 + q g1 + q^2 g2, a read-only (3, 6, 6)
         array: everything phonon_matrix computes its stacks from."""
-        coeffs = _reduce(self._table["G"], self._coeffs, self._point)
-        coeffs.flags.writeable = False
-        return coeffs
+        return self._g
 
     def phonon_matrix(self, q) -> np.ndarray:
         """Matrix G(q) = g0 + q g1 + q^2 g2 of the linearized phonon dynamics.
@@ -367,7 +379,7 @@ class ModelExpansion:
 
     def v_tensor(self) -> np.ndarray:
         """V of interaction_tensors alone: all the damping pipeline needs."""
-        return 0.5 * self._root_n * self._q0("V")
+        return 0.5 * self._root_n * self._v
 
     def w_tensor(self) -> np.ndarray:
         """W of interaction_tensors alone."""

@@ -22,7 +22,7 @@ from .params import ThermoParams, critical_coupling, momentum_grid
 from .meanfield import solve_steady_state
 from .hamiltonian import ModelExpansion
 from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
-                         soft_mode)
+                         soft_modes)
 from .coupling import pair_kernel, soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
@@ -75,12 +75,24 @@ def pole_sum(z, weights, centers, eps: float):
     evaluations than the direct sum, (m + n_far) K < m n_far for m poles,
     n_far far points and K terms, so a scalar z is always summed directly.
     z is scalar or any array; the result has its shape.
+
+    weights may also be a (P, m) stack of rows over the same centers, one
+    per pump point of a sweep group; z is then (P, k), and row s of the
+    result sums row s of z with weights[s].  Each row is summed as it
+    would be alone (the same blocks and the same far-field choice), so its
+    sums do not depend on the rows stacked with it.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
     weights = np.asarray(weights, dtype=float)
     centers = np.asarray(centers, dtype=float)
     m = centers.size
+    if weights.ndim > 1:
+        if z.shape[-1] > _FAR_TERMS and m > _FAR_TERMS:
+            # a row may take the far field, so each decides as alone
+            return np.array([pole_sum(zs, ws, centers, eps)
+                             for zs, ws in zip(z, weights)]).reshape(z.shape)
+        return _direct_pole_sum(z, weights, centers, eps)
+    flat = z.ravel()
     # the cost rule below needs n_far > K and m > K
     if flat.size > _FAR_TERMS and m > _FAR_TERMS:
         lo, hi = np.min(centers), np.max(centers)
@@ -97,32 +109,44 @@ def pole_sum(z, weights, centers, eps: float):
                 out[far] = _far_pole_sum(u, weights, (centers - c) / radius,
                                          radius)
                 near = ~far
-                out[near] = _direct_pole_sum(flat[near], weights, centers,
-                                             eps)
+                out[near] = _direct_pole_sum(flat[near][None], weights[None],
+                                             centers, eps)[0]
                 return out.reshape(z.shape)
-    return _direct_pole_sum(flat, weights, centers, eps).reshape(z.shape)
+    return _direct_pole_sum(flat[None], weights[None], centers,
+                            eps)[0].reshape(z.shape)
 
 
-def _direct_pole_sum(flat, weights, centers, eps: float):
-    """pole_sum term by term, in blocks of _Z_CHUNK rows of z."""
-    out = np.empty(flat.shape, dtype=complex)
-    rows = min(_Z_CHUNK, flat.size)
-    a = np.empty((rows, centers.size))
-    inv = np.empty((rows, centers.size))
-    for lo in range(0, flat.size, _Z_CHUNK):
-        zb = flat[lo:lo + _Z_CHUNK]
-        ab, ib = a[:zb.size], inv[:zb.size]
-        b = zb.imag + eps
-        np.subtract(zb.real[:, None], centers, out=ab)
-        np.multiply(ab, ab, out=ib)
-        ib += (b * b)[:, None]
-        if eps == 0.0 and (ib < 1e-24).any():
-            raise NumericsError(
-                "pole sum evaluated on a pole with epsilon = 0")
-        np.divide(1.0, ib, out=ib)
-        ab *= ib
-        out.real[lo:lo + zb.size] = ab @ weights
-        out.imag[lo:lo + zb.size] = -b * (ib @ weights)
+def _direct_pole_sum(z, weights, centers, eps: float):
+    """pole_sum term by term for z (P, k) and weights (P, m).
+
+    A block holds whole rows of z, at most _Z_CHUNK points in all (a row
+    longer than that is cut into blocks of _Z_CHUNK points), and sums each
+    row by one matrix-vector product with its weights, the product a row
+    alone would make.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    cols = max(1, min(_Z_CHUNK, z.shape[1]))
+    rows = _Z_CHUNK // cols
+    a = np.empty((min(rows, z.shape[0]), cols, centers.size))
+    inv = np.empty_like(a)
+    for r0 in range(0, z.shape[0], rows):
+        w = weights[r0:r0 + rows, :, None]
+        for c0 in range(0, z.shape[1], cols):
+            zb = z[r0:r0 + rows, c0:c0 + cols]
+            ab, ib = a[:zb.shape[0], :zb.shape[1]], inv[:zb.shape[0],
+                                                        :zb.shape[1]]
+            b = zb.imag + eps
+            np.subtract(zb.real[..., None], centers, out=ab)
+            np.multiply(ab, ab, out=ib)
+            ib += (b * b)[..., None]
+            if eps == 0.0 and (ib < 1e-24).any():
+                raise NumericsError(
+                    "pole sum evaluated on a pole with epsilon = 0")
+            np.divide(1.0, ib, out=ib)
+            ab *= ib
+            block = (slice(r0, r0 + zb.shape[0]), slice(c0, c0 + zb.shape[1]))
+            out.real[block] = (ab @ w)[..., 0]
+            out.imag[block] = -b * (ib @ w)[..., 0]
     return out
 
 
@@ -141,6 +165,8 @@ def _far_pole_sum(u, weights, scaled, radius: float):
 def self_energy(channel: str, z, bath: BathSpectrum):
     """Evaluate Sigma^channel at real or complex z (scalar or array).
 
+    A bath whose couplings carry a pump axis (P, n_q) takes z as (P, k),
+    row s for point s, and evaluates every (point, z) pair in one pole_sum.
     A channel whose poles all have zero weight (Landau at T = 0) is zero
     everywhere, its residues being zero, and is not summed.
     """
@@ -225,19 +251,40 @@ def build_response(p: ThermoParams) -> Response:
     neither built nor solved again, and its couplings cost one 6x6 soft
     row and two (n x 36) products.  The returned bands are read-only
     arrays that Responses of equal stacks share.
+
+    This is the one-point case of _stack_response, which damping_sweep
+    runs once per block of pump points that share a stack.
     """
     q_half = momentum_grid(p)
-    dos = mode_density(q_half, p)
     exp = ModelExpansion(p, solve_steady_state(p))
-    omega_s, pol = soft_mode(exp)
-    phonons, kernel = _phonon_stack(exp, q_half)
-    g_l, g_b = soft_mode_couplings(exp.v_tensor(), pol, kernel)
+    omega_s, bath = _stack_response(p, q_half, exp, exp.polariton_matrix(),
+                                    exp.v_tensor())
+    return Response(omega_s=float(omega_s), bath=bath)
 
+
+def _stack_response(p: ThermoParams, q_half, exp: ModelExpansion, f,
+                    v_tensor, labels=None):
+    """(omega_s, bath) of pump points that share exp's G(q) stack.
+
+    f and v_tensor are the points' F and V: (6, 6) and (6, 6, 6) for one
+    point (build_response), or stacks with a leading axis of P points that
+    differ from p in y alone (a damping_sweep group).  Such a group shares
+    the stack's modes and pair kernel, one soft-mode eigensolve over its P
+    F matrices, one contraction of the kernel with its P soft rows of V
+    and one checked bath, whose couplings then carry the pump axis
+    (omega_s is (P,), the couplings (P, n_q)); labels name the points in
+    a soft-mode error.  Each point's numbers are those it would get alone,
+    bit for bit.  p gives the bath its grid, temperature, damping, density
+    of modes and atom number.
+    """
+    pol = soft_modes(f, labels)
+    phonons, kernel = _phonon_stack(exp, q_half)
+    g_l, g_b = soft_mode_couplings(v_tensor, pol, kernel)
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
-                               p.temperature, p.phonon_damping, dos,
-                               p.atom_number)
-    return Response(omega_s=float(omega_s), bath=bath)
+                               p.temperature, p.phonon_damping,
+                               mode_density(q_half, p), p.atom_number)
+    return pol.frequencies[..., 0], bath
 
 
 def phonon_bands(expansion: ModelExpansion, q_grid) -> ModeSet:
@@ -403,33 +450,60 @@ def _dressed_pole(resp: Response, z: complex):
 
 # -- sweep drivers ---------------------------------------------------------
 
-def _sweep_point(args):
-    """omega_s and the Born-Markov rates of one pump point, for every
-    (epsilon, T) pair, epsilon-major.
+def _sweep_points(args):
+    """(y, omega_s, rows) of each pump point of a run, in its order; the
+    rows hold the Born-Markov rates for every (epsilon, T) pair,
+    epsilon-major.
 
-    Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
-    z = omega_s + i epsilon, so one checked bath per temperature, built
-    at epsilon = 0, gives each channel's whole epsilon family in one
-    array evaluation.  The point's own bath is built at epsilon = 0 and
-    serves its own temperature as it is; only another temperature is a
-    replaced bath.
+    Each point runs only its scalar stages alone: its checked point at
+    epsilon = 0, its mean field and its ModelExpansion.  Points whose G(q)
+    stack is the same (the _phonon_modes key; below threshold, every
+    point's) form a group, which _stack_response evaluates in one pass per
+    block of up to _Z_CHUNK points; an ordered-phase point is a group of
+    one.  Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
+    z = omega_s + i epsilon, so one checked bath per temperature (the
+    block's own, built at epsilon = 0, or a replaced one for another
+    temperature) gives each channel's value at every (point, epsilon)
+    pair of the block in one self_energy call.
     """
-    p, y, epsilons, temperatures = args
+    p, ys, epsilons, temperatures = args
     for eps in epsilons:
         check_epsilon(eps)
-    base = build_response(replace(p, y=y, phonon_damping=0.0))
-    z = np.array([complex(base.omega_s, eps) for eps in epsilons])
-    rates = []
-    for temp in temperatures:
-        bath = (base.bath if temp == base.bath.temperature
-                else replace(base.bath, temperature=temp))
-        rates.append([self_energy(channel, z, bath).tolist()
-                      for channel in ("landau", "beliaev")])
-    rows = [(eps, temp,
-             BornMarkovResult.from_self_energies(base.omega_s, sl[k], sb[k]))
-            for k, eps in enumerate(epsilons)
-            for temp, (sl, sb) in zip(temperatures, rates)]
-    return y, base.omega_s, rows
+    points = [replace(p, y=y, phonon_damping=0.0) for y in ys]
+    q_half = momentum_grid(p)
+    exps = [ModelExpansion(pt, solve_steady_state(pt)) for pt in points]
+    groups = {}
+    for k, exp in enumerate(exps):
+        groups.setdefault(_StackKey(exp, q_half), []).append(k)
+
+    # a group is evaluated in blocks of _Z_CHUNK points, which bound its
+    # (points, n_q) coupling and weight tables as _Z_CHUNK bounds pole_sum's
+    blocks = [members[lo:lo + _Z_CHUNK] for members in groups.values()
+              for lo in range(0, len(members), _Z_CHUNK)]
+    results = [None] * len(ys)
+    for block in blocks:
+        omega_s, bath = _stack_response(
+            points[block[0]], q_half, exps[block[0]],
+            np.stack([exps[k].polariton_matrix() for k in block]),
+            np.stack([exps[k].v_tensor() for k in block]),
+            labels=[f"y = {ys[k]:g}" for k in block])
+        z = np.empty((len(block), len(epsilons)), dtype=complex)
+        z.real = omega_s[:, None]
+        z.imag = epsilons
+        sigmas = []
+        for temp in temperatures:
+            bath_t = (bath if temp == bath.temperature
+                      else replace(bath, temperature=temp))
+            sigmas.append([self_energy(channel, z, bath_t).tolist()
+                           for channel in ("landau", "beliaev")])
+        for row, k in enumerate(block):
+            w = float(omega_s[row])
+            results[k] = (ys[k], w, [
+                (eps, temp, BornMarkovResult.from_self_energies(
+                    w, sl[row][e], sb[row][e]))
+                for e, eps in enumerate(epsilons)
+                for temp, (sl, sb) in zip(temperatures, sigmas)])
+    return results
 
 
 def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
@@ -438,22 +512,32 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
 
     Bands and couplings are computed once per y and shared across the
     epsilon/temperature variations (they only alter the bath bookkeeping).
-    Per y and T, one bath at epsilon = 0 evaluates each channel once for
-    the whole epsilon family, at z = omega_s + i epsilon (_sweep_point);
-    every epsilon is checked as a bath checks its own.  A None in
-    epsilons or temperatures stands for p.phonon_damping or
-    p.temperature; the rest, dos_mode included, is p's.  Returns a list
-    of records, ordered as the inputs.
+    Pump points that share a G(q) stack (below threshold, all of them) are
+    evaluated as one group, in blocks of up to _Z_CHUNK points
+    (_sweep_points): a block shares the stack's modes and pair kernel,
+    one soft-mode eigensolve, one coupling contraction, one checked bath
+    per T and one self-energy evaluation per channel and T over every
+    (point, epsilon) pair, at z = omega_s + i epsilon on the bath at
+    epsilon = 0.  A point's record is the same, bit for bit, whatever it
+    is grouped with.  Every epsilon is checked as a bath checks its own.
+    With workers > 1 each worker process takes one contiguous run of the
+    points and groups within it.  A None in epsilons or temperatures
+    stands for p.phonon_damping or p.temperature; the rest, dos_mode
+    included, is p's.  Returns a list of records, ordered as the inputs.
     """
-    epsilons = [p.phonon_damping if e is None else e for e in epsilons]
-    temperatures = [p.temperature if t is None else t for t in temperatures]
-    tasks = [(p, float(y), tuple(epsilons), tuple(temperatures))
-             for y in y_values]
+    epsilons = tuple(p.phonon_damping if e is None else e for e in epsilons)
+    temperatures = tuple(p.temperature if t is None else t
+                         for t in temperatures)
+    ys = [float(y) for y in y_values]
     if workers and workers > 1:
+        cuts = [len(ys) * k // workers for k in range(workers + 1)]
+        tasks = [(p, ys[lo:hi], epsilons, temperatures)
+                 for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            results = [r for run in pool.map(_sweep_points, tasks)
+                       for r in run]
     else:
-        results = [_sweep_point(t) for t in tasks]
+        results = _sweep_points((p, ys, epsilons, temperatures))
 
     y_crit = critical_coupling(p)
     records = []
@@ -466,4 +550,3 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
                 "delta_b": bm.delta_b, "gamma_b": bm.gamma_b,
             })
     return records
-

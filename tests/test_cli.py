@@ -1,6 +1,13 @@
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from cavitybec import response, verify
 from cavitybec.cli import main
@@ -325,3 +332,75 @@ def test_verify_checks_the_bath_of_the_given_dos_mode(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
     assert all("  PASS  " in line for line in lines)
+
+
+# -- the command-line contract of the sweep commands --------------------------
+
+_EXTREME = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-12, 1e12, -1e12,
+                            1e300, -1e300])
+
+
+def _number(lo, hi):
+    # mostly ordinary values of a setting, sometimes an extreme one
+    ordinary = st.floats(lo, hi)
+    return st.one_of(ordinary, ordinary, ordinary, _EXTREME)
+
+
+_PHYSICS = st.fixed_dictionaries({}, optional={
+    "cavity_detuning": _number(-3000.0, -0.5),
+    "u": _number(-0.2, 10.0),
+    "g_coll": _number(0.0, 1.0),
+    "temperature": _number(0.0, 1.0),
+    "phonon_damping": _number(0.0, 0.2),
+    "atom_number": st.sampled_from([0, 1, 7, 1010, 10 ** 9]),
+    "condensate_width": _number(0.1, 20.0),
+    "dos_mode": st.sampled_from(["1d", "3d"]),
+})
+
+_ERROR_PREFIXES = ("config error: ", "solver error: ", "numerics error: ")
+
+
+def _finite_tables(outdir):
+    """True when every number of every table in outdir is finite."""
+    for path in outdir.iterdir():
+        _, names, rows = read_table(path)
+        if not rows or not all(np.isfinite(row[name]) for row in rows
+                               for name in names):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["damping-sweep", "temperature-sweep"]),
+       physics=_PHYSICS,
+       y_range=st.tuples(_number(0.0, 1.8), _number(0.0, 1.8)),
+       y_points=st.sampled_from([2, 1, 3, 0]),
+       values=st.lists(_number(0.0, 0.3), min_size=1, max_size=3,
+                       unique=True))
+def test_sweep_commands_keep_their_contract(command, physics, y_range,
+                                           y_points, values):
+    # any input: exit 0 with finite tables, or one typed line on stderr,
+    # a documented exit code and no file; a warning is a failure
+    listed = "epsilons" if command == "damping-sweep" else "temperatures"
+    settings_ = {"site_count": 101, **physics, "y_frac_min": y_range[0],
+                 "y_frac_max": y_range[1], "y_points": y_points,
+                 listed: ",".join(map(repr, values))}
+    args = [command]
+    for key, value in settings_.items():
+        args += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(args + ["--output-dir", str(outdir)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert list(outdir.iterdir())
+            assert _finite_tables(outdir)
+        else:
+            message = err.getvalue()
+            assert message.startswith(_ERROR_PREFIXES[code - 1])
+            assert message.count("\n") == 1
+            assert not outdir.exists() or not list(outdir.iterdir())

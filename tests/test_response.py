@@ -15,7 +15,7 @@ from cavitybec.bogoliubov import (DiagonalizationError, diagonalize_symplectic,
                                   mirrored_modes, soft_mode)
 from cavitybec.coupling import landau_beliaev_couplings, vertex_coefficients
 from cavitybec.bath import build_bath_spectrum
-from cavitybec import response
+from cavitybec import bogoliubov, response
 from cavitybec.response import (
     _SUM_RULE_MAX_STEP_PER_WIDTH, NumericsError, Response, build_response,
     damping_sweep, phonon_bands, pole_sum, self_energy, spectral_sum_rule,
@@ -434,6 +434,22 @@ def test_far_points_do_not_skip_the_collision_check():
         pole_sum(np.append(far, centers[1234]), weights, centers, 0.0)
 
 
+@pytest.mark.parametrize("k", [4, 70])
+def test_stacked_weights_sum_each_row_as_alone(k):
+    # rows of z against rows of weights over shared centres, as a sweep
+    # group evaluates them; 70 points a row take the far field in part
+    # and cut a row into blocks, 4 points share one block across rows
+    rng = np.random.default_rng(k)
+    centers = np.sort(rng.uniform(0.5, 1.5, 300))
+    weights = rng.uniform(0.0, 1e-3, (3, 300))
+    z = rng.uniform(-20.0, 20.0, (3, k)) + 1j * rng.uniform(-0.01, 0.5,
+                                                            (3, k))
+    stacked = pole_sum(z, weights, centers, 0.004)
+    assert stacked.shape == (3, k)
+    for row, w, got in zip(z, weights, stacked):
+        assert got.tobytes() == pole_sum(row, w, centers, 0.004).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(centers=arrays(float, st.integers(1, 20),
                       elements=st.floats(-5.0, 5.0)),
@@ -709,3 +725,76 @@ def test_sweep_rates_match_one_bath_per_epsilon_and_temperature():
                 # no Landau pole at T = 0, and no -0.0 in the tables
                 assert rec["gamma_l"] == 0.0
                 assert not np.signbit(rec["gamma_l"])
+
+
+# -- a sweep evaluates each group of pump points with one stack in one pass --
+
+def _record_bits(records):
+    return [[(key, np.float64(value).tobytes()) for key, value in r.items()]
+            for r in records]
+
+
+@pytest.mark.parametrize("site_count, fracs", [
+    (1001, [0.3, 1.2, 0.6, 1.45, 0.9]),
+    # 70 normal-phase points: a group of two blocks of up to 64 points
+    (101, [1.3, *np.linspace(0.05, 0.95, 70), 1.1]),
+])
+def test_grouped_sweep_equals_one_point_sweeps_bit_for_bit(site_count,
+                                                           fracs):
+    # normal-phase points share one stack and form one group; each
+    # ordered-phase point is a group of its own; the records come back in
+    # the order of the inputs and as each point gives them alone
+    p = dataclasses.replace(
+        P, site_count=site_count,
+        atom_number=P.atom_number * site_count / P.site_count)
+    ys = np.array(fracs) * critical_coupling(p)
+    kwargs = dict(epsilons=(0.03, 0.003), temperatures=(0.0, 0.05))
+    response._phonon_modes.cache_clear()
+    grouped = damping_sweep(p, ys, **kwargs)
+    alone = [r for y in ys for r in damping_sweep(p, [y], **kwargs)]
+    assert [r["y"] for r in grouped] == [float(y) for y in ys for _ in range(4)]
+    assert _record_bits(grouped) == _record_bits(alone)
+
+
+def test_warm_sweep_of_normal_points_makes_one_eigensolve(monkeypatch):
+    # k normal-phase points: one soft-mode eigensolve over their stack of
+    # F, and one lookup of the phonon stack they share
+    ys = np.linspace(0.3, 0.95, 5) * Y_CRIT
+    damping_sweep(P, ys)
+    solves = []
+    eig_modes = bogoliubov._eig_modes
+
+    def counted(m, *args, **kwargs):
+        solves.append(np.shape(m))
+        return eig_modes(m, *args, **kwargs)
+
+    monkeypatch.setattr(bogoliubov, "_eig_modes", counted)
+    before = response._phonon_modes.cache_info()
+    damping_sweep(P, ys, epsilons=(0.03, 0.01), temperatures=(0.0, 0.1))
+    after = response._phonon_modes.cache_info()
+    assert solves == [(5, 6, 6)]
+    assert after.misses - before.misses <= 1
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+
+
+def test_zero_polariton_matrix_at_one_pump_names_its_y(monkeypatch):
+    # as test_empty_polariton_set_raises_a_typed_error, but at the second
+    # of three pump points of one group: the error names that point's y
+    ys = np.array([0.3, 0.5, 0.7]) * Y_CRIT
+    polariton_matrix = ModelExpansion.polariton_matrix
+    calls = []
+
+    def zero_at_the_second(self):
+        calls.append(1)
+        if len(calls) == 2:
+            return np.zeros((6, 6), dtype=complex)
+        return polariton_matrix(self)
+
+    monkeypatch.setattr(ModelExpansion, "polariton_matrix",
+                        zero_at_the_second)
+    with pytest.raises(DiagonalizationError,
+                       match=f"unpaired spectrum in sector 'polariton' at "
+                             f"y = {ys[1]:g}: ") as info:
+        damping_sweep(P, ys)
+    assert "stack index" not in str(info.value)
+    assert info.value.index == 1
