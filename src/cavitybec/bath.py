@@ -80,7 +80,7 @@ class BathSpectrum:
     bath: the coupling tables then carry a leading pump axis, (P, n_q), as
     a ModeSet stack does, and so do the pole weights; the bands, the pair
     factors and the checks are the shared ones.  active_poles is the
-    table of a bath of one point.
+    table of a bath of one point; pole_table holds every point's.
 
     A bath checks itself on construction: epsilon must lie in
     [0, EPSILON_MAX] and the temperature must be >= 0 (ConfigError), and
@@ -147,16 +147,21 @@ class BathSpectrum:
         return weights, om
 
     @cached_property
+    def pole_table(self):
+        """(weights, centres) of both channels' poles, the Landau ones
+        first, with weight or not; the weights have the couplings' shape
+        along the last axis, (2 n_q,) or (P, 2 n_q) with a pump axis."""
+        tables = [self.pole_weights(ch) for ch in ("landau", "beliaev")]
+        return (np.concatenate([w for w, _ in tables], axis=-1),
+                np.concatenate([om for _, om in tables]))
+
+    @cached_property
     def active_poles(self):
         """(weights, centres) of both channels' poles with weight > 0; the
         whole Landau channel at T = 0 has none."""
-        weights, centres = [], []
-        for channel in ("landau", "beliaev"):
-            w, om = self.pole_weights(channel)
-            active = w > 0
-            weights.append(w[active])
-            centres.append(om[active])
-        return np.concatenate(weights), np.concatenate(centres)
+        weights, centres = self.pole_table
+        active = weights > 0
+        return weights[active], centres[active]
 
 
 def build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .response import NumericsError, Response, pole_sum
+from .response import NumericsError, Response, _stack_blocks, pole_sum
 
 
 # -- meromorphic reconstruction -------------------------------------------
@@ -386,7 +386,9 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
     return PoleSet(poles=poles, failed_seeds=tuple(failed))
 
 
-_ROW_CHUNK = 64  # root estimates per block: bounds the (block, m) temporaries
+# root estimates per block of a pass, shared by the pump points of a
+# solve: bounds its (block, m) temporaries whatever the number of points
+_ROW_CHUNK = 64
 
 # the local model of each bath zero (_local_start): the poles it takes
 # exactly on each side of its own, the Taylor terms of the others, and
@@ -405,7 +407,7 @@ _POLE_GAP = 1e-75
 _CERTIFICATE_SLACK = 16.0
 
 
-def companion_pole_candidates(resp: Response):
+def companion_pole_candidates(resp: Response, labels=None):
     """All poles of the closed-form G as the zeros of its secular function.
 
     1/G(z) = z - omega_s - sum_j w_j/(z - x_j + i eps), w_j > 0, x_j real,
@@ -419,65 +421,127 @@ def companion_pole_candidates(resp: Response):
     already within the stop test, and a simultaneous Aberth-Ehrlich
     iteration on the secular equation (Bini & Robol, J. Comput. Appl.
     Math. 272, 2014) finishes the rest, in O(m^2) real work per pass.
+
+    resp may also be the stacked Response of pump points that share their
+    bands (omega_s (P,), couplings (P, n_q); response._stack_blocks).
+    The points whose active poles (weight > 0) are the same are then
+    solved together by one _secular_roots call, and a list of each
+    point's zeros is returned, bit for bit the ones it gets alone; labels
+    name the points in an error.
     """
-    return _secular_roots(resp.omega_s, *resp.bath.active_poles,
-                          resp.bath.epsilon)
+    eps = resp.bath.epsilon
+    if np.ndim(resp.omega_s) == 0:
+        return _secular_roots(resp.omega_s, *resp.bath.active_poles, eps)
+    weights, centers = resp.bath.pole_table
+    sets = {}
+    for k, active in enumerate(weights > 0):
+        sets.setdefault(active.tobytes(), []).append(k)
+    zeros = [None] * len(weights)
+    for rows in sets.values():
+        active = weights[rows[0]] > 0
+        found = _secular_roots(
+            resp.omega_s[rows], weights[rows][:, active], centers[active],
+            eps, labels=None if labels is None else [labels[k] for k in rows])
+        for k, z in zip(rows, found):
+            zeros[k] = z
+    return zeros
 
 
-def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
+def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
+                   labels=None):
     """All zeros of r(z) = z - head - sum_j weights[j]/(z - centers[j] + i eps).
 
-    weights > 0, centers real.  The solve runs in u = z + i eps, where every
-    pole is real: r = u - (head + i eps) - sum_j w_j/(u - x_j).  k equal
-    centers are first merged into one pole with the summed weight, leaving
-    k - 1 zeros exactly at x_j - i eps.  The other zeros start from local
-    models of r (_local_start).  A zero is frozen once its step falls below
-    1e-15 max(|z|, 1), and every sum of a pass is a real matrix-vector
-    product, as in pole_sum.  The first pass confirms: it evaluates r and
-    r' at every start with the secular sums alone and freezes each zero
-    whose Newton step r/r' already meets that test.  The other zeros keep
-    their starts; the later passes are Aberth-Ehrlich steps on them alone,
-    on the polynomial r(u) prod_j (u - x_j) in the form that stays finite
-    where r vanishes, with the frozen zeros still in the repulsion sum.  A
-    zero that the start rounds onto its pole, or puts within _POLE_GAP of
-    it, stays there.  Raises NumericsError if any zero is still moving
-    after max_iter passes, the confirming one included, or if the zeros
-    fail a certificate (_certify).
+    weights > 0, centers real.  head may also be (P,) and weights (P, m)
+    over the same centers: P pump points solved together, with a (P,
+    m + 1) result whose row s is, bit for bit, what head[s] and
+    weights[s] give alone.  labels name the points in an error ("at
+    y = 0.316").
+
+    The solve runs in u = z + i eps, where every pole is real:
+    r = u - (head + i eps) - sum_j w_j/(u - x_j).  k equal centers are
+    first merged into one pole with the summed weight, leaving k - 1
+    zeros exactly at x_j - i eps.  The other zeros start from local
+    models of r (_local_start).  A zero is frozen once its step falls
+    below 1e-15 max(|z|, 1), and every sum of a pass is a real
+    matrix-vector product, as in pole_sum.  The first pass confirms: it
+    evaluates r and r' at every start with the secular sums alone and
+    freezes each zero whose Newton step r/r' already meets that test.
+    The other zeros keep their starts; the later passes are
+    Aberth-Ehrlich steps on them alone, on the polynomial
+    r(u) prod_j (u - x_j) in the form that stays finite where r vanishes,
+    with the frozen zeros still in the repulsion sum.  A zero that the
+    start rounds onto its pole, or puts within _POLE_GAP of it, stays
+    there.
+
+    A pass cuts each point's moving zeros into runs of _ROW_CHUNK, as the
+    point alone cuts them, and packs the runs of all points in order into
+    blocks of at most _ROW_CHUNK rows: the element-wise work of a block
+    runs over all its rows at once, and each run makes its own
+    matrix-vector products, of the shape it has alone (a row's BLAS
+    result can change with the row count of its product).  The (block,
+    m) temporaries hold at most _ROW_CHUNK rows whatever P is.  Raises
+    NumericsError if any zero is still moving after max_iter passes, the
+    confirming one included, or if a point's zeros fail a certificate
+    (_certify).
     """
+    shape = np.shape(head)
+    n_pts = int(np.prod(shape, dtype=int))
     given = np.asarray(centers, dtype=float)
     centers, inverse, counts = np.unique(given, return_inverse=True,
                                          return_counts=True)
-    weights = np.bincount(inverse, weights=weights, minlength=len(centers))
     m = len(centers)
+    cols = m + 1
+    # the merged weights of every point in one bincount, each bin summed
+    # in the order of the point's own
+    weights = np.bincount(
+        (inverse + m * np.arange(n_pts)[:, None]).ravel(),
+        weights=np.reshape(weights, (n_pts, given.size)).ravel(),
+        minlength=n_pts * m).reshape(n_pts, m)
     unit = np.finfo(float).eps
-    head = head + 1j * eps
-    # per zero: 1/r'(u) of its last pass, its rounding scale
-    # |1/r'|^2 (1 + sum_j w_j/|u - x_j|^2) and |1/r'|^2 times a bound on |r''|
-    u, residues, size = _local_start(head, weights, centers)
-    tail = np.zeros(m + 1)
+    head = np.reshape(head, n_pts) + 1j * eps
+
+    def at(s):
+        return "" if labels is None else f" at {labels[s]}"
+
+    # per zero, flat over (point, zero): 1/r'(u) of its last pass, its
+    # rounding scale |1/r'|^2 (1 + sum_j w_j/|u - x_j|^2) and |1/r'|^2
+    # times a bound on |r''|
+    u, residues, size = (x.ravel() for x in _local_start(head, weights,
+                                                         centers))
+    tail = np.zeros(n_pts * cols)
 
     # a zero that the start rounds onto its pole (as z = u - i eps), or
     # puts within _POLE_GAP of it, stays there: r cannot be evaluated on
     # the pole
-    frozen = ((u[:m] - 1j * eps == centers - 1j * eps)
-              | (np.abs(u[:m] - centers) < _POLE_GAP))
-    u[:m][frozen] = centers[frozen]
-    active = np.append(~frozen, True)
-    pair = np.column_stack([weights, np.ones(m)])
-    ones = np.ones(m + 1)
-    rows_max = min(_ROW_CHUNK, m + 1)
-    a, dd, prod = (np.empty((rows_max, m)) for _ in range(3))
-    p, q, e = (np.empty((rows_max, m + 1)) for _ in range(3))
+    bath_zeros = u.reshape(n_pts, cols)[:, :m]
+    frozen = ((bath_zeros - 1j * eps == centers - 1j * eps)
+              | (np.abs(bath_zeros - centers) < _POLE_GAP))
+    bath_zeros[frozen] = np.broadcast_to(centers, frozen.shape)[frozen]
+    active = np.concatenate([~frozen, np.ones((n_pts, 1), bool)],
+                            axis=1).ravel()
+    # per point: its weights with a column of ones, whose products give a
+    # row's sums of A and D at once, and its weights alone
+    pairs = list(np.stack([weights, np.ones_like(weights)], axis=-1))
+    rows_w = list(weights)
+    ones = np.ones(cols)
+    rows_max = min(_ROW_CHUNK, n_pts * cols)
+    # the products of a run take two operands of one shape at once, as a
+    # (2, rows, .) stack: A and D, A^2 and A D, p and q
+    ad_buf, sq_buf = np.empty((2, 2, rows_max, m))
+    pq_buf = np.empty((2, rows_max, cols))
+    e = np.empty((rows_max, cols))
     for it in range(max_iter):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         step = np.empty(rows.size, dtype=complex)
         ur, ui = u.real.copy(), u.imag.copy()
-        for lo in range(0, rows.size, _ROW_CHUNK):
-            block = rows[lo:lo + _ROW_CHUNK]
-            n = block.size
-            ab, db, tb = a[:n], dd[:n], prod[:n]
+        for lo, hi, runs in _pass_blocks(rows, n_pts, cols):
+            block = rows[lo:hi]
+            n = hi - lo
+            point = block // cols
+            ad, sq, pq = ad_buf[:, :n], sq_buf[:, :n], pq_buf[:, :n]
+            ab, db = ad
             b = ui[block]
             # 1/(u - x_j) = A - i b D with D = 1/(a^2 + b^2), A = a D
             np.subtract(ur[block, None], centers, out=ab)
@@ -485,34 +549,42 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
             db += (b * b)[:, None]
             np.divide(1.0, db, out=db)
             ab *= db
-            s_a = ab @ pair
-            s_d = db @ pair
-            f = u[block] - head - (s_a[:, 0] - 1j * b * s_d[:, 0])
-            inv_sum = s_a[:, 1] - 1j * b * s_d[:, 1]
             # w/(u - x)^2 = w (A^2 - b^2 D^2 - 2i b A D), A^2 + b^2 D^2 = D
-            np.multiply(ab, ab, out=tb)
-            re_sq = 2.0 * (tb @ weights) - s_d[:, 0]
-            np.multiply(ab, db, out=tb)
-            df = 1.0 + re_sq - 2j * b * (tb @ weights)
+            np.multiply(ab, ab, out=sq[0])
+            np.multiply(ab, db, out=sq[1])
+            if it:
+                # repulsion sum_{k != i} 1/(u_i - u_k) over the zeros of
+                # the row's own point, i.e. (p - i q)/(p^2 + q^2)
+                for s, k in runs:
+                    own = slice(s * cols, (s + 1) * cols)
+                    np.subtract(ur[block[k], None], ur[own], out=pq[0, k])
+                    np.subtract(b[k, None], ui[own], out=pq[1, k])
+                eb = e[:n]
+                np.multiply(pq[0], pq[0], out=eb)
+                eb += pq[1] * pq[1]
+                eb[np.arange(n), block - point * cols] = np.inf  # k = i
+                np.divide(1.0, eb, out=eb)
+                pq *= eb
+            sums = np.empty((2, n, 2))
+            w_sums, rep = np.empty((2, 2, n))
+            for s, k in runs:
+                sums[:, k] = ad[:, k] @ pairs[s]
+                w_sums[:, k] = sq[:, k] @ rows_w[s]
+                if it:
+                    rep[:, k] = pq[:, k] @ ones
+            s_a, s_d = sums
+            f = u[block] - head[point] - (s_a[:, 0] - 1j * b * s_d[:, 0])
+            re_sq = 2.0 * w_sums[0] - s_d[:, 0]
+            df = 1.0 + re_sq - 2j * b * w_sums[1]
             if it == 0:
                 # the confirmation pass: the Newton step of r alone
                 sb = f / df
             else:
                 # Newton step of the polynomial:
                 # f / (f' + f sum_j 1/(u - x_j))
+                inv_sum = s_a[:, 1] - 1j * b * s_d[:, 1]
                 newton = f / (df + f * inv_sum)
-                # repulsion sum_{k != i} 1/(u_i - u_k),
-                # i.e. (p - i q)/(p^2 + q^2)
-                pb, qb, eb = p[:n], q[:n], e[:n]
-                np.subtract(ur[block, None], ur, out=pb)
-                np.subtract(b[:, None], ui, out=qb)
-                np.multiply(pb, pb, out=eb)
-                eb += qb * qb
-                eb[np.arange(n), block] = np.inf  # drops k = i
-                np.divide(1.0, eb, out=eb)
-                pb *= eb
-                qb *= eb
-                repulsion = pb @ ones - 1j * (qb @ ones)
+                repulsion = rep[0] - 1j * rep[1]
                 sb = newton / (1.0 - newton * repulsion)
             residues[block] = 1.0 / df
             inv_sq = 1.0 / np.abs(df) ** 2
@@ -523,29 +595,69 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100):
             active[block] = ~done
             if it == 0:
                 sb[~done] = 0.0  # an unconfirmed zero keeps its start
-            step[lo:lo + n] = sb
+            step[lo:hi] = sb
             # |r''| <= 2 sum_j w_j D^(3/2) <= 2 sqrt(sum w D^2 sum w D)
-            near = db[done]
-            tail[block[done]] = (2.0 * inv_sq[done]
-                                 * np.sqrt((near * near) @ weights)
+            db *= db
+            near = db if done.all() else db[done]
+            near_sum = np.empty(near.shape[0])
+            first = 0
+            for s, k in runs:
+                last = first + np.count_nonzero(done[k])
+                near_sum[first:last] = near[first:last] @ rows_w[s]
+                first = last
+            tail[block[done]] = (2.0 * inv_sq[done] * np.sqrt(near_sum)
                                  * np.sqrt(s_d[done, 0]))
         u[rows] -= step
     if np.any(active):
+        s = int(np.argmax(active)) // cols
         raise NumericsError(
-            f"secular equation: {np.count_nonzero(active)} of {m + 1} zeros "
-            f"not converged after {max_iter} Aberth-Ehrlich steps")
+            f"secular equation{at(s)}: "
+            f"{np.count_nonzero(active[s * cols:(s + 1) * cols])} of {cols} "
+            f"zeros not converged after {max_iter} Aberth-Ehrlich steps")
     # a residue 1/r' moves with the rounding of r' (m + 1 terms) and with
     # r'' times the distance of its point from the zero: the last step
     # plus the zero's own rounding
     offset = 1e-15 * np.maximum(np.abs(u - 1j * eps), 1.0) + unit * np.abs(u)
-    slack = (m + 1) * unit * size + tail * offset
-    u = np.concatenate([u, np.repeat(centers, counts - 1)])
-    _certify(u, head, given, residues, slack)
-    return u - 1j * eps
+    slack = (cols * unit * size + tail * offset).reshape(n_pts, cols)
+    repeats = np.repeat(centers, counts - 1)
+    u = np.concatenate([u.reshape(n_pts, cols),
+                        np.broadcast_to(repeats, (n_pts, repeats.size))],
+                       axis=1)
+    residues = residues.reshape(n_pts, cols)
+    for s in range(n_pts):
+        try:
+            _certify(u[s], head[s], given, residues[s], slack[s])
+        except NumericsError as exc:
+            raise NumericsError(f"secular equation{at(s)}: {exc}") from exc
+    return (u - 1j * eps).reshape(shape + (given.size + 1,))
+
+
+def _pass_blocks(rows, n_pts: int, cols: int):
+    """The blocks of one pass over the moving zeros rows (flat indices
+    into (point, zero), ascending), as (lo, hi, runs): rows[lo:hi] is the
+    block, and each run (point, k) is block[k], one of the point's runs of
+    _ROW_CHUNK zeros as it cuts them alone.  Whole runs are packed in
+    order while a block holds at most _ROW_CHUNK rows."""
+    bounds = np.searchsorted(rows, cols * np.arange(n_pts + 1)).tolist()
+    blocks = []
+    for s in range(n_pts):
+        for r0 in range(bounds[s], bounds[s + 1], _ROW_CHUNK):
+            r1 = min(r0 + _ROW_CHUNK, bounds[s + 1])
+            if blocks and r1 - blocks[-1][0] <= _ROW_CHUNK:
+                blocks[-1][1] = r1
+            else:
+                blocks.append([r0, r1, []])
+            lo = blocks[-1][0]
+            blocks[-1][2].append((s, slice(r0 - lo, r1 - lo)))
+    return blocks
 
 
 def _local_start(head, weights, centers):
     """Starting zeros in u, with 1/r' and its rounding scale there.
+
+    head (P,) and weights (P, m) over the shared centers give (P, m + 1)
+    results, row s bit for bit what point s gets alone; a scalar head and
+    weights (m,) give one point's (m + 1,).
 
     Zero j starts at u = x_j + d from a local model of r near its pole:
     the 2 _NEAR_POLES + 1 consecutive poles around x_j (all of them when
@@ -569,27 +681,40 @@ def _local_start(head, weights, centers):
     keeps, with |1/r'| as its scale.  The head's zero starts at the
     Born-Markov pole head + sum_j w_j/(head - x_j), unless the nearest
     pole is within sqrt(w_j) of the head.
+
+    The model's (points, window, m) arrays are formed for as many points
+    at a time as fit in _ROW_CHUNK rows of m.
     """
-    m = len(centers)
+    shape = np.shape(head)
+    head = np.reshape(head, -1)
+    n_pts, m = head.size, len(centers)
+    weights = np.reshape(weights, (n_pts, m))
     moments = _pole_moments(weights, centers)
     curv = 1.0 + moments[1]
-    den = centers - head - moments[0]
+    den = centers - head[:, None] - moments[0]
     root = np.sqrt(den * den + 4.0 * curv * weights)
     den = np.where(np.abs(den + root) >= np.abs(den - root),
                    den + root, den - root)
     two_pole = 2.0 * weights / den
-    residues = np.append(4.0 * weights / (4.0 * weights * curv + den * den),
-                         1.0)
+    residues = np.concatenate(
+        [4.0 * weights / (4.0 * weights * curv + den * den),
+         np.ones((n_pts, 1))], axis=1)
     size = np.abs(residues)
-    gap = np.abs(head - centers)
-    j = np.argmin(gap) if m else 0
-    if m and weights[j] >= gap[j] ** 2:
-        # the pole's own first-order shift of the head exceeds their
-        # distance (infinite on the pole): the model's other root,
-        # d = -den/(2 (1 - T'_j)), is the head's zero
-        head_zero = centers[j] - den[j] / (2.0 * curv[j])
-    else:
-        head_zero = head + (weights / (head - centers)).sum()
+    gap = np.abs(head[:, None] - centers)
+    pts = np.arange(n_pts)
+    j = np.argmin(gap, axis=1) if m else np.zeros(n_pts, int)
+    # the pole's own first-order shift of the head exceeds their distance
+    # (infinite on the pole): the model's other root,
+    # d = -den/(2 (1 - T'_j)), is the head's zero
+    on_pole = (weights[pts, j] >= gap[pts, j] ** 2 if m
+               else np.zeros(n_pts, bool))
+    head_zero = np.empty(n_pts, dtype=complex)
+    jn = j[on_pole]
+    head_zero[on_pole] = (centers[jn]
+                          - den[on_pole, jn] / (2.0 * curv[on_pole, jn]))
+    off = ~on_pole
+    head_zero[off] = head[off] + (weights[off]
+                                  / (head[off, None] - centers)).sum(axis=1)
 
     # the window of each pole, as rows of the pole's neighbours, and the
     # far moments without the window's terms
@@ -597,69 +722,85 @@ def _local_start(head, weights, centers):
     near = (np.clip(np.arange(m) - _NEAR_POLES, 0, m - width)
             + np.arange(width)[:, None])
     gaps = centers - centers[near]  # 0 in the pole's own row
-    near_weights = weights[near]
     with np.errstate(divide="ignore"):
         inv = 1.0 / gaps
     inv[gaps == 0.0] = 0.0
-    term = near_weights * inv
-    for n in range(_TAIL_TERMS):
-        moments[n] -= term.sum(axis=0)
-        term *= inv
-    # Newton steps on the model in real arithmetic, d = a + i b, as in the
-    # Aberth passes: 1/(g + d) = A - i b D with D = 1/((g + a)^2 + b^2)
-    # and A = (g + a) D
-    d = two_pole
-    offset = centers - head
-    # 1/D overflows where D is subnormal (weights ~1e-160); the isfinite
-    # test below then keeps the two-pole start
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MODEL_STEPS):
-            b = d.imag
-            big_a = gaps + d.real
-            big_d = big_a * big_a
-            big_d += b * b
-            np.divide(1.0, big_d, out=big_d)
-            big_a *= big_d
-            wd = near_weights * big_d
-            wa = near_weights * big_a
-            s_d = wd.sum(axis=0)
-            near_sum = wa.sum(axis=0) - 1j * b * s_d
-            # w/(g + d)^2 = w (A^2 - b^2 D^2 - 2i b A D), A^2 + b^2 D^2 = D
-            wd *= big_a
-            wa *= big_a
-            near_sq = 2.0 * wa.sum(axis=0) - s_d - 2j * b * wd.sum(axis=0)
-            # Horner's rule for the tail and its slope in s = -d
-            tail, slope = moments[-1], 0.0
-            for moment in moments[-2::-1]:
-                slope = slope * -d + tail
-                tail = tail * -d + moment
-            d = d - ((offset + d - near_sum - tail)
-                     / (1.0 + near_sq + slope))
+    offset = centers - head[:, None]
+    d = two_pole.copy()
+    per = max(1, _ROW_CHUNK // max(width, 1))
+    for lo in range(0, n_pts, per):
+        sl = slice(lo, lo + per)
+        near_weights = np.take(weights[sl], near, axis=1)  # C order
+        far = moments[:, sl]
+        term = near_weights * inv
+        for n in range(_TAIL_TERMS):
+            far[n] -= term.sum(axis=1)
+            term *= inv
+        # Newton steps on the model in real arithmetic, d = a + i b, as in
+        # the Aberth passes: 1/(g + d) = A - i b D with
+        # D = 1/((g + a)^2 + b^2) and A = (g + a) D
+        dl = d[sl]
+        # 1/D overflows where D is subnormal (weights ~1e-160); the
+        # isfinite test below then keeps the two-pole start
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_MODEL_STEPS):
+                b = dl.imag
+                big_a = gaps + dl.real[:, None]
+                big_d = big_a * big_a
+                big_d += (b * b)[:, None]
+                np.divide(1.0, big_d, out=big_d)
+                big_a *= big_d
+                wd = near_weights * big_d
+                wa = near_weights * big_a
+                s_d = wd.sum(axis=1)
+                near_sum = wa.sum(axis=1) - 1j * b * s_d
+                # w/(g + d)^2 = w (A^2 - b^2 D^2 - 2i b A D),
+                # A^2 + b^2 D^2 = D
+                wd *= big_a
+                wa *= big_a
+                near_sq = 2.0 * wa.sum(axis=1) - s_d - 2j * b * wd.sum(axis=1)
+                # Horner's rule for the tail and its slope in s = -d
+                tail, slope, s = far[-1], 0.0, -dl
+                for moment in far[-2::-1]:
+                    slope = slope * s + tail
+                    tail = tail * s + moment
+                dl = dl - ((offset[sl] + dl - near_sum - tail)
+                           / (1.0 + near_sq + slope))
+        d[sl] = dl
     # interval k lies between the poles k - 1 and k
     right = two_pole.real > 0
     room = np.diff(centers)
     room = np.where(right, np.append(room, np.inf), np.append(np.inf, room))
     interval = np.arange(m) + right
-    starts = np.bincount(np.append(interval, np.searchsorted(
-        centers, head_zero.real)), minlength=m + 1)
-    take = (np.isfinite(d) & (starts[interval] == 1)
+    # the starts per interval of every point in one bincount
+    starts = np.concatenate(
+        [interval, np.searchsorted(centers, head_zero.real)[:, None]], axis=1)
+    starts = np.bincount((starts + (m + 1) * pts[:, None]).ravel(),
+                         minlength=n_pts * (m + 1)).reshape(n_pts, m + 1)
+    take = (np.isfinite(d)
+            & (np.take_along_axis(starts, interval, axis=1) == 1)
             & np.where(right, d.real > 0, d.real < 0)
             & (np.abs(d.real) < room))
-    u = np.append(centers + np.where(take, d, two_pole), head_zero)
-    return u, residues, size
+    u = np.concatenate([centers + np.where(take, d, two_pole),
+                        head_zero[:, None]], axis=1)
+    return tuple(x.reshape(shape + (m + 1,)) for x in (u, residues, size))
 
 
 def _pole_moments(weights, centers):
-    """M[n, j] = sum_{k != j} w_k/(x_j - x_k)^(n+1) for n < _TAIL_TERMS.
+    """M[n, s, j] = sum_{k != j} w_sk/(x_j - x_k)^(n+1) for n < _TAIL_TERMS
+    and the points s of weights (P, m) over the shared centers.
 
     One real pass that reads each pair once: a block of _ROW_CHUNK rows
     meets the columns from its own on, and since
     1/(x_k - x_j) = -1/(x_j - x_k) the powers it forms give the block's
     row sums and, transposed with the sign (-1)^(n+1), the sums of the
-    later columns.
+    later columns.  The powers are formed once per block for all points
+    and applied to every point's weights by a broadcast matmul, which
+    makes per point the matrix-vector product it makes alone.
     """
-    m = len(centers)
-    moments = np.zeros((_TAIL_TERMS, m))
+    n_pts, m = weights.shape
+    moments = np.zeros((_TAIL_TERMS, n_pts, m))
+    column, row = weights[:, :, None], weights[:, None, :]
     for lo in range(0, m, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, m)
         inv = centers[lo:hi, None] - centers[lo:]
@@ -669,12 +810,12 @@ def _pole_moments(weights, centers):
         for n in range(_TAIL_TERMS):
             if n:
                 power *= inv
-            moments[n, lo:hi] += power @ weights[lo:]
-            later = weights[lo:hi] @ power[:, hi - lo:]
+            moments[n, :, lo:hi] += (power @ column[:, lo:])[..., 0]
+            later = (row[..., lo:hi] @ power[:, hi - lo:])[:, 0]
             if n % 2:
-                moments[n, hi:] += later
+                moments[n, :, hi:] += later
             else:
-                moments[n, hi:] -= later
+                moments[n, :, hi:] -= later
     return moments
 
 
@@ -694,67 +835,81 @@ def _certify(u, head, centers, residues, slack):
     scale = np.abs(u).sum() + abs(head) + np.abs(centers).sum()
     if not trace <= _CERTIFICATE_SLACK * unit * scale:
         raise NumericsError(
-            f"secular equation: the trace of the {u.size} zeros is off by "
-            f"{trace:.3e} (scale {scale:.3e}); a zero is lost or doubled")
+            f"the trace of the {u.size} zeros is off by {trace:.3e} (scale "
+            f"{scale:.3e}); a zero is lost or doubled")
     total = abs(residues.sum() - 1.0)
     if not total <= _CERTIFICATE_SLACK * slack.sum():
         raise NumericsError(
-            f"secular equation: the residues of the {residues.size} zeros "
-            f"sum to 1 within {total:.3e} (rounding bound "
-            f"{slack.sum():.3e}); a zero or its residue is wrong")
+            f"the residues of the {residues.size} zeros sum to 1 within "
+            f"{total:.3e} (rounding bound {slack.sum():.3e}); a zero or its "
+            "residue is wrong")
 
 
 def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
     """Track the n_track smallest-|Im| poles of G across a pump sweep.
 
     Every point is p, dos_mode included, at a pump y of y_values.  The
-    poles of G are the zeros of its secular function r = 1/G, all of
-    which companion_pole_candidates returns.  Per point the zeros in the
+    points that share a G(q) stack (below threshold, all of them) are
+    evaluated by groups, in blocks of up to 64 points
+    (response._stack_blocks, as damping_sweep does), and each block's
+    stacked Response goes through one companion_pole_candidates call,
+    which returns every zero of each point's secular function r = 1/G,
+    bit for bit the ones the point gets alone.  Per point the zeros in the
     open lower half-plane with Re z in omega_window are taken by ascending
     |Im z|, and the first n_track + 3 with |r(z)| <= 1e-8 are kept.  Their
     residues are exact: 1/r'(z), r'(z) = 1 + sum_j w_j/(z - x_j + i eps)^2.
     Trajectories are matched across y by minimal total displacement in the
     complex plane.  Raises NumericsError when fewer than n_track zeros in
-    the window pass the check.
+    the window pass the check; an error of the solve names its point by y.
     """
-    # looked up per call, not at import: perfbench/tracer.py wraps
-    # response.build_response by attribute
-    from .response import build_response
-
+    ys = [float(y) for y in y_values]
+    found = [None] * len(ys)
+    for block, omega_s, bath in _stack_blocks([p.with_pump(y) for y in ys]):
+        zeros = companion_pole_candidates(
+            Response(omega_s=omega_s, bath=bath),
+            labels=[f"y = {ys[k]:g}" for k in block])
+        weights, centers = bath.pole_table
+        for row, k in enumerate(block):
+            active = weights[row] > 0
+            found[k] = _verified_poles(
+                zeros[row], omega_s[row], weights[row, active],
+                centers[active], bath.epsilon, omega_window, n_track, ys[k])
     records = []
     prev = None
-    for y in y_values:
-        resp = build_response(p.with_pump(float(y)))
-        z = companion_pole_candidates(resp)
-        z = z[(z.real >= omega_window[0]) & (z.real <= omega_window[1])
-              & (z.imag < 0)]
-        # a zero within rounding of a weak bath pole fails the test on r,
-        # whose term for that pole dominates there (and is not finite on
-        # the pole itself); like a failed seed of find_poles it is passed
-        # over
-        kept = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for zk in z[np.argsort(np.abs(z.imag))]:
-                if len(kept) == n_track + 3:
-                    break
-                if abs(resp.inverse_green(zk)) <= 1e-8:
-                    kept.append(zk)
-        if len(kept) < n_track:
-            raise NumericsError(
-                f"only {len(kept)} verified poles in the window "
-                f"{tuple(omega_window)} at y = {y} (need {n_track})")
-        z = np.array(kept)
-        weights, centers = resp.bath.active_poles
-        gaps = z[:, None] - centers + 1j * resp.bath.epsilon
-        slope = 1.0 + (weights / gaps ** 2).sum(axis=1)
-        poles = [Pole(z=complex(zk), residue=complex(1.0 / dk))
-                 for zk, dk in zip(z, slope)]
+    for y, poles in zip(ys, found):
         chosen = poles[:n_track] if prev is None else _match_tracks(
             prev, poles)
-        records.append({"y": float(y), "poles": chosen,
+        records.append({"y": y, "poles": chosen,
                         "residues": [pl.residue for pl in chosen]})
         prev = [pl.z for pl in chosen]
     return records
+
+
+def _verified_poles(z, head, weights, centers, eps: float, omega_window,
+                    n_track: int, y: float):
+    """The Poles of one point that pole_sweep keeps, from all its zeros z
+    and its active poles, by ascending |Im z|."""
+    z = z[(z.real >= omega_window[0]) & (z.real <= omega_window[1])
+          & (z.imag < 0)]
+    # a zero within rounding of a weak bath pole fails the test on r,
+    # whose term for that pole dominates there (and is not finite on the
+    # pole itself); like a failed seed of find_poles it is passed over
+    kept = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for zk in z[np.argsort(np.abs(z.imag))]:
+            if len(kept) == n_track + 3:
+                break
+            if abs(zk - head - pole_sum(zk, weights, centers, eps)) <= 1e-8:
+                kept.append(zk)
+    if len(kept) < n_track:
+        raise NumericsError(
+            f"only {len(kept)} verified poles in the window "
+            f"{tuple(omega_window)} at y = {y} (need {n_track})")
+    z = np.array(kept)
+    gaps = z[:, None] - centers + 1j * eps
+    slope = 1.0 + (weights / gaps ** 2).sum(axis=1)
+    return [Pole(z=complex(zk), residue=complex(1.0 / dk))
+            for zk, dk in zip(z, slope)]
 
 
 def _match_tracks(prev, poles):

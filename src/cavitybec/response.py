@@ -204,7 +204,14 @@ class BornMarkovResult:
 
 @dataclass(frozen=True)
 class Response:
-    """Soft-mode frequency plus the bath, whose pole table G reads."""
+    """Soft-mode frequency plus the bath, whose pole table G reads.
+
+    The pump points of one _stack_blocks block make a stacked Response,
+    omega_s (P,) over a bath whose couplings are (P, n_q), which
+    continuation.companion_pole_candidates solves; G itself
+    (inverse_green, green, spectral, born_markov) is a one-point
+    Response's.
+    """
 
     omega_s: float
     bath: BathSpectrum
@@ -450,43 +457,56 @@ def _dressed_pole(resp: Response, z: complex):
 
 # -- sweep drivers ---------------------------------------------------------
 
+def _stack_blocks(points):
+    """Evaluate pump points by groups that share a G(q) stack.
+
+    points are ThermoParams that differ in y alone.  Each point runs only
+    its scalar stages alone: its mean field and its ModelExpansion.
+    Points whose G(q) stack is the same (the _phonon_modes key; below
+    threshold, every point's) form a group, which _stack_response
+    evaluates in one pass per block of up to _Z_CHUNK points; an
+    ordered-phase point is a group of one.  The blocks bound a group's
+    (points, n_q) coupling and weight tables as _Z_CHUNK bounds
+    pole_sum's.  Yields (block, omega_s, bath) per block, block holding
+    the indices of its points in points, omega_s (P,) and the bath's
+    couplings (P, n_q); a soft-mode error names its point by y.
+    """
+    if not points:
+        return
+    q_half = momentum_grid(points[0])
+    exps = [ModelExpansion(pt, solve_steady_state(pt)) for pt in points]
+    groups = {}
+    for k, exp in enumerate(exps):
+        groups.setdefault(_StackKey(exp, q_half), []).append(k)
+    for members in groups.values():
+        for lo in range(0, len(members), _Z_CHUNK):
+            block = members[lo:lo + _Z_CHUNK]
+            omega_s, bath = _stack_response(
+                points[block[0]], q_half, exps[block[0]],
+                np.stack([exps[k].polariton_matrix() for k in block]),
+                np.stack([exps[k].v_tensor() for k in block]),
+                labels=[f"y = {points[k].y:g}" for k in block])
+            yield block, omega_s, bath
+
+
 def _sweep_points(args):
     """(y, omega_s, rows) of each pump point of a run, in its order; the
     rows hold the Born-Markov rates for every (epsilon, T) pair,
     epsilon-major.
 
-    Each point runs only its scalar stages alone: its checked point at
-    epsilon = 0, its mean field and its ModelExpansion.  Points whose G(q)
-    stack is the same (the _phonon_modes key; below threshold, every
-    point's) form a group, which _stack_response evaluates in one pass per
-    block of up to _Z_CHUNK points; an ordered-phase point is a group of
-    one.  Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
-    z = omega_s + i epsilon, so one checked bath per temperature (the
-    block's own, built at epsilon = 0, or a replaced one for another
-    temperature) gives each channel's value at every (point, epsilon)
-    pair of the block in one self_energy call.
+    The points, each checked at epsilon = 0, are evaluated by groups that
+    share a G(q) stack (_stack_blocks).  Sigma(omega_s) at damping
+    epsilon is the epsilon = 0 sum at z = omega_s + i epsilon, so one
+    checked bath per temperature (the block's own, built at epsilon = 0,
+    or a replaced one for another temperature) gives each channel's value
+    at every (point, epsilon) pair of the block in one self_energy call.
     """
     p, ys, epsilons, temperatures = args
     for eps in epsilons:
         check_epsilon(eps)
     points = [replace(p, y=y, phonon_damping=0.0) for y in ys]
-    q_half = momentum_grid(p)
-    exps = [ModelExpansion(pt, solve_steady_state(pt)) for pt in points]
-    groups = {}
-    for k, exp in enumerate(exps):
-        groups.setdefault(_StackKey(exp, q_half), []).append(k)
-
-    # a group is evaluated in blocks of _Z_CHUNK points, which bound its
-    # (points, n_q) coupling and weight tables as _Z_CHUNK bounds pole_sum's
-    blocks = [members[lo:lo + _Z_CHUNK] for members in groups.values()
-              for lo in range(0, len(members), _Z_CHUNK)]
     results = [None] * len(ys)
-    for block in blocks:
-        omega_s, bath = _stack_response(
-            points[block[0]], q_half, exps[block[0]],
-            np.stack([exps[k].polariton_matrix() for k in block]),
-            np.stack([exps[k].v_tensor() for k in block]),
-            labels=[f"y = {ys[k]:g}" for k in block])
+    for block, omega_s, bath in _stack_blocks(points):
         z = np.empty((len(block), len(epsilons)), dtype=complex)
         z.real = omega_s[:, None]
         z.imag = epsilons

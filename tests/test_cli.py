@@ -404,3 +404,38 @@ def test_sweep_commands_keep_their_contract(command, physics, y_range,
             assert message.startswith(_ERROR_PREFIXES[code - 1])
             assert message.count("\n") == 1
             assert not outdir.exists() or not list(outdir.iterdir())
+
+
+@settings(max_examples=100, deadline=None)
+@given(physics=_PHYSICS,
+       y_range=st.tuples(_number(0.0, 1.8), _number(0.0, 1.8)),
+       y_points=st.sampled_from([2, 1, 3, 0]),
+       window=st.tuples(_number(-1.0, 3.0), _number(-1.0, 3.0)),
+       n_track=st.sampled_from([2, 1, 3, 0, 6]))
+def test_poles_command_keeps_its_contract(physics, y_range, y_points, window,
+                                          n_track):
+    # the sweep commands' contract for poles, over its pump grid, its
+    # omega window (omega_min, omega_max + 1.5) and n_track
+    settings_ = {"site_count": 101, **physics, "y_frac_min": y_range[0],
+                 "y_frac_max": y_range[1], "y_points": y_points,
+                 "omega_min": window[0], "omega_max": window[1],
+                 "n_track": n_track}
+    args = ["poles"]
+    for key, value in settings_.items():
+        args += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(args + ["--output-dir", str(outdir)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert list(outdir.iterdir())
+            assert _finite_tables(outdir)
+        else:
+            message = err.getvalue()
+            assert message.startswith(_ERROR_PREFIXES[code - 1])
+            assert message.count("\n") == 1
+            assert not outdir.exists() or not list(outdir.iterdir())

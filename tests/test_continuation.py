@@ -21,7 +21,8 @@ from cavitybec.continuation import (
     reconstruct_meromorphic,
 )
 from cavitybec.params import critical_coupling, default_params
-from cavitybec.response import NumericsError, build_response
+from cavitybec.bath import build_bath_spectrum
+from cavitybec.response import NumericsError, Response, build_response
 from cavitybec.verify import _random_params, fit_window
 
 
@@ -642,6 +643,115 @@ def test_certificates_catch_a_lost_zero_and_a_scaled_residue(monkeypatch):
             _secular_roots(*args)
 
 
+def test_secular_failure_names_its_pump_point(monkeypatch):
+    # a two-point group: the step cap and a failed certificate each name
+    # the point they hit by its label; alone a point names none
+    centers = np.linspace(0.5, 1.5, 50)
+    weights = np.stack([np.full(50, 0.01), np.full(50, 0.02)])
+    heads = np.array([1.0, 1.1])
+    labels = ["y = 0.316", "y = 0.5"]
+    with pytest.raises(NumericsError, match=r"^secular equation at y = 0\.316: "
+                                            r"\d+ of 51 zeros not converged "
+                                            r"after 1 "):
+        _secular_roots(heads, weights, centers, 0.01, max_iter=1,
+                       labels=labels)
+    with pytest.raises(NumericsError, match=r"^secular equation: \d+ of 51 "):
+        _secular_roots(1.0, weights[0], centers, 0.01, max_iter=1)
+    certify = continuation._certify
+
+    def lose_a_zero_of_the_second(u, head, centers, residues, slack):
+        if head == heads[1] + 0.01j:
+            u = u.copy()
+            u[0] = u[1]
+        certify(u, head, centers, residues, slack)
+
+    monkeypatch.setattr(continuation, "_certify", lose_a_zero_of_the_second)
+    with pytest.raises(NumericsError,
+                       match=r"^secular equation at y = 0\.5: the trace"):
+        _secular_roots(heads, weights, centers, 0.01, labels=labels)
+
+
+def test_pole_sweep_names_the_point_whose_solve_fails(monkeypatch):
+    p = default_params(site_count=101, atom_number=1010)
+    ys = np.array([0.72, 0.8]) * critical_coupling(p)
+    solve = continuation._secular_roots
+    monkeypatch.setattr(continuation, "_secular_roots",
+                        functools.partial(solve, max_iter=1))
+    with pytest.raises(NumericsError,
+                       match=f"^secular equation at y = {ys[0]:g}: "):
+        pole_sweep(p, ys)
+
+
+@st.composite
+def _stacked_baths(draw):
+    """2-4 pump points on one small bath: shared bands on a 1/64 grid, so
+    that Landau and Beliaev centres can coincide exactly, and per-point
+    couplings down to 1e-10 (weights ~1e-20, whose zeros round onto their
+    poles), some of them exactly 0, so that active sets can differ."""
+    n_pts = draw(st.integers(2, 4))
+    n_q = draw(st.integers(1, 12))
+    ticks = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n_q,
+                                    max_size=n_q)
+    omega1 = np.array(draw(ticks(1, 64))) / 64.0
+    omega2 = omega1 + np.array(draw(ticks(1, 64))) / 64.0
+    exponents = np.array(draw(st.lists(ticks(-10, -1), min_size=2 * n_pts,
+                                       max_size=2 * n_pts)), dtype=float)
+    # no coupling zeroed, the same ones at every point, or each point's own
+    zeros = draw(st.sampled_from(["none", "shared", "own"]))
+    masks = st.lists(st.booleans(), min_size=n_q, max_size=n_q)
+    zeroed = np.zeros((2 * n_pts, n_q), bool)
+    if zeros == "shared":
+        zeroed[:] = np.repeat(draw(st.lists(masks, min_size=2,
+                                            max_size=2)), n_pts, axis=0)
+    elif zeros == "own":
+        zeroed[:] = draw(st.lists(masks, min_size=2 * n_pts,
+                                  max_size=2 * n_pts))
+    couplings = np.where(zeroed, 0.0, 10.0 ** (exponents / 2.0))
+    heads = np.array(draw(st.lists(st.floats(-0.5, 4.5), min_size=n_pts,
+                                   max_size=n_pts)))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1)))
+    temperature = draw(st.sampled_from([0.0, 0.5]))
+    return (heads, omega1, omega2, couplings[:n_pts], couplings[n_pts:],
+            temperature, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_stacked_baths())
+@example(case=(np.array([1.0, 1.5, 0.9]), np.array([0.125, 0.25]),
+               np.array([0.375, 0.5]),
+               np.array([[1e-10, 0.1], [0.1, 0.1], [0.0, 0.1]]),
+               np.array([[0.1, 1e-10], [0.1, 0.0], [0.1, 0.1]]), 0.5, 0.01))
+def test_stacked_secular_roots_equal_one_point_solves_bit_for_bit(case):
+    # every point of a stacked Response gets, bit for bit, the zeros of
+    # its own one-point Response; points whose active poles differ are
+    # solved apart, so no solve ever holds a pole of zero weight
+    heads, omega1, omega2, g_l, g_b, temperature, eps = case
+    q = np.arange(1, omega1.size + 1) / 10.0
+    dos = np.ones(q.size)
+
+    def bath(g_landau, g_beliaev):
+        return build_bath_spectrum(q, omega1, omega2, g_landau, g_beliaev,
+                                   temperature, eps, dos, 10.0)
+
+    solve, calls = continuation._secular_roots, []
+
+    def recorded(head, weights, *args, **kwargs):
+        calls.append(np.array(weights, copy=True))
+        return solve(head, weights, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "_secular_roots", recorded)
+        stacked = companion_pole_candidates(Response(heads, bath(g_l, g_b)))
+    sets = {row.tobytes() for row in bath(g_l, g_b).pole_table[0] > 0}
+    assert len(calls) == len(sets)
+    assert all((w > 0).all() for w in calls)
+    assert sum(w.shape[0] for w in calls) == heads.size
+    for s, head in enumerate(heads):
+        alone = companion_pole_candidates(
+            Response(float(head), bath(g_l[s], g_b[s])))
+        assert stacked[s].tobytes() == alone.tobytes()
+
+
 # -- pole_sweep: secular zeros with residues 1/r'(z) ------------------------
 
 def test_residue_beside_a_neighbouring_zero_leaves_that_zero_out():
@@ -676,6 +786,46 @@ def test_pole_sweep_residues_match_40_digit_reciprocal_slopes():
                 exact = complex(1 / (1 + mpmath.fsum(
                     w / (z - f) ** 2 for w, f in zip(weights, freqs))))
                 assert abs(pole.residue - exact) <= 1e-14 * abs(exact)
+
+
+def test_grouped_pole_sweep_equals_one_point_sweeps_bit_for_bit(monkeypatch):
+    # 101 sites: ordered-phase points (groups of one) between 70
+    # normal-phase ones, which share a stack and form a group of two
+    # blocks; every point's zeros, kept poles and residues are the ones a
+    # sweep over that point alone gives, bit for bit, and the tracks are
+    # matched over those kept poles
+    p = default_params(site_count=101, atom_number=1010)
+    normal = np.linspace(0.70, 0.84, 70)
+    fracs = np.concatenate([normal[:30], [1.2], normal[30:60], [1.45],
+                            normal[60:]])
+    ys = fracs * critical_coupling(p)
+    verified, seen = continuation._verified_poles, []
+
+    def recorded(z, *args):
+        poles = verified(z, *args)
+        seen.append((args[-1], z.tobytes(),
+                     [(complex(pl.z), complex(pl.residue)) for pl in poles]))
+        return poles
+
+    monkeypatch.setattr(continuation, "_verified_poles", recorded)
+    grouped = pole_sweep(p, ys)
+    by_y = dict((y, rest) for y, *rest in seen)
+    seen.clear()
+    for y in ys:
+        assert pole_sweep(p, [y])[0]["poles"] == [
+            continuation.Pole(*pair) for pair in seen[-1][2][:2]]
+    assert len(seen) == len(ys) == len(by_y)
+    for y, z_bytes, kept in seen:
+        assert by_y[y] == [z_bytes, kept]
+    prev = None
+    for y, rec in zip(ys, grouped):
+        assert rec["y"] == y
+        kept = [continuation.Pole(*pair) for pair in by_y[y][1]]
+        chosen = kept[:2] if prev is None else continuation._match_tracks(
+            prev, kept)
+        assert rec["poles"] == chosen
+        assert rec["residues"] == [pl.residue for pl in chosen]
+        prev = [pl.z for pl in chosen]
 
 
 def test_polariton_track_converges_with_the_site_count():
