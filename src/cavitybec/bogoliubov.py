@@ -44,9 +44,10 @@ _GAUGE = np.array([1.0, 1.0, 1.0, 1.0, 1.0j, -1.0j])
 # entry (j, k) of P^+ OMEGA m P is m[j, k] times this
 _GAUGE_H = _OMEGA_DIAG[:, None] * np.conj(_GAUGE)[:, None] * _GAUGE
 
-# a positive mode of OMEGA-norm <= ZERO_TOL is not normalizable; an imaginary
-# part above REAL_TOL, relative to max(1, max |omega|), is an instability
-ZERO_TOL = 1e-8
+# floor of the OMEGA-norm of a positive mode: at or below NORM_TOL it is not
+# normalizable; an imaginary part of omega above REAL_TOL, relative to
+# max(1, max |omega|), is an instability
+NORM_TOL = 1e-8
 REAL_TOL = 1e-8
 
 
@@ -194,9 +195,9 @@ def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0,
                         -1, -2)
     norm = (_OMEGA_DIAG[:, None] * (right.real ** 2 + right.imag ** 2)).sum(
         axis=-2)
-    _check((norm <= ZERO_TOL).any(axis=-1), where, lambda i, at: (
+    _check((norm <= NORM_TOL).any(axis=-1), where, lambda i, at: (
         f"non-normalizable positive mode at omega = "
-        f"{freqs[i][norm[i] <= ZERO_TOL][0]:.6g} in sector {sector!r}{at} "
+        f"{freqs[i][norm[i] <= NORM_TOL][0]:.6g} in sector {sector!r}{at} "
         "(dynamical instability)"))
     return _mode_set(freqs, right / np.sqrt(norm)[:, None, :], batch, sector,
                      where)

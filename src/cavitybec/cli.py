@@ -75,7 +75,6 @@ RUN_SETTINGS = {
     "n_track": (_count(1), 2),     # pole trajectories to follow
     "dump_grid": (_count(0), 0),   # poles: also dump a continued grid
     "nu_max": (_real, 0.1),        # depth of the dumped grid
-    "workers": (_count(0), 1),
     "seed": (_count(0), 0),        # seeds verify's random parameter sets
 }
 
@@ -185,8 +184,7 @@ def _write_damping(p, run, outdir, command, **varied):
     """damping_sweep on the command's y grid over the epsilons or the
     temperatures in varied (the other is p's), as the long table."""
     y_values, y_crit = _y_grid(p, run, command)
-    records = damping_sweep(p, y_values, workers=run["workers"] or None,
-                            **varied)
+    records = damping_sweep(p, y_values, **varied)
     write_table(outdir / f"{command.replace('-', '_')}_long.csv",
                 ["y_frac", "epsilon", "temperature", "omega_s",
                  "delta_l", "gamma_l", "delta_b", "gamma_b"],

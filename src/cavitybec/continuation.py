@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .response import NumericsError, Response, _stack_blocks, pole_sum
 
@@ -162,6 +161,8 @@ _NNLS_CAP_PER_COLUMN = 10
 def _nnls(columns, b, comb_size: int):
     """Lawson-Hanson NNLS on some comb columns, capped at
     _NNLS_CAP_PER_COLUMN x comb_size."""
+    import scipy.optimize  # ~0.3 s: loaded by the comb fit, not on import
+
     cap = _NNLS_CAP_PER_COLUMN * comb_size
     try:
         return scipy.optimize.nnls(columns, b, maxiter=cap)
@@ -462,12 +463,13 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
     first merged into one pole with the summed weight, leaving k - 1
     zeros exactly at x_j - i eps.  The other zeros start from local
     models of r (_local_start).  A zero is frozen once its step falls
-    below 1e-15 max(|z|, 1), and every sum of a pass is a real
-    matrix-vector product, as in pole_sum.  The first pass confirms: it
-    evaluates r and r' at every start with the secular sums alone and
-    freezes each zero whose Newton step r/r' already meets that test.
-    The other zeros keep their starts; the later passes are
-    Aberth-Ehrlich steps on them alone, on the polynomial
+    below 1e-15 max(|u|, 1) at the stepped u: a step in u carries the
+    rounding of u, so with eps >> |z| no step would meet a test in |z|.
+    Every sum of a pass is a real matrix-vector product, as in pole_sum.
+    The first pass confirms: it evaluates r and r' at every start with the
+    secular sums alone and freezes each zero whose Newton step r/r'
+    already meets that test.  The other zeros keep their starts; the later
+    passes are Aberth-Ehrlich steps on them alone, on the polynomial
     r(u) prod_j (u - x_j) in the form that stays finite where r vanishes,
     with the frozen zeros still in the repulsion sum.  A zero that the
     start rounds onto its pole, or puts within _POLE_GAP of it, stays
@@ -590,7 +592,7 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
             inv_sq = 1.0 / np.abs(df) ** 2
             size[block] = inv_sq * (1.0 + s_d[:, 0])
             # NaN steps stay active, so a breakdown ends in the error below
-            tol = 1e-15 * np.maximum(np.abs(u[block] - sb - 1j * eps), 1.0)
+            tol = 1e-15 * np.maximum(np.abs(u[block] - sb), 1.0)
             done = np.abs(sb) <= tol
             active[block] = ~done
             if it == 0:
@@ -617,7 +619,7 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
     # a residue 1/r' moves with the rounding of r' (m + 1 terms) and with
     # r'' times the distance of its point from the zero: the last step
     # plus the zero's own rounding
-    offset = 1e-15 * np.maximum(np.abs(u - 1j * eps), 1.0) + unit * np.abs(u)
+    offset = 1e-15 * np.maximum(np.abs(u), 1.0) + unit * np.abs(u)
     slack = (cols * unit * size + tail * offset).reshape(n_pts, cols)
     repeats = np.repeat(centers, counts - 1)
     u = np.concatenate([u.reshape(n_pts, cols),
@@ -914,6 +916,8 @@ def _verified_poles(z, head, weights, centers, eps: float, omega_window,
 
 def _match_tracks(prev, poles):
     """Assign current poles to previous tracks by minimal total displacement."""
+    import scipy.optimize
+
     cost = np.abs(np.array([pl.z for pl in poles])[None, :]
                   - np.array(prev)[:, None])
     _, best = scipy.optimize.linear_sum_assignment(cost)

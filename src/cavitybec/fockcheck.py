@@ -23,7 +23,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .params import ThermoParams
 from .meanfield import MeanField
@@ -38,6 +37,8 @@ MODES = ("a", "b0", "c0", "bq", "bm", "cq", "cm", "sq", "sm")
 @lru_cache(maxsize=4)
 def _mode_ops():
     """Sparse annihilation operator per mode on the product space."""
+    import scipy.sparse as sp  # only the oracle needs it: kept off import
+
     n = len(MODES)
     local = sp.diags(np.sqrt(np.arange(1, CUTOFF)), offsets=1, format="csr")
     eye = sp.identity(CUTOFF, format="csr")
@@ -60,6 +61,8 @@ def _state_index(occupations: dict) -> int:
 
 def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
     """K as a sparse matrix, from the operator expression term by term."""
+    import scipy.sparse as sp
+
     n_atoms = float(p.atom_number)
     root_n = math.sqrt(n_atoms)
     eta = p.y / math.sqrt(2.0 * n_atoms)

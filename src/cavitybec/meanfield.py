@@ -30,7 +30,6 @@ from decimal import Context, Decimal, localcontext
 from functools import reduce
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import ThermoParams, ConfigError, critical_coupling
 
@@ -111,6 +110,65 @@ def solve_normal_phase(p: ThermoParams) -> MeanField:
     return MeanField(alpha=0.0, beta=1.0, gamma=0.0, mu=p.g_coll)
 
 
+# Brent's stopping rule and iteration cap: half-interval below
+# (_BRENT_XTOL + _BRENT_RTOL |s|) / 2, the finest rtol scipy's brentq allows
+# (Python floats, so that every iterate is one)
+_BRENT_XTOL = 1e-300
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brent_root(f, xpre, xcur):
+    """Root of f in [xpre, xcur], given f(xpre) <= 0 <= f(xcur).
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in the order of operations of scipy's
+    brentq, whose iterates it reproduces bit for bit: inverse quadratic or
+    secant steps, a bisection whenever a step would not shrink the
+    bracket fast enough, and steps of at least the tolerance.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short enough step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"mean-field cubic: Brent's method did not converge in "
+        f"{_BRENT_MAXITER} steps; last s = {xcur!r}")
+
+
 def _smallest_root(c):
     """Smallest root in (0, 1) of c0 + c1 s + c2 s^2 + c3 s^3 with c0 < 0,
     or None.  Cut at the roots of the derivative (formed without
@@ -126,8 +184,7 @@ def _smallest_root(c):
     lo = 0.0
     for hi in sorted(t for t in cuts if 0.0 < t < 1.0) + [1.0]:
         if cubic(hi) >= 0.0:
-            s = brentq(cubic, lo, hi, xtol=1e-300,
-                       rtol=4.0 * np.finfo(float).eps)
+            s = _brent_root(cubic, lo, hi)
             return s if s < 1.0 else None
         lo = hi
     return None

@@ -12,7 +12,6 @@ The real-axis spectral function is rho(omega) = -2 Im G(omega).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -489,7 +488,7 @@ def _stack_blocks(points):
             yield block, omega_s, bath
 
 
-def _sweep_points(args):
+def _sweep_points(p, ys, epsilons, temperatures):
     """(y, omega_s, rows) of each pump point of a run, in its order; the
     rows hold the Born-Markov rates for every (epsilon, T) pair,
     epsilon-major.
@@ -501,7 +500,6 @@ def _sweep_points(args):
     or a replaced one for another temperature) gives each channel's value
     at every (point, epsilon) pair of the block in one self_energy call.
     """
-    p, ys, epsilons, temperatures = args
     for eps in epsilons:
         check_epsilon(eps)
     points = [replace(p, y=y, phonon_damping=0.0) for y in ys]
@@ -527,7 +525,7 @@ def _sweep_points(args):
 
 
 def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
-                  temperatures=(None,), workers: int | None = None):
+                  temperatures=(None,)):
     """Born-Markov rates over a pump sweep, for each (epsilon, T) pair.
 
     Bands and couplings are computed once per y and shared across the
@@ -540,24 +538,15 @@ def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
     (point, epsilon) pair, at z = omega_s + i epsilon on the bath at
     epsilon = 0.  A point's record is the same, bit for bit, whatever it
     is grouped with.  Every epsilon is checked as a bath checks its own.
-    With workers > 1 each worker process takes one contiguous run of the
-    points and groups within it.  A None in epsilons or temperatures
-    stands for p.phonon_damping or p.temperature; the rest, dos_mode
-    included, is p's.  Returns a list of records, ordered as the inputs.
+    A None in epsilons or temperatures stands for p.phonon_damping or
+    p.temperature; the rest, dos_mode included, is p's.  Returns a list of
+    records, ordered as the inputs.
     """
     epsilons = tuple(p.phonon_damping if e is None else e for e in epsilons)
     temperatures = tuple(p.temperature if t is None else t
                          for t in temperatures)
     ys = [float(y) for y in y_values]
-    if workers and workers > 1:
-        cuts = [len(ys) * k // workers for k in range(workers + 1)]
-        tasks = [(p, ys[lo:hi], epsilons, temperatures)
-                 for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for run in pool.map(_sweep_points, tasks)
-                       for r in run]
-    else:
-        results = _sweep_points((p, ys, epsilons, temperatures))
+    results = _sweep_points(p, ys, epsilons, temperatures)
 
     y_crit = critical_coupling(p)
     records = []

@@ -9,7 +9,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from cavitybec import response, verify
+from cavitybec import meanfield, response, verify
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
 
@@ -87,6 +87,25 @@ def test_solver_error_exits_2(tmp_path):
                  "--set", "y_frac_min=1.0", "--set", "y_frac_max=1.0",
                  "--set", "y_points=1"])
     assert code == 2
+
+
+def test_mean_field_without_convergence_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    # Brent's method on the cubic, cut to one step, does not converge
+    monkeypatch.setattr(meanfield, "_BRENT_MAXITER", 1)
+    code = main(["meanfield", "--output-dir", str(tmp_path),
+                 "--set", "y_frac_min=1.2", "--set", "y_frac_max=1.2",
+                 "--set", "y_points=1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "solver error: mean-field cubic: Brent's method did not converge")
+
+
+def test_workers_is_not_a_run_setting(tmp_path):
+    # a sweep runs in one process
+    assert main(["damping-sweep", "--output-dir", str(tmp_path),
+                 "--set", "workers=2", "--set", "site_count=101"]) == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_damping_sweep_epsilon_family(tmp_path):

@@ -599,7 +599,8 @@ def test_secular_roots_converge_within_eight_steps_on_the_pole_sweep_range(
 
 @pytest.mark.parametrize("frac", [0.70, 0.78, 0.84])
 def test_local_start_meets_the_stop_test_on_the_pole_sweep_range(frac):
-    # the local start lies within the stop test 1e-15 max(|z|, 1) of the
+    # the local start lies within 1e-15 max(|z|, 1) (the stop test's scale:
+    # at 0.78 y_crit, max(|u|, 1) and max(|z|, 1) differ by < 1e-4) of the
     # zero the solve converges to from it for 482, 482 and 486 of the 501
     # zeros at 0.70, 0.78 and 0.84 y_crit (the two-pole start: 40, 33 and
     # 27), so the confirmation pass freezes them and the Aberth loop runs
@@ -680,6 +681,44 @@ def test_pole_sweep_names_the_point_whose_solve_fails(monkeypatch):
     with pytest.raises(NumericsError,
                        match=f"^secular equation at y = {ys[0]:g}: "):
         pole_sweep(p, ys)
+
+
+# 101 sites, 7 atoms, y = 1.0285 y_crit: every zero lies within ~3 of the
+# real axis, so at eps >= 100 a step in u = z + i eps rounds with eps
+_WIDE_EPS_POINT = dict(site_count=101, atom_number=7, g_coll=0.0667)
+
+
+@pytest.mark.parametrize("eps", [100.0, 1e3])
+def test_secular_solve_converges_with_eps_far_above_the_zeros(eps,
+                                                              monkeypatch):
+    # the stop test used to be 1e-15 max(|z|, 1), which no step can meet
+    # here: 1 of 51 zeros was "not converged after 100" steps at eps = 100
+    p = default_params(phonon_damping=eps, **_WIDE_EPS_POINT)
+    resp = build_response(p.with_pump(1.0285 * critical_coupling(p)))
+    certify = continuation._certify
+    certified = []
+
+    def counting(*args):
+        certify(*args)
+        certified.append(args[0].size)
+
+    monkeypatch.setattr(continuation, "_certify", counting)
+    zeros = companion_pole_candidates(resp)
+    assert certified == [zeros.size] == [resp.bath.active_poles[1].size + 1]
+    assert np.all(zeros.imag <= 0.0) and np.all(zeros.imag >= -eps)
+
+
+def test_wide_eps_zeros_fail_the_absolute_check_on_r():
+    # pinned: at eps = 1e3 every zero in the window fails |r(z)| <= 1e-8,
+    # whose rounding grows with eps; a backward-error test |r/r'| would
+    # keep them.  At eps = 100 the sweep keeps its two tracks.
+    p = default_params(phonon_damping=1e3, **_WIDE_EPS_POINT)
+    y = 1.0285 * critical_coupling(p)
+    with pytest.raises(NumericsError, match="^only 0 verified poles"):
+        pole_sweep(p, [y], omega_window=(0.5, 3.0))
+    record, = pole_sweep(replace(p, phonon_damping=100.0), [y],
+                         omega_window=(0.5, 3.0))
+    assert len(record["poles"]) == 2
 
 
 @st.composite

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cavitybec import meanfield
@@ -214,3 +216,80 @@ def test_critical_window_edges(point, side):
         solve_steady_state(p.with_pump((1.0 + side * 0.999e-6) * y_crit))
     pp = p.with_pump((1.0 + side * 2e-6) * y_crit)
     _check_polariton_modes(ModelExpansion(pp, solve_steady_state(pp)))
+
+
+def _brentq_smallest_root(c):
+    """meanfield._smallest_root as it was with scipy.optimize.brentq: the
+    same cuts, and scipy's Brent on the first piece that ends >= 0.
+    Returns (root or None, converged)."""
+    def cubic(s):
+        return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
+
+    a, b = 3.0 * c[3], 2.0 * c[2]
+    disc = max(b * b - 4.0 * a * c[1], 0.0)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    cuts = (q / a if a else 1.0, c[1] / q if q else 1.0)
+    lo = 0.0
+    for hi in sorted(t for t in cuts if 0.0 < t < 1.0) + [1.0]:
+        if cubic(hi) >= 0.0:
+            s, info = scipy.optimize.brentq(
+                cubic, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+                full_output=True, disp=False)
+            if not info.converged:
+                return s, False
+            return (s if s < 1.0 else None), True
+        lo = hi
+    return None, True
+
+
+# a coefficient: Hypothesis' own edge cases (0, subnormals) or a mantissa
+# at a decade from 1e-12 to 1e6, as the cubic's terms span across params
+_COEFF = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+              st.integers(-12, 6)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(c0=_COEFF.filter(lambda c: c < 0.0),
+       rest=st.tuples(_COEFF, _COEFF, _COEFF))
+@example(c0=-1.0, rest=(0.0, 0.0, 0.0))
+@example(c0=-1.0, rest=(2.0, 0.0, 0.0))  # linear, root exactly 1/2
+@example(c0=-1e-7, rest=(1.0, -1.0, 0.0))
+# a root at 1.3e-14 that neither reaches within 100 steps
+@example(c0=-1.175494351e-38, rest=(0.0, 0.0, 5127.0))
+def test_smallest_root_is_scipys_brentq_bit_for_bit(c0, rest):
+    c = (c0, *rest)
+    expected, converged = _brentq_smallest_root(c)
+    if converged:
+        s = meanfield._smallest_root(c)
+        assert (None if s is None else (type(s), s.hex())) == (
+            None if expected is None else (float, expected.hex()))
+    else:
+        # where scipy gives up, at the same last iterate, the port raises
+        # the typed error
+        with pytest.raises(ConvergenceError,
+                           match=f"last s = {expected!r}$"):
+            meanfield._smallest_root(c)
+
+
+def test_smallest_root_of_every_sweep_point_is_scipys_brentq(monkeypatch):
+    # the coefficients _ordered_state actually forms, across criterion 8's
+    # ordered branch and a large-mu point
+    seen = []
+    port = meanfield._smallest_root
+    monkeypatch.setattr(meanfield, "_smallest_root",
+                        lambda c: seen.append(c) or port(c))
+    for frac in np.linspace(1.01, 10.0, 40):
+        solve_steady_state(P.with_pump(frac * Y_CRIT))
+    solve_steady_state(_ordered_point(*S1))
+    assert len(seen) == 41
+    for c in seen:
+        assert port(c).hex() == _brentq_smallest_root(c)[0].hex()
+
+
+def test_brent_without_convergence_is_a_convergence_error():
+    # a jump at 0 and no root: the bracket halves at best per step and
+    # cannot shrink from 3 to xtol = 1e-300 in 100 steps
+    with pytest.raises(ConvergenceError, match="did not converge in 100"):
+        meanfield._brent_root(lambda s: -1.0 if s < 0.0 else 1.0, -1.0, 2.0)

@@ -515,14 +515,6 @@ def test_pipeline_properties_over_random_parameters(
     assert abs(total - 1.0) < 1e-2
 
 
-def test_sweep_in_two_worker_processes_matches_one():
-    p = default_params(site_count=101, atom_number=1010)
-    ys = np.linspace(0.3, 1.4, 6) * critical_coupling(p)
-    kwargs = dict(epsilons=(0.03, 0.01), temperatures=(0.0,))
-    assert (damping_sweep(p, ys, workers=2, **kwargs)
-            == damping_sweep(p, ys, workers=1, **kwargs))
-
-
 def test_sweep_defaults_to_the_damping_and_temperature_of_p():
     # epsilons used to default to 0.01 whatever p.phonon_damping was
     p = default_params(site_count=101, atom_number=1010,
