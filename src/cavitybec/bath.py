@@ -28,18 +28,25 @@ def thermal_occupation(omega, temperature: float):
     """Bose-Einstein occupation 1/(exp(omega/T) - 1); zero at T = 0.
 
     Where omega/T or its exponential overflows, the occupation is the
-    exact limit 0, returned without an overflow warning.
+    exact limit 0, returned without an overflow warning.  An infinite T,
+    or one so large that an occupation (about T/omega) overflows, is a
+    ConfigError: the Landau radicand n1 - n2 would be inf - inf.
     """
     omega = np.asarray(omega, dtype=float)
     if (omega <= 0).any():
         raise ConfigError("thermal occupation needs omega > 0")
-    if not temperature >= 0:
-        raise ConfigError("temperature must be >= 0")
+    if not 0 <= temperature < np.inf:
+        raise ConfigError(f"temperature must be >= 0 and finite, "
+                          f"got {temperature}")
     if temperature == 0.0:
         out = np.zeros_like(omega)
     else:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             out = 1.0 / np.expm1(omega / temperature)
+        if np.isinf(out).any():
+            raise ConfigError(
+                f"thermal occupation overflows at temperature {temperature:g}"
+                f" (omega down to {omega.min():.3g})")
     return out if out.ndim else float(out)
 
 
@@ -83,7 +90,8 @@ class BathSpectrum:
     table of a bath of one point; pole_table holds every point's.
 
     A bath checks itself on construction: epsilon must lie in
-    [0, EPSILON_MAX] and the temperature must be >= 0 (ConfigError), and
+    [0, EPSILON_MAX] and the temperature must be >= 0 with finite
+    occupations (ConfigError; thermal_occupation), and
     0 < omega1 < omega2 must hold at every q (BathConstructionError; a
     violation means the bands were mislabeled upstream, and it would also
     make the Landau radicand n1 - n2 negative at finite temperature).

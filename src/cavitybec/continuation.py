@@ -387,8 +387,9 @@ def find_poles(evaluator, seeds, h: float = 1e-6, tol: float = 1e-10,
     return PoleSet(poles=poles, failed_seeds=tuple(failed))
 
 
-# root estimates per block of a pass, shared by the pump points of a
-# solve: bounds its (block, m) temporaries whatever the number of points
+# rows per block of the (rows, m) temporaries: the moving zeros of one
+# point in an Aberth pass, the poles of _pole_moments, and the points
+# times window of _local_start
 _ROW_CHUNK = 64
 
 # the local model of each bath zero (_local_start): the poles it takes
@@ -425,10 +426,11 @@ def companion_pole_candidates(resp: Response, labels=None):
 
     resp may also be the stacked Response of pump points that share their
     bands (omega_s (P,), couplings (P, n_q); response._stack_blocks).
-    The points whose active poles (weight > 0) are the same are then
-    solved together by one _secular_roots call, and a list of each
-    point's zeros is returned, bit for bit the ones it gets alone; labels
-    name the points in an error.
+    The points whose active poles (weight > 0) are the same then share
+    one _secular_roots call, which forms their local starts together and
+    runs their passes point by point.  A list of each point's zeros is
+    returned, bit for bit the ones it gets alone; labels name the points
+    in an error.
     """
     eps = resp.bath.epsilon
     if np.ndim(resp.omega_s) == 0:
@@ -462,29 +464,12 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
     r = u - (head + i eps) - sum_j w_j/(u - x_j).  k equal centers are
     first merged into one pole with the summed weight, leaving k - 1
     zeros exactly at x_j - i eps.  The other zeros start from local
-    models of r (_local_start).  A zero is frozen once its step falls
-    below 1e-15 max(|u|, 1) at the stepped u: a step in u carries the
-    rounding of u, so with eps >> |z| no step would meet a test in |z|.
-    Every sum of a pass is a real matrix-vector product, as in pole_sum.
-    The first pass confirms: it evaluates r and r' at every start with the
-    secular sums alone and freezes each zero whose Newton step r/r'
-    already meets that test.  The other zeros keep their starts; the later
-    passes are Aberth-Ehrlich steps on them alone, on the polynomial
-    r(u) prod_j (u - x_j) in the form that stays finite where r vanishes,
-    with the frozen zeros still in the repulsion sum.  A zero that the
-    start rounds onto its pole, or puts within _POLE_GAP of it, stays
-    there.
-
-    A pass cuts each point's moving zeros into runs of _ROW_CHUNK, as the
-    point alone cuts them, and packs the runs of all points in order into
-    blocks of at most _ROW_CHUNK rows: the element-wise work of a block
-    runs over all its rows at once, and each run makes its own
-    matrix-vector products, of the shape it has alone (a row's BLAS
-    result can change with the row count of its product).  The (block,
-    m) temporaries hold at most _ROW_CHUNK rows whatever P is.  Raises
-    NumericsError if any zero is still moving after max_iter passes, the
-    confirming one included, or if a point's zeros fail a certificate
-    (_certify).
+    models of r (_local_start), formed for all points at once; a zero
+    that the start rounds onto its pole, or puts within _POLE_GAP of it,
+    stays there.  The Aberth-Ehrlich passes (_aberth) and the
+    certificates (_certify) then run point by point, in order: the first
+    point that fails raises NumericsError, whether its zeros are still
+    moving after max_iter passes or fail a certificate.
     """
     shape = np.shape(head)
     n_pts = int(np.prod(shape, dtype=int))
@@ -492,42 +477,72 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
     centers, inverse, counts = np.unique(given, return_inverse=True,
                                          return_counts=True)
     m = len(centers)
-    cols = m + 1
     # the merged weights of every point in one bincount, each bin summed
     # in the order of the point's own
     weights = np.bincount(
         (inverse + m * np.arange(n_pts)[:, None]).ravel(),
         weights=np.reshape(weights, (n_pts, given.size)).ravel(),
         minlength=n_pts * m).reshape(n_pts, m)
-    unit = np.finfo(float).eps
     head = np.reshape(head, n_pts) + 1j * eps
-
-    def at(s):
-        return "" if labels is None else f" at {labels[s]}"
-
-    # per zero, flat over (point, zero): 1/r'(u) of its last pass, its
-    # rounding scale |1/r'|^2 (1 + sum_j w_j/|u - x_j|^2) and |1/r'|^2
-    # times a bound on |r''|
-    u, residues, size = (x.ravel() for x in _local_start(head, weights,
-                                                         centers))
-    tail = np.zeros(n_pts * cols)
-
+    u, residues, size = _local_start(head, weights, centers)
     # a zero that the start rounds onto its pole (as z = u - i eps), or
     # puts within _POLE_GAP of it, stays there: r cannot be evaluated on
     # the pole
-    bath_zeros = u.reshape(n_pts, cols)[:, :m]
+    bath_zeros = u[:, :m]
     frozen = ((bath_zeros - 1j * eps == centers - 1j * eps)
               | (np.abs(bath_zeros - centers) < _POLE_GAP))
     bath_zeros[frozen] = np.broadcast_to(centers, frozen.shape)[frozen]
-    active = np.concatenate([~frozen, np.ones((n_pts, 1), bool)],
-                            axis=1).ravel()
-    # per point: its weights with a column of ones, whose products give a
-    # row's sums of A and D at once, and its weights alone
-    pairs = list(np.stack([weights, np.ones_like(weights)], axis=-1))
-    rows_w = list(weights)
+    active = np.concatenate([~frozen, np.ones((n_pts, 1), bool)], axis=1)
+    repeats = np.repeat(centers, counts - 1)
+    for s in range(n_pts):
+        try:
+            slack = _aberth(u[s], head[s], weights[s], centers, active[s],
+                            residues[s], size[s], max_iter)
+            _certify(np.concatenate([u[s], repeats]), head[s], given,
+                     residues[s], slack)
+        except NumericsError as exc:
+            at = "" if labels is None else f" at {labels[s]}"
+            raise NumericsError(f"secular equation{at}: {exc}") from exc
+    u = np.concatenate([u, np.broadcast_to(repeats, (n_pts, repeats.size))],
+                       axis=1)
+    return (u - 1j * eps).reshape(shape + (given.size + 1,))
+
+
+def _aberth(u, head, weights, centers, active, residues, size,
+            max_iter: int):
+    """Finish one point's zeros u (m + 1,) from their starts, in place.
+
+    head is the point's head + i eps, weights its merged (m,) over the
+    real centers; active marks the zeros that may move, and residues and
+    size hold 1/r' and its rounding scale |1/r'|^2 (1 + sum_j
+    w_j/|u - x_j|^2) at the starts.  u, active, residues and size are
+    updated in place; returns the first-order rounding bound of each
+    residue, for _certify.
+
+    A zero is frozen once its step falls below 1e-15 max(|u|, 1) at the
+    stepped u: a step in u carries the rounding of u, so with eps >> |z|
+    no step would meet a test in |z|.  Every sum of a pass is a real
+    matrix-vector product, as in pole_sum, over blocks of at most
+    _ROW_CHUNK moving zeros.  The first pass confirms: it evaluates r and
+    r' at every start with the secular sums alone and freezes each zero
+    whose Newton step r/r' already meets that test.  The other zeros keep
+    their starts; the later passes are Aberth-Ehrlich steps on them
+    alone, on the polynomial r(u) prod_j (u - x_j) in the form that stays
+    finite where r vanishes, with the frozen zeros still in the repulsion
+    sum.  Raises NumericsError if any zero is still moving after max_iter
+    passes, the confirming one included.
+    """
+    m = len(centers)
+    cols = m + 1
+    unit = np.finfo(float).eps
+    # |1/r'|^2 times a bound on |r''| at each zero's last pass
+    tail = np.zeros(cols)
+    # weights with a column of ones, whose products give a row's sums of
+    # A and D at once
+    pair = np.stack([weights, np.ones(m)], axis=-1)
     ones = np.ones(cols)
-    rows_max = min(_ROW_CHUNK, n_pts * cols)
-    # the products of a run take two operands of one shape at once, as a
+    rows_max = min(_ROW_CHUNK, cols)
+    # the products take two operands of one shape at once, as a
     # (2, rows, .) stack: A and D, A^2 and A D, p and q
     ad_buf, sq_buf = np.empty((2, 2, rows_max, m))
     pq_buf = np.empty((2, rows_max, cols))
@@ -538,10 +553,9 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
             break
         step = np.empty(rows.size, dtype=complex)
         ur, ui = u.real.copy(), u.imag.copy()
-        for lo, hi, runs in _pass_blocks(rows, n_pts, cols):
-            block = rows[lo:hi]
-            n = hi - lo
-            point = block // cols
+        for lo in range(0, rows.size, _ROW_CHUNK):
+            block = rows[lo:lo + _ROW_CHUNK]
+            n = block.size
             ad, sq, pq = ad_buf[:, :n], sq_buf[:, :n], pq_buf[:, :n]
             ab, db = ad
             b = ui[block]
@@ -554,28 +568,9 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
             # w/(u - x)^2 = w (A^2 - b^2 D^2 - 2i b A D), A^2 + b^2 D^2 = D
             np.multiply(ab, ab, out=sq[0])
             np.multiply(ab, db, out=sq[1])
-            if it:
-                # repulsion sum_{k != i} 1/(u_i - u_k) over the zeros of
-                # the row's own point, i.e. (p - i q)/(p^2 + q^2)
-                for s, k in runs:
-                    own = slice(s * cols, (s + 1) * cols)
-                    np.subtract(ur[block[k], None], ur[own], out=pq[0, k])
-                    np.subtract(b[k, None], ui[own], out=pq[1, k])
-                eb = e[:n]
-                np.multiply(pq[0], pq[0], out=eb)
-                eb += pq[1] * pq[1]
-                eb[np.arange(n), block - point * cols] = np.inf  # k = i
-                np.divide(1.0, eb, out=eb)
-                pq *= eb
-            sums = np.empty((2, n, 2))
-            w_sums, rep = np.empty((2, 2, n))
-            for s, k in runs:
-                sums[:, k] = ad[:, k] @ pairs[s]
-                w_sums[:, k] = sq[:, k] @ rows_w[s]
-                if it:
-                    rep[:, k] = pq[:, k] @ ones
-            s_a, s_d = sums
-            f = u[block] - head[point] - (s_a[:, 0] - 1j * b * s_d[:, 0])
+            s_a, s_d = ad @ pair
+            w_sums = sq @ weights
+            f = u[block] - head - (s_a[:, 0] - 1j * b * s_d[:, 0])
             re_sq = 2.0 * w_sums[0] - s_d[:, 0]
             df = 1.0 + re_sq - 2j * b * w_sums[1]
             if it == 0:
@@ -586,6 +581,17 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
                 # f / (f' + f sum_j 1/(u - x_j))
                 inv_sum = s_a[:, 1] - 1j * b * s_d[:, 1]
                 newton = f / (df + f * inv_sum)
+                # repulsion sum_{k != i} 1/(u_i - u_k),
+                # i.e. (p - i q)/(p^2 + q^2)
+                np.subtract(ur[block, None], ur, out=pq[0])
+                np.subtract(b[:, None], ui, out=pq[1])
+                eb = e[:n]
+                np.multiply(pq[0], pq[0], out=eb)
+                eb += pq[1] * pq[1]
+                eb[np.arange(n), block] = np.inf  # drops k = i
+                np.divide(1.0, eb, out=eb)
+                pq *= eb
+                rep = pq @ ones
                 repulsion = rep[0] - 1j * rep[1]
                 sb = newton / (1.0 - newton * repulsion)
             residues[block] = 1.0 / df
@@ -597,61 +603,22 @@ def _secular_roots(head, weights, centers, eps: float, max_iter: int = 100,
             active[block] = ~done
             if it == 0:
                 sb[~done] = 0.0  # an unconfirmed zero keeps its start
-            step[lo:hi] = sb
+            step[lo:lo + n] = sb
             # |r''| <= 2 sum_j w_j D^(3/2) <= 2 sqrt(sum w D^2 sum w D)
             db *= db
             near = db if done.all() else db[done]
-            near_sum = np.empty(near.shape[0])
-            first = 0
-            for s, k in runs:
-                last = first + np.count_nonzero(done[k])
-                near_sum[first:last] = near[first:last] @ rows_w[s]
-                first = last
-            tail[block[done]] = (2.0 * inv_sq[done] * np.sqrt(near_sum)
+            tail[block[done]] = (2.0 * inv_sq[done] * np.sqrt(near @ weights)
                                  * np.sqrt(s_d[done, 0]))
         u[rows] -= step
     if np.any(active):
-        s = int(np.argmax(active)) // cols
         raise NumericsError(
-            f"secular equation{at(s)}: "
-            f"{np.count_nonzero(active[s * cols:(s + 1) * cols])} of {cols} "
-            f"zeros not converged after {max_iter} Aberth-Ehrlich steps")
+            f"{np.count_nonzero(active)} of {cols} zeros not converged "
+            f"after {max_iter} Aberth-Ehrlich steps")
     # a residue 1/r' moves with the rounding of r' (m + 1 terms) and with
     # r'' times the distance of its point from the zero: the last step
     # plus the zero's own rounding
     offset = 1e-15 * np.maximum(np.abs(u), 1.0) + unit * np.abs(u)
-    slack = (cols * unit * size + tail * offset).reshape(n_pts, cols)
-    repeats = np.repeat(centers, counts - 1)
-    u = np.concatenate([u.reshape(n_pts, cols),
-                        np.broadcast_to(repeats, (n_pts, repeats.size))],
-                       axis=1)
-    residues = residues.reshape(n_pts, cols)
-    for s in range(n_pts):
-        try:
-            _certify(u[s], head[s], given, residues[s], slack[s])
-        except NumericsError as exc:
-            raise NumericsError(f"secular equation{at(s)}: {exc}") from exc
-    return (u - 1j * eps).reshape(shape + (given.size + 1,))
-
-
-def _pass_blocks(rows, n_pts: int, cols: int):
-    """The blocks of one pass over the moving zeros rows (flat indices
-    into (point, zero), ascending), as (lo, hi, runs): rows[lo:hi] is the
-    block, and each run (point, k) is block[k], one of the point's runs of
-    _ROW_CHUNK zeros as it cuts them alone.  Whole runs are packed in
-    order while a block holds at most _ROW_CHUNK rows."""
-    bounds = np.searchsorted(rows, cols * np.arange(n_pts + 1)).tolist()
-    blocks = []
-    for s in range(n_pts):
-        for r0 in range(bounds[s], bounds[s + 1], _ROW_CHUNK):
-            r1 = min(r0 + _ROW_CHUNK, bounds[s + 1])
-            if blocks and r1 - blocks[-1][0] <= _ROW_CHUNK:
-                blocks[-1][1] = r1
-            else:
-                blocks.append([r0, r1, []])
-            lo = blocks[-1][0]
-            blocks[-1][2].append((s, slice(r0 - lo, r1 - lo)))
-    return blocks
+    return cols * unit * size + tail * offset
 
 
 def _local_start(head, weights, centers):
@@ -862,20 +829,22 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
     residues are exact: 1/r'(z), r'(z) = 1 + sum_j w_j/(z - x_j + i eps)^2.
     Trajectories are matched across y by minimal total displacement in the
     complex plane.  Raises NumericsError when fewer than n_track zeros in
-    the window pass the check; an error of the solve names its point by y.
+    the window pass the check; every error names its point by y, as
+    "y = {y:g}".
     """
     ys = [float(y) for y in y_values]
     found = [None] * len(ys)
     for block, omega_s, bath in _stack_blocks([p.with_pump(y) for y in ys]):
+        labels = [f"y = {ys[k]:g}" for k in block]
         zeros = companion_pole_candidates(
-            Response(omega_s=omega_s, bath=bath),
-            labels=[f"y = {ys[k]:g}" for k in block])
+            Response(omega_s=omega_s, bath=bath), labels=labels)
         weights, centers = bath.pole_table
         for row, k in enumerate(block):
             active = weights[row] > 0
             found[k] = _verified_poles(
                 zeros[row], omega_s[row], weights[row, active],
-                centers[active], bath.epsilon, omega_window, n_track, ys[k])
+                centers[active], bath.epsilon, omega_window, n_track,
+                labels[row])
     records = []
     prev = None
     for y, poles in zip(ys, found):
@@ -888,9 +857,10 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
 
 
 def _verified_poles(z, head, weights, centers, eps: float, omega_window,
-                    n_track: int, y: float):
+                    n_track: int, label: str):
     """The Poles of one point that pole_sweep keeps, from all its zeros z
-    and its active poles, by ascending |Im z|."""
+    and its active poles, by ascending |Im z|; label names the point in
+    an error, as it does in the solve's ("y = 0.316")."""
     z = z[(z.real >= omega_window[0]) & (z.real <= omega_window[1])
           & (z.imag < 0)]
     # a zero within rounding of a weak bath pole fails the test on r,
@@ -906,7 +876,7 @@ def _verified_poles(z, head, weights, centers, eps: float, omega_window,
     if len(kept) < n_track:
         raise NumericsError(
             f"only {len(kept)} verified poles in the window "
-            f"{tuple(omega_window)} at y = {y} (need {n_track})")
+            f"{tuple(omega_window)} at {label} (need {n_track})")
     z = np.array(kept)
     gaps = z[:, None] - centers + 1j * eps
     slope = 1.0 + (weights / gaps ** 2).sum(axis=1)

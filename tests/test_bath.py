@@ -126,6 +126,17 @@ def test_nan_epsilon_or_temperature_is_a_config_error():
         thermal_occupation(0.3, math.nan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_occupation_that_overflows_is_a_config_error():
+    # about T/omega: it overflows at T = 1e308, and at T = 1e305 for the
+    # smaller omega only; omega/T underflows to 0 at T = 1e308, omega = 1e-20
+    assert thermal_occupation(0.5, 1e305) == pytest.approx(2e305, rel=1e-12)
+    for omega, temperature in ((0.5, 1e308), ([0.5, 1e-4], 1e305),
+                               (1e-20, 1e308)):
+        with pytest.raises(ConfigError, match="thermal occupation overflows"):
+            thermal_occupation(omega, temperature)
+
+
 def test_occupation_is_zero_without_warning_where_omega_over_t_overflows():
     # under pytest an overflow RuntimeWarning is an error; at T = 1e-320
     # omega / T overflows, and at T = 1e-3 exp(2 / T) does
@@ -144,9 +155,12 @@ def test_occupation_is_zero_without_warning_where_omega_over_t_overflows():
     ({"epsilon": math.inf}, ConfigError, _ABOVE_LIMIT),
     ({"epsilon": 1e300}, ConfigError, _ABOVE_LIMIT),
     ({"temperature": -0.1}, ConfigError, "temperature must be >= 0"),
+    # inf and 1e308 used to give nan and inf rates: n1 - n2 = inf - inf
+    ({"temperature": math.inf}, ConfigError, "and finite, got inf"),
+    ({"temperature": 1e308}, ConfigError, "thermal occupation overflows"),
     ("swap", BathConstructionError, "band ordering"),
 ], ids=["negative-eps", "nan-eps", "inf-eps", "overflowing-eps", "negative-T",
-        "swapped-bands"])
+        "inf-T", "overflowing-T", "swapped-bands"])
 def test_replace_cannot_make_an_invalid_bath(changes, error, match):
     # a replaced bath used to skip every check: epsilon = -0.01 gave
     # negative damping rates

@@ -145,6 +145,19 @@ def test_infinite_or_overflowing_epsilon_exits_1_and_writes_nothing(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_temperature_exits_1_and_writes_nothing(tmp_path, capsys):
+    # it used to exit 3 with "invalid value encountered in subtract": the
+    # occupations overflowed and n1 - n2 was inf - inf
+    code = main(["temperature-sweep", "--output-dir", str(tmp_path),
+                 "--set", "y_points=2", "--set", "site_count=101",
+                 "--set", "temperatures=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: thermal occupation overflows")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_subnormal_temperature_runs_without_an_overflow(tmp_path):
     # it used to exit 0 only past an overflow in the thermal occupation;
     # the occupation's limit 0 is exact
@@ -389,21 +402,10 @@ def _finite_tables(outdir):
     return True
 
 
-@settings(max_examples=100, deadline=None)
-@given(command=st.sampled_from(["damping-sweep", "temperature-sweep"]),
-       physics=_PHYSICS,
-       y_range=st.tuples(_number(0.0, 1.8), _number(0.0, 1.8)),
-       y_points=st.sampled_from([2, 1, 3, 0]),
-       values=st.lists(_number(0.0, 0.3), min_size=1, max_size=3,
-                       unique=True))
-def test_sweep_commands_keep_their_contract(command, physics, y_range,
-                                           y_points, values):
-    # any input: exit 0 with finite tables, or one typed line on stderr,
-    # a documented exit code and no file; a warning is a failure
-    listed = "epsilons" if command == "damping-sweep" else "temperatures"
-    settings_ = {"site_count": 101, **physics, "y_frac_min": y_range[0],
-                 "y_frac_max": y_range[1], "y_points": y_points,
-                 listed: ",".join(map(repr, values))}
+def _assert_contract(command, settings_):
+    """Run command under settings_ with warnings as errors: it exits 0
+    with finite tables, or with one typed line on stderr, a documented
+    exit code and no file."""
     args = [command]
     for key, value in settings_.items():
         args += ["--set", f"{key}={value}"]
@@ -425,36 +427,71 @@ def test_sweep_commands_keep_their_contract(command, physics, y_range,
             assert not outdir.exists() or not list(outdir.iterdir())
 
 
+_Y_RANGE = st.tuples(_number(0.0, 1.8), _number(0.0, 1.8))
+_Y_POINTS = st.sampled_from([2, 1, 3, 0])
+
+
 @settings(max_examples=100, deadline=None)
-@given(physics=_PHYSICS,
-       y_range=st.tuples(_number(0.0, 1.8), _number(0.0, 1.8)),
-       y_points=st.sampled_from([2, 1, 3, 0]),
+@given(command=st.sampled_from(["damping-sweep", "temperature-sweep"]),
+       physics=_PHYSICS, y_range=_Y_RANGE, y_points=_Y_POINTS,
+       values=st.lists(_number(0.0, 0.3), min_size=1, max_size=3,
+                       unique=True))
+def test_sweep_commands_keep_their_contract(command, physics, y_range,
+                                           y_points, values):
+    # any input: exit 0 with finite tables, or one typed line on stderr,
+    # a documented exit code and no file; a warning is a failure
+    listed = "epsilons" if command == "damping-sweep" else "temperatures"
+    _assert_contract(command, {
+        "site_count": 101, **physics, "y_frac_min": y_range[0],
+        "y_frac_max": y_range[1], "y_points": y_points,
+        listed: ",".join(map(repr, values))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(physics=_PHYSICS, y_range=_Y_RANGE, y_points=_Y_POINTS,
        window=st.tuples(_number(-1.0, 3.0), _number(-1.0, 3.0)),
        n_track=st.sampled_from([2, 1, 3, 0, 6]))
 def test_poles_command_keeps_its_contract(physics, y_range, y_points, window,
                                           n_track):
     # the sweep commands' contract for poles, over its pump grid, its
     # omega window (omega_min, omega_max + 1.5) and n_track
-    settings_ = {"site_count": 101, **physics, "y_frac_min": y_range[0],
-                 "y_frac_max": y_range[1], "y_points": y_points,
-                 "omega_min": window[0], "omega_max": window[1],
-                 "n_track": n_track}
-    args = ["poles"]
-    for key, value in settings_.items():
-        args += ["--set", f"{key}={value}"]
-    with tempfile.TemporaryDirectory() as tmp:
-        outdir = Path(tmp) / "out"
-        err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(args + ["--output-dir", str(outdir)])
-        assert code in (0, 1, 2, 3)
-        if code == 0:
-            assert err.getvalue() == ""
-            assert list(outdir.iterdir())
-            assert _finite_tables(outdir)
-        else:
-            message = err.getvalue()
-            assert message.startswith(_ERROR_PREFIXES[code - 1])
-            assert message.count("\n") == 1
-            assert not outdir.exists() or not list(outdir.iterdir())
+    _assert_contract("poles", {
+        "site_count": 101, **physics, "y_frac_min": y_range[0],
+        "y_frac_max": y_range[1], "y_points": y_points,
+        "omega_min": window[0], "omega_max": window[1],
+        "n_track": n_track})
+
+
+@pytest.mark.parametrize("command", ["meanfield", "softmode"])
+@settings(max_examples=100, deadline=None)
+@given(physics=_PHYSICS, y_range=_Y_RANGE, y_points=_Y_POINTS)
+def test_pump_grid_commands_keep_their_contract(command, physics, y_range,
+                                               y_points):
+    # the sweep commands' contract for meanfield and softmode, over their
+    # pump grid
+    _assert_contract(command, {
+        "site_count": 101, **physics, "y_frac_min": y_range[0],
+        "y_frac_max": y_range[1], "y_points": y_points})
+
+
+@settings(max_examples=100, deadline=None)
+@given(physics=_PHYSICS, y_frac=_number(0.0, 1.8))
+def test_bands_command_keeps_its_contract(physics, y_frac):
+    _assert_contract("bands", {"site_count": 101, **physics,
+                               "y_frac": y_frac})
+
+
+@settings(max_examples=100, deadline=None)
+@given(physics=_PHYSICS, y_range=_Y_RANGE, y_points=_Y_POINTS,
+       omega_min=_number(-1.0, 3.0), width=_number(1e-3, 3.0),
+       omega_points=st.sampled_from([64, 1, 2, 1024]))
+def test_spectral_command_keeps_its_contract(physics, y_range, y_points,
+                                             omega_min, width, omega_points):
+    # the sweep commands' contract for spectral, over its pump grid and
+    # its omega grid; the window is drawn by its width, since an empty one
+    # is refused before any solve (test_empty_omega_window_exits_1_...)
+    _assert_contract("spectral", {
+        "site_count": 101, **physics, "y_frac_min": y_range[0],
+        "y_frac_max": y_range[1], "y_points": y_points,
+        "omega_min": omega_min, "omega_max": omega_min + width,
+        "omega_points": omega_points})

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -848,18 +849,19 @@ def test_grouped_pole_sweep_equals_one_point_sweeps_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(continuation, "_verified_poles", recorded)
     grouped = pole_sweep(p, ys)
-    by_y = dict((y, rest) for y, *rest in seen)
+    # keyed by the label that names the point, "y = {y:g}"
+    by_y = dict((label, rest) for label, *rest in seen)
     seen.clear()
     for y in ys:
         assert pole_sweep(p, [y])[0]["poles"] == [
             continuation.Pole(*pair) for pair in seen[-1][2][:2]]
     assert len(seen) == len(ys) == len(by_y)
-    for y, z_bytes, kept in seen:
-        assert by_y[y] == [z_bytes, kept]
+    for label, z_bytes, kept in seen:
+        assert by_y[label] == [z_bytes, kept]
     prev = None
     for y, rec in zip(ys, grouped):
         assert rec["y"] == y
-        kept = [continuation.Pole(*pair) for pair in by_y[y][1]]
+        kept = [continuation.Pole(*pair) for pair in by_y[f"y = {y:g}"][1]]
         chosen = kept[:2] if prev is None else continuation._match_tracks(
             prev, kept)
         assert rec["poles"] == chosen
@@ -892,9 +894,14 @@ def test_polariton_track_converges_with_the_site_count():
 
 
 def test_window_without_a_zero_is_a_numerics_error():
+    # the point is named as the solve's errors name it, "y = {y:g}"; it
+    # used to be the full repr of y
     p = default_params(site_count=101, atom_number=1010)
-    with pytest.raises(NumericsError, match="only 0 verified poles"):
-        pole_sweep(p, [0.5 * critical_coupling(p)], omega_window=(50.0, 60.0))
+    y = 0.5 * critical_coupling(p)
+    with pytest.raises(NumericsError,
+                       match=re.escape(f"only 0 verified poles in the window "
+                                       f"(50.0, 60.0) at y = {y:g} (need 2)")):
+        pole_sweep(p, [y], omega_window=(50.0, 60.0))
 
 
 def test_match_tracks_agrees_with_exhaustive_search():

@@ -548,6 +548,19 @@ def test_negative_epsilon_or_temperature_is_a_config_error():
             damping_sweep(p, ys, epsilons=(eps,))
 
 
+def test_infinite_or_overflowing_temperature_is_a_config_error():
+    # both used to come back as gamma_L = nan and gamma_B = inf past a
+    # RuntimeWarning: n = 1/expm1(omega/T) overflowed and n1 - n2 was
+    # inf - inf
+    p = default_params(site_count=101, atom_number=1010)
+    ys = [0.5 * critical_coupling(p)]
+    with pytest.raises(ConfigError, match="temperature must be >= 0 and "
+                                          "finite, got inf"):
+        damping_sweep(p, ys, temperatures=(np.inf,))
+    with pytest.raises(ConfigError, match="thermal occupation overflows"):
+        damping_sweep(p, ys, temperatures=(1e308,))
+
+
 # -- the phonon modes are solved once per distinct G(q) stack ----------------
 
 def _cold_build(frac):

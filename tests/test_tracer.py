@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cavitybec import continuation, response
 from cavitybec.hamiltonian import ModelExpansion
@@ -53,3 +54,24 @@ def test_tracer_sees_every_layer_and_restores_the_package():
         now = vars(owner)
         assert now.keys() == attrs.keys()
         assert all(now[key] is value for key, value in attrs.items())
+
+
+def _record_bytes(records):
+    return [(r["y"], np.array([pl.z for pl in r["poles"]]).tobytes(),
+             np.array(r["residues"]).tobytes()) for r in records]
+
+
+@pytest.mark.parametrize("fracs, blocks", [((0.72, 0.8), 1),
+                                           ((0.8, 1.2), 2)])
+def test_tracer_counts_one_companion_call_per_block(fracs, blocks):
+    # the poles workload's shape, two pump points: below threshold they
+    # share their phonon stack and make one block, across it two
+    p = default_params(site_count=101, atom_number=1010)
+    ys = np.array(fracs) * critical_coupling(p)
+    plain = continuation.pole_sweep(p, ys)
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        traced = continuation.pole_sweep(p, ys)
+    assert tracer.calls["continuation.pole_sweep"] == 1
+    assert tracer.calls["continuation.companion_pole_candidates"] == blocks
+    assert _record_bytes(traced) == _record_bytes(plain)
