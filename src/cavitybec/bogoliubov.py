@@ -55,7 +55,8 @@ class DiagonalizationError(RuntimeError):
     """Defective or non-real Bogoliubov spectrum (instability/criticality).
 
     For a stack of matrices, index is the position of the offending matrix
-    in the flattened stack; for a single matrix it is None.
+    in the flattened stack; for a single matrix it is None, or 0 when a
+    label names the matrix.
     """
 
     def __init__(self, message: str, index: int | None = None) -> None:
@@ -166,7 +167,8 @@ def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0,
     """General route: one complex eigensolve, checked matrix by matrix,
     of which the 2 zero_pairs eigenvalues nearest zero are set aside.
     labels, if given, name the matrices of the flattened stack in the
-    errors, in place of their stack index."""
+    errors, in place of their stack index (a single matrix takes a list
+    of one)."""
     batch = m.shape[:-2]
     where = _where(batch, labels)
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
@@ -231,12 +233,13 @@ def _mode_set(freqs, right, batch, sector, where) -> ModeSet:
 
 def _where(batch, labels=None):
     """where(i): the text that places matrix i of a flattened stack in an
-    error, by its label or its stack index; None for a single matrix."""
+    error, by its label or its stack index; None for a single matrix
+    without a label."""
+    if labels is not None:
+        return lambda i: f" at {labels[i]}"
     if not batch:
         return None
-    if labels is None:
-        return lambda i: f" at stack index {i}"
-    return lambda i: f" at {labels[i]}"
+    return lambda i: f" at stack index {i}"
 
 
 def _check(bad, where, describe) -> None:
@@ -283,7 +286,8 @@ def soft_modes(f: np.ndarray, labels=None) -> ModeSet:
     (P, 6, 6) stack of pump points in one solve; the soft mode is index 0
     (soft_mode).  Each matrix is checked and solved as it would be alone,
     so a point's modes do not depend on the stack it is solved in.
-    labels, if given, name the matrices of a stack in its errors (a pump
-    point by its y, say) in place of their stack index.
+    labels, if given, name the matrices in its errors (a pump point by
+    its y, say; a list of one for a single F) in place of their stack
+    index.
     """
     return _eig_modes(f, "polariton", zero_pairs=1, labels=labels)

@@ -27,10 +27,10 @@ from .params import (ConfigError, critical_coupling, momentum_grid,
 from .meanfield import (ConvergenceError, CriticalPointError,
                         solve_steady_state)
 from .hamiltonian import ModelExpansion
-from .bogoliubov import DiagonalizationError, soft_mode
+from .bogoliubov import DiagonalizationError, soft_modes
 from .bath import BathConstructionError
-from .response import (NumericsError, build_response, damping_sweep,
-                       phonon_bands)
+from .response import (NumericsError, _pump_label, build_response,
+                       damping_sweep, phonon_bands)
 from .continuation import continue_green, pole_sweep
 from .csvio import write_table, write_json_lines
 
@@ -174,8 +174,10 @@ def cmd_softmode(p, run, outdir):
     rows = []
     for y in y_values:
         pp = p.with_pump(float(y))
-        omega_s, _ = soft_mode(ModelExpansion(pp, solve_steady_state(pp)))
-        rows.append([y / y_crit, omega_s])
+        # the soft mode as bogoliubov.soft_mode finds it, named by its y
+        modes = soft_modes(ModelExpansion(pp, solve_steady_state(pp))
+                           .polariton_matrix(), [_pump_label(pp.y)])
+        rows.append([y / y_crit, modes.frequencies[0]])
     write_table(outdir / "softmode.csv", ["y_frac", "omega_s"], rows,
                 _meta(p, run, "softmode"))
 

@@ -625,8 +625,7 @@ def _local_start(head, weights, centers):
     """Starting zeros in u, with 1/r' and its rounding scale there.
 
     head (P,) and weights (P, m) over the shared centers give (P, m + 1)
-    results, row s bit for bit what point s gets alone; a scalar head and
-    weights (m,) give one point's (m + 1,).
+    results, row s bit for bit what point s gets alone.
 
     Zero j starts at u = x_j + d from a local model of r near its pole:
     the 2 _NEAR_POLES + 1 consecutive poles around x_j (all of them when
@@ -654,10 +653,7 @@ def _local_start(head, weights, centers):
     The model's (points, window, m) arrays are formed for as many points
     at a time as fit in _ROW_CHUNK rows of m.
     """
-    shape = np.shape(head)
-    head = np.reshape(head, -1)
-    n_pts, m = head.size, len(centers)
-    weights = np.reshape(weights, (n_pts, m))
+    n_pts, m = weights.shape
     moments = _pole_moments(weights, centers)
     curv = 1.0 + moments[1]
     den = centers - head[:, None] - moments[0]
@@ -752,7 +748,7 @@ def _local_start(head, weights, centers):
             & (np.abs(d.real) < room))
     u = np.concatenate([centers + np.where(take, d, two_pole),
                         head_zero[:, None]], axis=1)
-    return tuple(x.reshape(shape + (m + 1,)) for x in (u, residues, size))
+    return u, residues, size
 
 
 def _pole_moments(weights, centers):
@@ -829,13 +825,13 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
     residues are exact: 1/r'(z), r'(z) = 1 + sum_j w_j/(z - x_j + i eps)^2.
     Trajectories are matched across y by minimal total displacement in the
     complex plane.  Raises NumericsError when fewer than n_track zeros in
-    the window pass the check; every error names its point by y, as
-    "y = {y:g}".
+    the window pass the check; every error names its point by the label
+    that _stack_blocks gives it ("y = 0.316").
     """
     ys = [float(y) for y in y_values]
     found = [None] * len(ys)
-    for block, omega_s, bath in _stack_blocks([p.with_pump(y) for y in ys]):
-        labels = [f"y = {ys[k]:g}" for k in block]
+    points = [p.with_pump(y) for y in ys]
+    for block, labels, omega_s, bath in _stack_blocks(points):
         zeros = companion_pole_candidates(
             Response(omega_s=omega_s, bath=bath), labels=labels)
         weights, centers = bath.pole_table

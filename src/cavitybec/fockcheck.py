@@ -183,13 +183,17 @@ def oracle_residuals(p: ThermoParams, mf: MeanField, q: float) -> dict:
     V entries enter through the physical +-q pair sums, which is the only
     combination the commutator (or the dynamics) is sensitive to.
     """
+    return _oracle_residuals(p, mf, q, build_hamiltonian(p, mf, q))
+
+
+def _oracle_residuals(p: ThermoParams, mf: MeanField, q: float, k) -> dict:
+    """oracle_residuals against k = build_hamiltonian(p, mf, q)."""
     exp = ModelExpansion(p, mf)
     f_mat = exp.polariton_matrix()
     g_mat = exp.phonon_matrix(q)
     v_tensor, w_tensor = exp.interaction_tensors()
     root_n = math.sqrt(float(p.atom_number))
 
-    k = build_hamiltonian(p, mf, q)
     pol, ph, ph_m = _component_ops()
     phonon_names = ("bq", "bm", "cq", "cm", "sq", "sm")
 
@@ -233,6 +237,12 @@ def coupling_residuals(p: ThermoParams, mf: MeanField, q: float) -> dict:
     sigma_{2,q}^+]].  This pins the combinatorial weight of the couplings,
     not just the underlying tensors.
     """
+    return _coupling_residuals(p, mf, q, build_hamiltonian(p, mf, q))
+
+
+def _coupling_residuals(p: ThermoParams, mf: MeanField, q: float,
+                        k) -> dict:
+    """coupling_residuals against k = build_hamiltonian(p, mf, q)."""
     exp = ModelExpansion(p, mf)
     _, pol_ms = soft_mode(exp)
     ph_q = diagonalize_symplectic(exp.phonon_matrix(q), sector="phonon+q")
@@ -241,7 +251,6 @@ def coupling_residuals(p: ThermoParams, mf: MeanField, q: float) -> dict:
     vs = vertex_coefficients(v_tensor, w_tensor, pol_ms, ph_q, ph_mq)
     g_landau, g_beliaev = landau_beliaev_couplings(vs)
 
-    k = build_hamiltonian(p, mf, q)
     pol_ops, ph_ops, phm_ops = _component_ops()
     root_n = math.sqrt(float(p.atom_number))
 

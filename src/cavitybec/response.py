@@ -245,8 +245,9 @@ def build_response(p: ThermoParams) -> Response:
     band-pair kernel (coupling.pair_kernel) for every q at once.  Band
     labels are by ascending frequency (the two lowest branches feed the
     Landau/Beliaev pairs).  The soft mode is the one bogoliubov.soft_mode
-    picks, and the bath's density of modes is the one p.dos_mode names
-    (bath.mode_density).
+    picks, and a soft-mode error names the point by its y, as a sweep's
+    do (_pump_label).  The bath's density of modes is the one p.dos_mode
+    names (bath.mode_density).
 
     Below threshold the condensate is homogeneous and the cavity empty, so
     G(q), and with it the phonon bath, does not depend on the pump; only
@@ -264,12 +265,12 @@ def build_response(p: ThermoParams) -> Response:
     q_half = momentum_grid(p)
     exp = ModelExpansion(p, solve_steady_state(p))
     omega_s, bath = _stack_response(p, q_half, exp, exp.polariton_matrix(),
-                                    exp.v_tensor())
+                                    exp.v_tensor(), [_pump_label(p.y)])
     return Response(omega_s=float(omega_s), bath=bath)
 
 
 def _stack_response(p: ThermoParams, q_half, exp: ModelExpansion, f,
-                    v_tensor, labels=None):
+                    v_tensor, labels):
     """(omega_s, bath) of pump points that share exp's G(q) stack.
 
     f and v_tensor are the points' F and V: (6, 6) and (6, 6, 6) for one
@@ -278,10 +279,10 @@ def _stack_response(p: ThermoParams, q_half, exp: ModelExpansion, f,
     the stack's modes and pair kernel, one soft-mode eigensolve over its P
     F matrices, one contraction of the kernel with its P soft rows of V
     and one checked bath, whose couplings then carry the pump axis
-    (omega_s is (P,), the couplings (P, n_q)); labels name the points in
-    a soft-mode error.  Each point's numbers are those it would get alone,
-    bit for bit.  p gives the bath its grid, temperature, damping, density
-    of modes and atom number.
+    (omega_s is (P,), the couplings (P, n_q)); labels name the points
+    (a list of one for one point) in a soft-mode error.  Each point's
+    numbers are those it would get alone, bit for bit.  p gives the bath
+    its grid, temperature, damping, density of modes and atom number.
     """
     pol = soft_modes(f, labels)
     phonons, kernel = _phonon_stack(exp, q_half)
@@ -456,6 +457,11 @@ def _dressed_pole(resp: Response, z: complex):
 
 # -- sweep drivers ---------------------------------------------------------
 
+def _pump_label(y: float) -> str:
+    """How an error names a pump point: "y = 0.316"."""
+    return f"y = {y:g}"
+
+
 def _stack_blocks(points):
     """Evaluate pump points by groups that share a G(q) stack.
 
@@ -466,9 +472,9 @@ def _stack_blocks(points):
     evaluates in one pass per block of up to _Z_CHUNK points; an
     ordered-phase point is a group of one.  The blocks bound a group's
     (points, n_q) coupling and weight tables as _Z_CHUNK bounds
-    pole_sum's.  Yields (block, omega_s, bath) per block, block holding
-    the indices of its points in points, omega_s (P,) and the bath's
-    couplings (P, n_q); a soft-mode error names its point by y.
+    pole_sum's.  Yields (block, labels, omega_s, bath) per block: its
+    points' indices in points and labels for an error (_pump_label),
+    omega_s (P,) and the bath, whose couplings are (P, n_q).
     """
     if not points:
         return
@@ -480,31 +486,43 @@ def _stack_blocks(points):
     for members in groups.values():
         for lo in range(0, len(members), _Z_CHUNK):
             block = members[lo:lo + _Z_CHUNK]
+            labels = [_pump_label(points[k].y) for k in block]
             omega_s, bath = _stack_response(
                 points[block[0]], q_half, exps[block[0]],
                 np.stack([exps[k].polariton_matrix() for k in block]),
-                np.stack([exps[k].v_tensor() for k in block]),
-                labels=[f"y = {points[k].y:g}" for k in block])
-            yield block, omega_s, bath
+                np.stack([exps[k].v_tensor() for k in block]), labels)
+            yield block, labels, omega_s, bath
 
 
-def _sweep_points(p, ys, epsilons, temperatures):
-    """(y, omega_s, rows) of each pump point of a run, in its order; the
-    rows hold the Born-Markov rates for every (epsilon, T) pair,
-    epsilon-major.
+def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
+                  temperatures=(None,)):
+    """Born-Markov rates over a pump sweep, for each (epsilon, T) pair.
 
-    The points, each checked at epsilon = 0, are evaluated by groups that
-    share a G(q) stack (_stack_blocks).  Sigma(omega_s) at damping
-    epsilon is the epsilon = 0 sum at z = omega_s + i epsilon, so one
-    checked bath per temperature (the block's own, built at epsilon = 0,
-    or a replaced one for another temperature) gives each channel's value
-    at every (point, epsilon) pair of the block in one self_energy call.
+    Returns a list of records ordered as the inputs: per pump point, one
+    for every (epsilon, T) pair, epsilon-major.  A None in epsilons or
+    temperatures stands for p.phonon_damping or p.temperature; the rest,
+    dos_mode included, is p's.  Each epsilon is checked as a bath's is.
+
+    The points, each checked at epsilon = 0, are evaluated by blocks that
+    share a G(q) stack (_stack_blocks; below threshold, all of them): a
+    block shares the stack's modes and pair kernel, one soft-mode
+    eigensolve, one coupling contraction and one checked bath per T.
+    Sigma(omega_s) at damping epsilon is the epsilon = 0 sum at
+    z = omega_s + i epsilon, so one self_energy call per channel and T
+    gives it at every (point, epsilon) pair of a block.  A point's records
+    are the same, bit for bit, whatever it is grouped with.
     """
+    epsilons = tuple(p.phonon_damping if e is None else e for e in epsilons)
+    temperatures = tuple(p.temperature if t is None else t
+                         for t in temperatures)
     for eps in epsilons:
         check_epsilon(eps)
+    ys = [float(y) for y in y_values]
+    y_crit = critical_coupling(p)
+    n = len(epsilons) * len(temperatures)
+    records = [None] * (len(ys) * n)
     points = [replace(p, y=y, phonon_damping=0.0) for y in ys]
-    results = [None] * len(ys)
-    for block, omega_s, bath in _stack_blocks(points):
+    for block, _, omega_s, bath in _stack_blocks(points):
         z = np.empty((len(block), len(epsilons)), dtype=complex)
         z.real = omega_s[:, None]
         z.imag = epsilons
@@ -516,46 +534,13 @@ def _sweep_points(p, ys, epsilons, temperatures):
                            for channel in ("landau", "beliaev")])
         for row, k in enumerate(block):
             w = float(omega_s[row])
-            results[k] = (ys[k], w, [
-                (eps, temp, BornMarkovResult.from_self_energies(
-                    w, sl[row][e], sb[row][e]))
+            # a result's fields, in order: omega_s, delta_l, gamma_l,
+            # delta_b, gamma_b
+            records[k * n:(k + 1) * n] = [
+                {"y": ys[k], "y_frac": ys[k] / y_crit, "epsilon": eps,
+                 "temperature": temp, **vars(
+                     BornMarkovResult.from_self_energies(
+                         w, sl[row][e], sb[row][e]))}
                 for e, eps in enumerate(epsilons)
-                for temp, (sl, sb) in zip(temperatures, sigmas)])
-    return results
-
-
-def damping_sweep(p: ThermoParams, y_values, epsilons=(None,),
-                  temperatures=(None,)):
-    """Born-Markov rates over a pump sweep, for each (epsilon, T) pair.
-
-    Bands and couplings are computed once per y and shared across the
-    epsilon/temperature variations (they only alter the bath bookkeeping).
-    Pump points that share a G(q) stack (below threshold, all of them) are
-    evaluated as one group, in blocks of up to _Z_CHUNK points
-    (_sweep_points): a block shares the stack's modes and pair kernel,
-    one soft-mode eigensolve, one coupling contraction, one checked bath
-    per T and one self-energy evaluation per channel and T over every
-    (point, epsilon) pair, at z = omega_s + i epsilon on the bath at
-    epsilon = 0.  A point's record is the same, bit for bit, whatever it
-    is grouped with.  Every epsilon is checked as a bath checks its own.
-    A None in epsilons or temperatures stands for p.phonon_damping or
-    p.temperature; the rest, dos_mode included, is p's.  Returns a list of
-    records, ordered as the inputs.
-    """
-    epsilons = tuple(p.phonon_damping if e is None else e for e in epsilons)
-    temperatures = tuple(p.temperature if t is None else t
-                         for t in temperatures)
-    ys = [float(y) for y in y_values]
-    results = _sweep_points(p, ys, epsilons, temperatures)
-
-    y_crit = critical_coupling(p)
-    records = []
-    for y, omega_s, rows in results:
-        for eps, temp, bm in rows:
-            records.append({
-                "y": y, "y_frac": y / y_crit, "epsilon": eps,
-                "temperature": temp, "omega_s": omega_s,
-                "delta_l": bm.delta_l, "gamma_l": bm.gamma_l,
-                "delta_b": bm.delta_b, "gamma_b": bm.gamma_b,
-            })
+                for temp, (sl, sb) in zip(temperatures, sigmas)]
     return records

@@ -94,14 +94,17 @@ def run_verification(p: ThermoParams, seed: int = 0):
     check("vertex-connection", worst_conn, 1e-9)
     check("coefficient-duality", worst_dual, 1e-9)
 
-    # independent truncated-Fock commutator oracle
-    from .fockcheck import coupling_residuals, oracle_residuals
+    # independent truncated-Fock commutator oracle, both checks on one K
+    # (building its 3^9 states is most of their cost)
+    from .fockcheck import (_coupling_residuals, _oracle_residuals,
+                            build_hamiltonian)
 
     pp = p.with_pump(0.629 * y_crit)
     mf = solve_steady_state(pp)
-    res = oracle_residuals(pp, mf, 0.35)
+    k = build_hamiltonian(pp, mf, 0.35)
+    res = _oracle_residuals(pp, mf, 0.35, k)
     check("fock-oracle", max(res.values()), 1e-10)
-    res = coupling_residuals(pp, mf, 0.35)
+    res = _coupling_residuals(pp, mf, 0.35, k)
     check("coupling-oracle", max(res.values()), 1e-10)
 
     # response-level checks

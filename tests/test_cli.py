@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,9 +10,11 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from cavitybec import meanfield, response, verify
+from cavitybec import fockcheck, meanfield, response, verify
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
+from cavitybec.hamiltonian import ModelExpansion
+from cavitybec.params import critical_coupling, default_params
 
 
 def test_meanfield_command_writes_table(tmp_path):
@@ -366,6 +369,52 @@ def test_verify_checks_the_bath_of_the_given_dos_mode(tmp_path, capsys,
     assert all("  PASS  " in line for line in lines)
 
 
+def test_verify_builds_one_fock_hamiltonian(monkeypatch):
+    # the Fock oracle's two checks share one K, the 3^9-state sparse
+    # operator that is most of their cost
+    built = []
+    build_hamiltonian = fockcheck.build_hamiltonian
+
+    def counted(*args):
+        built.append(args)
+        return build_hamiltonian(*args)
+
+    monkeypatch.setattr(fockcheck, "build_hamiltonian", counted)
+    results = verify.run_verification(
+        default_params(site_count=21, atom_number=210))
+    assert len(built) == 1
+    oracles = [ok for name, ok, _ in results if name.endswith("-oracle")]
+    assert oracles == [True, True]
+
+
+@pytest.mark.parametrize("command, frac_range", [
+    ("softmode", (0.1, 0.95)), ("spectral", (0.3, 0.95)),
+    ("damping-sweep", (0.05, 1.55)), ("poles", (0.70, 0.84))])
+def test_soft_mode_failure_names_its_pump(command, frac_range, tmp_path,
+                                          monkeypatch, capsys):
+    # F is all zeros at the second of three pump points of the command's
+    # default range; each command names that point by its y
+    polariton_matrix = ModelExpansion.polariton_matrix
+    calls = []
+
+    def zero_at_the_second(self):
+        calls.append(1)
+        if len(calls) == 2:
+            return np.zeros((6, 6), dtype=complex)
+        return polariton_matrix(self)
+
+    monkeypatch.setattr(ModelExpansion, "polariton_matrix",
+                        zero_at_the_second)
+    y = np.linspace(*frac_range, 3)[1] * critical_coupling(default_params())
+    assert main([command, "--output-dir", str(tmp_path), "--set", "y_points=3",
+                 "--set", "site_count=101", "--set", "omega_points=8"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerics error: unpaired spectrum in sector "
+                          f"'polariton' at y = {y:g}: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 # -- the command-line contract of the sweep commands --------------------------
 
 _EXTREME = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-12, 1e12, -1e12,
@@ -402,29 +451,48 @@ def _finite_tables(outdir):
     return True
 
 
+def _finite_pass_lines(text):
+    """True when every line of verify's report is a PASS whose numbers
+    are all finite."""
+    lines = text.splitlines()
+    return bool(lines) and all(
+        line.split()[1] == "PASS" and all(
+            np.isfinite(float(number)) for number in re.findall(
+                r"\b(?:nan|inf)\b|[-+]?\d+\.?\d*(?:e[-+]?\d+)?", line,
+                flags=re.IGNORECASE))
+        for line in lines)
+
+
 def _assert_contract(command, settings_):
     """Run command under settings_ with warnings as errors: it exits 0
-    with finite tables, or with one typed line on stderr, a documented
+    with finite tables (verify: a report of PASS lines with finite
+    numbers, and no file), or with one typed line on stderr, a documented
     exit code and no file."""
     args = [command]
     for key, value in settings_.items():
         args += ["--set", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
             warnings.simplefilter("error")
             code = main(args + ["--output-dir", str(outdir)])
         assert code in (0, 1, 2, 3)
-        if code == 0:
+        written = list(outdir.iterdir()) if outdir.exists() else []
+        if code == 0 and command == "verify":
             assert err.getvalue() == ""
-            assert list(outdir.iterdir())
+            assert not written
+            assert _finite_pass_lines(out.getvalue())
+        elif code == 0:
+            assert err.getvalue() == ""
+            assert written
             assert _finite_tables(outdir)
         else:
             message = err.getvalue()
             assert message.startswith(_ERROR_PREFIXES[code - 1])
             assert message.count("\n") == 1
-            assert not outdir.exists() or not list(outdir.iterdir())
+            assert not written
 
 
 _Y_RANGE = st.tuples(_number(0.0, 1.8), _number(0.0, 1.8))
@@ -495,3 +563,13 @@ def test_spectral_command_keeps_its_contract(physics, y_range, y_points,
         "y_frac_max": y_range[1], "y_points": y_points,
         "omega_min": omega_min, "omega_max": omega_min + width,
         "omega_points": omega_points})
+
+
+@pytest.mark.parametrize("settings_", [
+    {"site_count": 101, "atom_number": 1010},
+    {"site_count": 101, "seed": -1}])
+def test_verify_command_keeps_its_contract(settings_):
+    # the contract for the command that writes no file; at 101 sites and
+    # 1010 atoms continuation-agreement reads 1.6e-3 against its 1e-3
+    # bound, an exit 3 that the contract allows
+    _assert_contract("verify", settings_)

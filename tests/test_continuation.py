@@ -613,8 +613,9 @@ def test_local_start_meets_the_stop_test_on_the_pole_sweep_range(frac):
     assert np.unique(centers).size == centers.size  # zeros in start order
     order = np.argsort(centers)
     zeros = _secular_roots(resp.omega_s, weights, centers, eps)
-    start = continuation._local_start(resp.omega_s + 1j * eps,
-                                      weights[order], centers[order])[0]
+    start = continuation._local_start(np.array([resp.omega_s + 1j * eps]),
+                                      weights[order][None],
+                                      centers[order])[0][0]
     close = (np.abs(start - 1j * eps - zeros)
              <= 1e-15 * np.maximum(np.abs(zeros), 1.0))
     assert np.count_nonzero(close) >= 0.95 * zeros.size

@@ -75,3 +75,27 @@ def test_tracer_counts_one_companion_call_per_block(fracs, blocks):
     assert tracer.calls["continuation.pole_sweep"] == 1
     assert tracer.calls["continuation.companion_pole_candidates"] == blocks
     assert _record_bytes(traced) == _record_bytes(plain)
+
+
+def _sweep_bits(records):
+    return [[(key, np.float64(value).tobytes()) for key, value in r.items()]
+            for r in records]
+
+
+@pytest.mark.parametrize("fracs, blocks", [((0.4, 0.9), 1),
+                                           ((0.4, 1.2), 2)])
+def test_tracer_counts_one_self_energy_call_per_channel_and_block(fracs,
+                                                                  blocks):
+    # the sweep workload's shape at T = 0, two pump points over its four
+    # epsilons: below threshold they make one block, across it two, and a
+    # block evaluates each channel once
+    p = default_params(site_count=101, atom_number=1010, temperature=0.0)
+    ys = np.array(fracs) * critical_coupling(p)
+    epsilons = (0.03, 0.01, 0.003, 0.001)
+    plain = response.damping_sweep(p, ys, epsilons=epsilons)
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        traced = response.damping_sweep(p, ys, epsilons=epsilons)
+    assert tracer.calls["response.damping_sweep"] == 1
+    assert tracer.calls["response.self_energy"] == 2 * blocks
+    assert _sweep_bits(traced) == _sweep_bits(plain)
