@@ -824,9 +824,10 @@ def pole_sweep(p, y_values, omega_window=(0.0, 3.0), n_track: int = 2):
     |Im z|, and the first n_track + 3 with |r(z)| <= 1e-8 are kept.  Their
     residues are exact: 1/r'(z), r'(z) = 1 + sum_j w_j/(z - x_j + i eps)^2.
     Trajectories are matched across y by minimal total displacement in the
-    complex plane.  Raises NumericsError when fewer than n_track zeros in
-    the window pass the check; every error names its point by the label
-    that _stack_blocks gives it ("y = 0.316").
+    complex plane, an assignment solved by the Hungarian (Kuhn-Munkres)
+    method in _match_tracks.  Raises NumericsError when fewer than n_track
+    zeros in the window pass the check; every error names its point by the
+    label that _stack_blocks gives it ("y = 0.316").
     """
     ys = [float(y) for y in y_values]
     found = [None] * len(ys)
@@ -881,10 +882,54 @@ def _verified_poles(z, head, weights, centers, eps: float, omega_window,
 
 
 def _match_tracks(prev, poles):
-    """Assign current poles to previous tracks by minimal total displacement."""
-    import scipy.optimize
+    """Assign current poles to previous tracks by minimal total displacement
+    |z - z_prev|, an n_track x len(poles) assignment that
+    _min_cost_assignment (Kuhn-Munkres) solves."""
+    cost = [[abs(pl.z - z0) for pl in poles] for z0 in prev]
+    return [poles[j] for j in _min_cost_assignment(cost)]
 
-    cost = np.abs(np.array([pl.z for pl in poles])[None, :]
-                  - np.array(prev)[:, None])
-    _, best = scipy.optimize.linear_sum_assignment(cost)
-    return [poles[j] for j in best]
+
+def _min_cost_assignment(cost):
+    """The column of each row of cost (n rows of m >= n floats) in an
+    assignment of distinct columns with minimal total cost.
+
+    The Hungarian method (Kuhn 1955; Munkres 1957) with row and column
+    potentials u, v: each row joins along a shortest augmenting path in
+    the reduced costs cost[i][j] - u[i] - v[j] >= 0, O(n^2 m) in all.
+    Index 0 of u, v, owner and way is a virtual row and column that roots
+    each path; rows and columns are counted from 1 there.
+    """
+    n, m = len(cost), len(cost[0])
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    owner = [0] * (m + 1)               # the row holding column j, 0 if free
+    for row in range(1, n + 1):
+        owner[0], j0 = row, 0
+        dist, way = [math.inf] * (m + 1), [0] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:                # until the path reaches a free column
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < dist[j]:
+                        dist[j], way[j] = cur, j0
+                    # j1 == 0: take some column even if no distance is finite,
+                    # so that the path always grows and the loop ends
+                    if j1 == 0 or dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:                       # flip the path's columns to its rows
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    cols = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            cols[owner[j] - 1] = j - 1
+    return cols

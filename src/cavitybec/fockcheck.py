@@ -92,25 +92,38 @@ def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
         annih[band][-1] = ops[minus]
         dag[band][-1] = ops[minus].conj().T
 
-    k = sp.csr_matrix((dim, dim), dtype=complex)
-    k = k - p.cavity_detuning * (a_dag @ a_op)
+    # K is summed like a binary counter: partial sums of 1, 2, 4, ... terms
+    # merge when their counts match, so an entry is copied about log2(182)
+    # times rather than once per later term, and at most that many partial
+    # sums are alive at once
+    sums = []                    # (term count, partial sum), counts falling
+
+    def add(term):
+        count = 1
+        while sums and sums[-1][0] == count:
+            prev_count, prev = sums.pop()
+            term, count = prev + term, count + prev_count
+        sums.append((count, term))
+
+    add(-p.cavity_detuning * (a_dag @ a_op))
 
     momenta = {0: 0.0, +1: q, -1: -q}
     for lab, qv in momenta.items():
         b, bd = annih["b"][lab], dag["b"][lab]
         c, cd = annih["c"][lab], dag["c"][lab]
         s, sd = annih["s"][lab], dag["s"][lab]
-        k = k + (qv * qv - mf.mu) * (bd @ b)
-        k = k + (1.0 + qv * qv - mf.mu) * (cd @ c)
+        add((qv * qv - mf.mu) * (bd @ b))
+        add((1.0 + qv * qv - mf.mu) * (cd @ c))
         if s is not None:
-            k = k + (1.0 + qv * qv - mf.mu) * (sd @ s)
-            k = k + 2.0j * qv * (sd @ c) - 2.0j * qv * (cd @ s)
+            add((1.0 + qv * qv - mf.mu) * (sd @ s))
+            add(2.0j * qv * (sd @ c))
+            add(-2.0j * qv * (cd @ s))
         pump = bd @ c + cd @ b
-        k = k + (math.sqrt(2.0) / 2.0) * eta * ((a_dag + a_op) @ pump)
+        add((math.sqrt(2.0) / 2.0) * eta * ((a_dag + a_op) @ pump))
         shift = 2.0 * (bd @ b) + 3.0 * (cd @ c)
         if s is not None:
             shift = shift + sd @ s
-        k = k + 0.25 * u0 * (a_dag @ a_op @ shift)
+        add(0.25 * u0 * (a_dag @ a_op @ shift))
 
     channels = (
         ("b", "b", "b", "b", 1.0), ("c", "c", "c", "c", 1.5),
@@ -133,7 +146,10 @@ def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
                         f3, f4 = annih[x3][n3], annih[x4][n4]
                         if any(f is None for f in (f1, f2, f3, f4)):
                             continue
-                        k = k + weight * g_half * (f1 @ f2 @ f3 @ f4)
+                        add(weight * g_half * (f1 @ f2 @ f3 @ f4))
+    k = sums.pop()[1]
+    while sums:
+        k = sums.pop()[1] + k
     return k
 
 

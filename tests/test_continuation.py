@@ -920,6 +920,50 @@ def test_match_tracks_agrees_with_exhaustive_search():
         assert continuation._match_tracks(prev, poles) == list(best)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_min_cost_assignment_agrees_with_scipy(tied):
+    # 1-8 rows and 0-3 spare columns, 1 x 1 and square included: on
+    # continuous costs the optimum is unique and the columns must match;
+    # on small integer costs it is tied, and only the total is unique
+    rng = np.random.default_rng(29)
+    shapes = [(1, 1), (3, 3), (8, 8)] + [
+        (int(n), int(n) + int(rng.integers(0, 4)))
+        for n in rng.integers(1, 9, 1000)]
+    for n, m in shapes:
+        cost = (rng.integers(0, 4, (n, m)).astype(float) if tied
+                else rng.exponential(size=(n, m)))
+        cols = continuation._min_cost_assignment(cost.tolist())
+        _, best = linear_sum_assignment(cost)
+        assert sorted(set(cols)) == sorted(cols) and len(cols) == n
+        if tied:
+            assert cost[range(n), cols].sum() == cost[range(n), best].sum()
+        else:
+            assert cols == list(best)
+
+
+def test_criterion_11_tracks_equal_a_scipy_assignment_bit_for_bit(
+        monkeypatch):
+    # criterion 11's 15 points at 101 sites, tracks matched once by
+    # _min_cost_assignment and once by scipy's linear_sum_assignment
+    p = default_params(site_count=101, atom_number=1010)
+    ys = np.linspace(0.70, 0.84, 15) * critical_coupling(p)
+
+    def bits(records):
+        return [(np.float64(r["y"]).tobytes(),
+                 np.array([pl.z for pl in r["poles"]]).tobytes(),
+                 np.array(r["residues"]).tobytes()) for r in records]
+
+    ours = bits(pole_sweep(p, ys))
+
+    def scipy_match(prev, poles):
+        cost = np.abs(np.array([pl.z for pl in poles])[None, :]
+                      - np.array(prev)[:, None])
+        return [poles[j] for j in linear_sum_assignment(cost)[1]]
+
+    monkeypatch.setattr(continuation, "_match_tracks", scipy_match)
+    assert ours == bits(pole_sweep(p, ys))
+
+
 def test_zero_within_rounding_of_a_weak_bath_pole_is_passed_over():
     # 11 sites at eps = 0.082: one of the five zeros in the window sits so
     # close to a weak bath pole that |1/G| evaluates to 1.8e-8 there; the

@@ -1,5 +1,6 @@
-"""What a fresh process loads: import and the plain sweeps stay off
-scipy.optimize and scipy.sparse (each costs start-up time and memory)."""
+"""What a fresh process loads: import, the plain sweeps and the pole sweep
+stay off scipy.optimize and scipy.sparse (each costs start-up time and
+memory); only the NNLS comb fit loads them."""
 
 import json
 import os
@@ -42,11 +43,26 @@ assert len(records) == 4
 """) == []
 
 
-def test_track_matching_loads_scipy_optimize():
-    # the control: a two-point pole_sweep matches tracks with
-    # scipy.optimize, which brings scipy.sparse with it
+def test_pole_sweep_over_both_phases_loads_neither():
+    # three points across threshold: two normal-phase points share a
+    # block, the ordered one has its own, and the tracks are matched twice
     assert _heavy_modules_after("""
-from cavitybec import critical_coupling, default_params, pole_sweep
+from cavitybec import (critical_coupling, default_params, pole_sweep,
+                       solve_steady_state)
 p = default_params(site_count=101, atom_number=1010)
-pole_sweep(p, [0.72 * critical_coupling(p), 0.8 * critical_coupling(p)])
+ys = [f * critical_coupling(p) for f in (0.72, 0.8, 1.2)]
+assert solve_steady_state(p.with_pump(ys[2])).gamma > 0.0  # ordered
+assert len(pole_sweep(p, ys)) == 3
+""") == []
+
+
+def test_comb_fit_loads_scipy_optimize():
+    # the control: NNLS still comes from scipy.optimize, which brings
+    # scipy.sparse with it, so the harness can see a load
+    assert _heavy_modules_after("""
+import numpy as np
+from cavitybec import reconstruct_meromorphic
+omega = np.linspace(0.3, 1.6, 200)
+green = 1.0 / (omega - 0.9 - 0.01 / (omega - 1.0 + 0.05j))  # one bath line
+reconstruct_meromorphic(omega, green, 0.05)
 """) == sorted(HEAVY)
