@@ -31,7 +31,9 @@ def main(out_dir="demo_output"):
     rows = []
     for frac, rec in zip(fracs, records):
         row = {"y_frac": float(frac)}
-        for i, (pole, res) in enumerate(zip(rec["poles"], rec["residues"])):
+        # 1-based columns, as the poles command writes them
+        for i, (pole, res) in enumerate(zip(rec["poles"], rec["residues"]),
+                                        start=1):
             row[f"re_z{i}"] = float(pole.z.real)
             row[f"im_z{i}"] = float(pole.z.imag)
             row[f"abs_residue{i}"] = float(abs(res))
@@ -40,12 +42,12 @@ def main(out_dir="demo_output"):
     write_table(out / "pole_trajectories.csv", fields, rows,
                 {"command": "demo-poles"})
 
-    gaps = [abs(r["re_z0"] - r["re_z1"]) for r in rows]
+    gaps = [abs(r["re_z1"] - r["re_z2"]) for r in rows]
     i = int(np.argmin(gaps))
     r = rows[i]
     print(f"minimum Re-gap {gaps[i]:.4f} at y/y_crit = {r['y_frac']:.3f} "
           "(strictly positive: avoided crossing)")
-    narrow = min(abs(r["im_z0"]), abs(r["im_z1"]))
+    narrow = min(abs(r["im_z1"]), abs(r["im_z2"]))
     bm = build_response(
         p.with_pump(float(r["y_frac"]) * y_crit)).born_markov()
     print(f"narrow pole |Im z| = {narrow:.5f} vs Born-Markov gamma_B = "

@@ -52,16 +52,7 @@ REAL_TOL = 1e-8
 
 
 class DiagonalizationError(RuntimeError):
-    """Defective or non-real Bogoliubov spectrum (instability/criticality).
-
-    For a stack of matrices, index is the position of the offending matrix
-    in the flattened stack; for a single matrix it is None, or 0 when a
-    label names the matrix.
-    """
-
-    def __init__(self, message: str, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
+    """Defective or non-real Bogoliubov spectrum (instability/criticality)."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,8 @@ def symmetry_residuals(f: np.ndarray, g_minus: np.ndarray | None = None) -> dict
     }
 
 
-def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
+def diagonalize_symplectic(m: np.ndarray, sector: str = "",
+                           name=None) -> ModeSet:
     """Extract the positive-frequency bosonic modes of a 6x6 matrix, or of
     every matrix of a (..., 6, 6) stack in one batched solve.
 
@@ -109,8 +101,9 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
     Every check applies to each matrix of a stack.  Raises
     DiagonalizationError for non-real spectra (dynamical instability or
     criticality), unpaired +-omega, and non-normalizable or defective
-    positive-frequency subspaces; for a stack the message and the error's
-    index name the first offending matrix.
+    positive-frequency subspaces; for a stack the message names the first
+    offending matrix (_where), as name(i) for matrix i of the flattened
+    stack when name is given (its q, say).
 
     The input picks one of two routes.  When P^+ OMEGA m P (P the real
     gauge of the module docstring) is real, symmetric and positive definite
@@ -123,11 +116,11 @@ def diagonalize_symplectic(m: np.ndarray, sector: str = "") -> ModeSet:
     above and words the errors.
     """
     m = np.asarray(m)
-    modes = _colpa_modes(m, sector)
-    return modes if modes is not None else _eig_modes(m, sector)
+    modes = _colpa_modes(m, sector, name)
+    return modes if modes is not None else _eig_modes(m, sector, name=name)
 
 
-def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
+def _colpa_modes(m: np.ndarray, sector: str, name) -> ModeSet | None:
     """Colpa's route in the real gauge, or None when the stack does not
     qualify for it.
 
@@ -159,18 +152,17 @@ def _colpa_modes(m: np.ndarray, sector: str) -> ModeSet | None:
     right = omega_chol @ u[:, :, 3:] / np.sqrt(freqs)[:, None, :]
     batch = m.shape[:-2]
     return _mode_set(freqs, right * _GAUGE[:, None], batch, sector,
-                     _where(batch))
+                     _where(batch, name))
 
 
 def _eig_modes(m: np.ndarray, sector: str, zero_pairs: int = 0,
-               labels=None) -> ModeSet:
+               name=None) -> ModeSet:
     """General route: one complex eigensolve, checked matrix by matrix,
     of which the 2 zero_pairs eigenvalues nearest zero are set aside.
-    labels, if given, name the matrices of the flattened stack in the
-    errors, in place of their stack index (a single matrix takes a list
-    of one)."""
+    name(i), if given, names matrix i of the flattened stack in the errors
+    (_where)."""
     batch = m.shape[:-2]
-    where = _where(batch, labels)
+    where = _where(batch, name)
     vals, vecs = np.linalg.eig(m.reshape((-1, 6, 6)))
     rows = np.arange(vals.shape[0])[:, None]
     keep = np.argsort(np.abs(vals), axis=-1, kind="stable")[:, 2 * zero_pairs:]
@@ -231,26 +223,23 @@ def _mode_set(freqs, right, batch, sector, where) -> ModeSet:
                    right=right.reshape(batch + (6, n_pos)))
 
 
-def _where(batch, labels=None):
+def _where(batch, name):
     """where(i): the text that places matrix i of a flattened stack in an
-    error, by its label or its stack index; None for a single matrix
-    without a label."""
-    if labels is not None:
-        return lambda i: f" at {labels[i]}"
-    if not batch:
-        return None
-    return lambda i: f" at stack index {i}"
+    error, the one place that names a failing matrix: by the caller's
+    name(i), else by its position in a stack; empty for a single matrix
+    without a name."""
+    if name is not None:
+        return lambda i: f" at {name(i)}"
+    return (lambda i: f" at stack index {i}") if batch else (lambda i: "")
 
 
 def _check(bad, where, describe) -> None:
     """Raise for the first matrix that bad flags; describe(i, at) words
     the error for matrix i of the flattened stack, with at = where(i)
-    (_where), or empty for a single matrix."""
+    (_where)."""
     if bad.any():
         i = int(bad.argmax())
-        if where is None:
-            raise DiagonalizationError(describe(i, ""))
-        raise DiagonalizationError(describe(i, where(i)), i)
+        raise DiagonalizationError(describe(i, where(i)))
 
 
 def mirrored_modes(ms: ModeSet) -> ModeSet:
@@ -287,7 +276,7 @@ def soft_modes(f: np.ndarray, labels=None) -> ModeSet:
     (soft_mode).  Each matrix is checked and solved as it would be alone,
     so a point's modes do not depend on the stack it is solved in.
     labels, if given, name the matrices in its errors (a pump point by
-    its y, say; a list of one for a single F) in place of their stack
-    index.
+    its y, say; a list of one for a single F).
     """
-    return _eig_modes(f, "polariton", zero_pairs=1, labels=labels)
+    return _eig_modes(f, "polariton", zero_pairs=1,
+                      name=None if labels is None else labels.__getitem__)

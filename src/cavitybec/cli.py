@@ -90,10 +90,15 @@ _SWEEP_DEFAULTS = {
 
 def load_settings(config_path, overrides):
     """Split config + --set pairs into (ThermoParams, run-settings dict);
-    each run setting is parsed here, once."""
+    each run setting is parsed here, once.  A config file that cannot be
+    read as UTF-8 text is a ConfigError."""
     mapping = {}
     if config_path:
-        text = Path(config_path).read_text()
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --config {config_path}: "
+                              f"{getattr(exc, 'strerror', exc)}") from None
         mapping.update(parse_config_text(text))
     for item in overrides or []:
         if "=" not in item:
@@ -254,7 +259,8 @@ def cmd_poles(p, run, outdir):
     if run["dump_grid"]:
         # the comb fit behind the dump needs the bath band in its window;
         # checked before the sweep, so a refused run writes nothing
-        resp = build_response(p.with_pump(float(y_values[len(y_values) // 2])))
+        dumped = p.with_pump(float(y_values[len(y_values) // 2]))
+        resp = build_response(dumped)
         eps = resp.bath.epsilon
         _, centres = resp.bath.active_poles
         band = (np.min(centres, initial=np.inf),
@@ -285,7 +291,7 @@ def cmd_poles(p, run, outdir):
                  "re_G": float(v.real), "im_G": float(v.imag)}
                 for z, v in zip(zs.ravel(), grid.values.ravel()))
         write_json_lines(outdir / "green_grid.jsonl", recs,
-                         _meta(p, run, "poles"))
+                         _meta(dumped, run, "poles"))
 
 
 def cmd_verify(p, run, outdir):
@@ -337,7 +343,11 @@ def main(argv=None) -> int:
     try:
         p, run = load_settings(args.config, args.set)
         outdir = Path(args.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use --output-dir {outdir}: {exc.strerror}") from None
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             COMMANDS[args.command](p, run, outdir)
     except ConfigError as exc:

@@ -20,8 +20,7 @@ import numpy as np
 from .params import ThermoParams, critical_coupling, momentum_grid
 from .meanfield import solve_steady_state
 from .hamiltonian import ModelExpansion
-from .bogoliubov import (DiagonalizationError, ModeSet, diagonalize_symplectic,
-                         soft_modes)
+from .bogoliubov import ModeSet, diagonalize_symplectic, soft_modes
 from .coupling import pair_kernel, soft_mode_couplings
 # not called here: perfbench/tracer.py wraps it under this module's name
 # and reports its call count, which the array-first path keeps at zero
@@ -280,12 +279,13 @@ def _stack_response(p: ThermoParams, q_half, exp: ModelExpansion, f,
     F matrices, one contraction of the kernel with its P soft rows of V
     and one checked bath, whose couplings then carry the pump axis
     (omega_s is (P,), the couplings (P, n_q)); labels name the points
-    (a list of one for one point) in a soft-mode error.  Each point's
+    (a list of one for one point) in a soft-mode error, and labels[0]
+    names the pump of a failing G(q) (_phonon_modes).  Each point's
     numbers are those it would get alone, bit for bit.  p gives the bath
     its grid, temperature, damping, density of modes and atom number.
     """
     pol = soft_modes(f, labels)
-    phonons, kernel = _phonon_stack(exp, q_half)
+    phonons, kernel = _phonon_modes(_StackKey(exp, q_half, labels[0]))
     g_l, g_b = soft_mode_couplings(v_tensor, pol, kernel)
     bath = build_bath_spectrum(q_half, phonons.frequencies[:, 0],
                                phonons.frequencies[:, 1], g_l, g_b,
@@ -305,31 +305,24 @@ def phonon_bands(expansion: ModelExpansion, q_grid) -> ModeSet:
     (_phonon_modes); a failing G(q) is named by its q, and a grid
     holding q = 0 raises ValueError.
     """
-    return _phonon_stack(expansion, q_grid)[0]
-
-
-def _phonon_stack(expansion: ModelExpansion, q_grid):
-    """(modes, pair kernel) of the G(q) stack over q_grid, from
-    _phonon_modes, with a failing G(q) named by its q."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    try:
-        return _phonon_modes(_StackKey(expansion, q_grid))
-    except DiagonalizationError as exc:
-        raise DiagonalizationError(f"q = {q_grid[exc.index]:g}: {exc}",
-                                   exc.index) from exc
+    return _phonon_modes(_StackKey(expansion,
+                                   np.asarray(q_grid, dtype=float)))[0]
 
 
 class _StackKey:
     """The key of a G(q) stack: the bytes of G's (3, 6, 6) q-coefficients
     and of the q grid (about 5 KB at 1001 sites), which fix the stack bit
     for bit.  The expansion and grid it carries build the stack on a
-    miss; they take no part in the comparison."""
+    miss, and the pump label, if any, names the pump in an error; they
+    take no part in the comparison, so a label never splits the cache."""
 
-    __slots__ = ("expansion", "q_grid", "_data", "_hash")
+    __slots__ = ("expansion", "q_grid", "label", "_data", "_hash")
 
-    def __init__(self, expansion: ModelExpansion, q_grid: np.ndarray) -> None:
+    def __init__(self, expansion: ModelExpansion, q_grid: np.ndarray,
+                 label: str | None = None) -> None:
         self.expansion = expansion
         self.q_grid = q_grid
+        self.label = label
         self._data = (expansion.phonon_coefficients.tobytes(), q_grid.shape,
                       q_grid.tobytes())
         self._hash = hash(self._data)
@@ -351,14 +344,18 @@ def _phonon_modes(key: _StackKey):
     The key is what the stack is computed from (G's coefficients and the
     q grid), not the parameters those came from, so a stack that could
     differ in any bit is built through expansion.phonon_matrix and solved
-    afresh.  A failing build or solve raises and is not kept.  The kept
+    afresh.  A failing build or solve raises and is not kept; its error
+    names the failing G(q) by its q, and by the key's pump label when it
+    has one ("at q = 0.029703 of y = 53.6936").  The kept
     arrays are read-only.  The (n, 2, 36) complex kernel holds everything
     the couplings need from the modes (coupling.pair_kernel), so a warm
     point forms no outer product of eigenvectors; it takes n x 1152 B per
     stack, 0.58 MB at 1001 sites, next to 0.16 MB of modes.
     """
+    of = "" if key.label is None else f" of {key.label}"
     stack = key.expansion.phonon_matrix(key.q_grid)
-    modes = diagonalize_symplectic(stack, sector="phonon")
+    modes = diagonalize_symplectic(
+        stack, sector="phonon", name=lambda i: f"q = {key.q_grid[i]:g}{of}")
     kernel = pair_kernel(modes.right)
     for arr in (modes.frequencies, modes.right, kernel):
         arr.flags.writeable = False

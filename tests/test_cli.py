@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -14,7 +15,8 @@ from cavitybec import fockcheck, meanfield, response, verify
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
 from cavitybec.hamiltonian import ModelExpansion
-from cavitybec.params import critical_coupling, default_params
+from cavitybec.params import critical_coupling, default_params, momentum_grid
+from cavitybec.response import _pump_label
 
 
 def test_meanfield_command_writes_table(tmp_path):
@@ -413,6 +415,86 @@ def test_soft_mode_failure_names_its_pump(command, frac_range, tmp_path,
                           f"'polariton' at y = {y:g}: ")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, frac_range, point, ordered_only", [
+    # the one ordered-phase point of three is a block of its own
+    ("damping-sweep", (0.05, 1.55), 2, True),
+    # three normal-phase points share one stack in one block, which the
+    # block's first point names
+    ("poles", (0.70, 0.84), 0, False)])
+def test_phonon_failure_names_its_q_once_and_its_pump(
+        command, frac_range, point, ordered_only, tmp_path, monkeypatch,
+        capsys):
+    # the planted complex pair of
+    # test_changed_g_coefficients_or_q_grid_are_solved_again
+    p = default_params(site_count=101, atom_number=1010)
+    normal = ModelExpansion(p, meanfield.solve_steady_state(p))
+    bad = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]).astype(complex)
+    bad[0, 1], bad[1, 0] = 5.0, -5.0
+    phonon_matrix = ModelExpansion.phonon_matrix
+
+    def planted(self, q):
+        stack = phonon_matrix(self, q)
+        if not (ordered_only and np.array_equal(
+                self.phonon_coefficients, normal.phonon_coefficients)):
+            stack[2] = bad
+        return stack
+
+    response._phonon_modes.cache_clear()
+    monkeypatch.setattr(ModelExpansion, "phonon_matrix", planted)
+    y = np.linspace(*frac_range, 3)[point] * critical_coupling(p)
+    q = momentum_grid(p)[2]
+    assert main([command, "--output-dir", str(tmp_path), "--set", "y_points=3",
+                 "--set", "site_count=101", "--set", "atom_number=1010"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerics error: non-real spectrum in sector "
+                          f"'phonon' at q = {q:g} of {_pump_label(y)}: ")
+    assert err.count("\n") == 1 and err.count("q = ") == 1
+    assert "stack index" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, make", [
+    ("--config", lambda tmp: tmp / "missing.cfg"),
+    ("--config", lambda tmp: tmp),
+    ("--config", lambda tmp: _written(tmp / "latin1.cfg", b"u = 5 \xb5\n")),
+    ("--output-dir", lambda tmp: _written(tmp / "file", b"")),
+    ("--output-dir", lambda tmp: _written(tmp / "file", b"") / "out"),
+], ids=["missing-config", "directory-config", "non-utf8-config",
+        "output-dir-is-a-file", "output-dir-under-a-file"])
+def test_unreadable_config_or_unusable_output_dir_is_a_config_error(
+        option, make, tmp_path, capsys):
+    path = make(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    args = ["softmode", "--set", "y_points=2", option, str(path)]
+    if option == "--config":
+        args += ["--output-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _written(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def test_dumped_grid_header_records_the_dumped_pump(tmp_path):
+    # green_grid.jsonl holds G at the sweep's middle point; poles.csv
+    # keeps the unpumped config
+    assert main(["poles", "--output-dir", str(tmp_path), "--set", "y_points=3",
+                 "--set", "site_count=101", "--set", "atom_number=1010",
+                 "--set", "dump_grid=1"]) == 0
+    p = default_params(site_count=101, atom_number=1010)
+    y_values = np.linspace(0.70, 0.84, 3) * critical_coupling(p)
+    with open(tmp_path / "green_grid.jsonl", encoding="utf-8") as fh:
+        header = json.loads(fh.readline()[1:])
+    assert header["params"]["y"] == y_values[len(y_values) // 2]
+    meta, _, _ = read_table(tmp_path / "poles.csv")
+    assert meta["params"]["y"] == 0.0
 
 
 # -- the command-line contract of the sweep commands --------------------------
