@@ -28,7 +28,7 @@ from .response import (
 )
 from .continuation import (
     MeromorphicModel, ComplexGrid, Pole, PoleSet, reconstruct_meromorphic,
-    continue_green, march_cauchy_riemann,
+    march_cauchy_riemann,
     find_poles, companion_pole_candidates, pole_sweep,
 )
 from .fockcheck import coupling_residuals, oracle_residuals

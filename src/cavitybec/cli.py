@@ -31,7 +31,7 @@ from .bogoliubov import DiagonalizationError, soft_modes
 from .bath import BathConstructionError
 from .response import (NumericsError, _pump_label, build_response,
                        damping_sweep, phonon_bands)
-from .continuation import continue_green, pole_sweep
+from .continuation import pole_sweep
 from .csvio import write_table, write_json_lines
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NUMERICS = 0, 1, 2, 3
@@ -73,7 +73,7 @@ RUN_SETTINGS = {
     "omega_max": (_real, 1.5),
     "omega_points": (_count(1), 1024),
     "n_track": (_count(1), 2),     # pole trajectories to follow
-    "dump_grid": (_count(0), 0),   # poles: also dump a continued grid
+    "dump_grid": (_count(0), 0),   # poles: also dump the exact G on a grid
     "nu_max": (_real, 0.1),        # depth of the dumped grid
     "seed": (_count(0), 0),        # seeds verify's random parameter sets
 }
@@ -256,20 +256,6 @@ def cmd_poles(p, run, outdir):
     y_values, y_crit = _y_grid(p, run, "poles")
     n_track = run["n_track"]
     window = _omega_window(run, "poles", widen=1.5)
-    if run["dump_grid"]:
-        # the comb fit behind the dump needs the bath band in its window;
-        # checked before the sweep, so a refused run writes nothing
-        dumped = p.with_pump(float(y_values[len(y_values) // 2]))
-        resp = build_response(dumped)
-        eps = resp.bath.epsilon
-        _, centres = resp.bath.active_poles
-        band = (np.min(centres, initial=np.inf),
-                np.max(centres, initial=-np.inf))
-        if band[0] - 5.0 * eps < window[0] or band[1] + 5.0 * eps > window[1]:
-            raise ConfigError(
-                f"dump_grid: the bath band [{band[0]:.6g}, {band[1]:.6g}] "
-                f"+- 5 eps leaves the omega window [{window[0]:.6g}, "
-                f"{window[1]:.6g}] (omega_min, omega_max + 1.5)")
     records = pole_sweep(p, y_values, omega_window=window, n_track=n_track)
     names = ["y_frac"]
     for i in range(1, n_track + 1):
@@ -283,13 +269,16 @@ def cmd_poles(p, run, outdir):
     write_table(outdir / "poles.csv", names, rows, _meta(p, run, "poles"))
 
     if run["dump_grid"]:
+        # G is meromorphic in closed form, so it is its own continuation:
+        # the grid holds the exact G at every depth, the pole line included
+        dumped = p.with_pump(float(y_values[len(y_values) // 2]))
         omega = np.linspace(*window, 2048)
-        grid, _model = continue_green(omega, resp.green(omega), eps,
-                                      nu_max=run["nu_max"])
-        zs = grid.z()
+        nu = np.linspace(0.0, run["nu_max"], 256)
+        zs = (omega[None, :] - 1j * nu[:, None]).ravel()
+        values = build_response(dumped).green(zs)
         recs = ({"re_z": float(z.real), "im_z": float(z.imag),
                  "re_G": float(v.real), "im_G": float(v.imag)}
-                for z, v in zip(zs.ravel(), grid.values.ravel()))
+                for z, v in zip(zs, values))
         write_json_lines(outdir / "green_grid.jsonl", recs,
                          _meta(dumped, run, "poles"))
 

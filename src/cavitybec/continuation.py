@@ -232,25 +232,6 @@ class ComplexGrid:
         return self.omega[None, :] - 1j * self.nu[:, None]
 
 
-def continue_green(omega, g_values, eps: float,
-                   nu_max: float = 0.5, n_nu: int = 256):
-    """Continue real-axis G data into the lower half-plane.
-
-    Returns (ComplexGrid, MeromorphicModel).  The grid's omega axis is the
-    data axis; row 0 is the data itself, rows below are evaluations of the
-    reconstructed meromorphic model.
-    """
-    omega = np.asarray(omega, dtype=float)
-    g_values = np.asarray(g_values, dtype=complex)
-    model = reconstruct_meromorphic(omega, g_values, eps)
-    nu = np.linspace(0.0, nu_max, n_nu)
-    values = np.empty((n_nu, len(omega)), dtype=complex)
-    values[0] = g_values
-    for k in range(1, n_nu):
-        values[k] = model.green(omega - 1j * nu[k])
-    return ComplexGrid(omega=omega, nu=nu, values=values), model
-
-
 # -- Cauchy-Riemann marching (cross-check backend) ------------------------
 
 # largest amplification exp(nu t) the spectral filter lets through

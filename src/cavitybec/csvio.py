@@ -15,16 +15,17 @@ from pathlib import Path
 import numpy as np
 
 
-def _jsonable(value):
+def _json_default(value):
+    """What json cannot write itself: numpy scalars and arrays (np.float64
+    is a float, and json writes it as one)."""
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+_JSON = json.JSONEncoder(sort_keys=True, default=_json_default)
 
 
 def _cell(value) -> str:
@@ -40,7 +41,7 @@ def write_table(path, fieldnames, rows, meta: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("#" + json.dumps(_jsonable(meta), sort_keys=True) + "\n")
+        fh.write("#" + _JSON.encode(meta) + "\n")
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
@@ -78,7 +79,7 @@ def write_json_lines(path, records, meta: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("#" + json.dumps(_jsonable(meta), sort_keys=True) + "\n")
+        fh.write("#" + _JSON.encode(meta) + "\n")
         for rec in records:
-            fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+            fh.write(_JSON.encode(rec) + "\n")
     return path

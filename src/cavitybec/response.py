@@ -239,7 +239,7 @@ def build_response(p: ThermoParams) -> Response:
     Bands at -q are the complex conjugates of those at +q, so only the
     positive half of the momentum grid is diagonalized; each entry counts
     twice in the bath sums.  The momentum stage is array-first: the
-    stack of all G(q) goes through one phonon_bands solve, and
+    stack of all G(q) goes through one _phonon_modes solve, and
     soft_mode_couplings contracts the soft-mode row of V with the stack's
     band-pair kernel (coupling.pair_kernel) for every q at once.  Band
     labels are by ascending frequency (the two lowest branches feed the

@@ -206,9 +206,8 @@ def test_nnls_iteration_cap_exits_with_the_numerics_code(tmp_path,
     full_nnls = scipy.optimize.nnls
     monkeypatch.setattr(scipy.optimize, "nnls", lambda a, b, maxiter=None:
                         full_nnls(a, b, maxiter=1))
-    code = main(["poles", "--output-dir", str(tmp_path),
-                 "--set", "y_points=2", "--set", "site_count=101",
-                 "--set", "dump_grid=1"])
+    code = main(["verify", "--output-dir", str(tmp_path),
+                 "--set", "site_count=101", "--set", "atom_number=1010"])
     assert code == 3
     assert "numerics error: NNLS comb fit" in capsys.readouterr().err
 
@@ -230,24 +229,6 @@ def test_outputs_deterministic_across_runs(tmp_path):
         assert names == sorted(f.name for f in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_dump_grid_refuses_a_window_the_bath_band_leaves(tmp_path, capsys):
-    # 101 sites at 1.462 y_crit: the bath band 1.355-1.705 leaves the
-    # window (0.5, 1.6) that omega_max = 0.1 gives
-    settings = {"cavity_detuning": -1962.43, "u": 4.786, "g_coll": 0.0744,
-                "temperature": 0.1741, "phonon_damping": 0.005662,
-                "site_count": 101, "atom_number": 1010, "y_frac_min": 1.462,
-                "y_frac_max": 1.462, "y_points": 1, "omega_max": 0.1,
-                "dump_grid": 1}
-    args = ["poles", "--output-dir", str(tmp_path)]
-    for key, value in settings.items():
-        args += ["--set", f"{key}={value}"]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert "bath band [1.35529, 1.70519]" in err
-    assert "omega window [0.5, 1.6]" in err
-    assert not (tmp_path / "poles.csv").exists()
 
 
 @pytest.mark.parametrize("command, settings", [
@@ -483,7 +464,8 @@ def _written(path, data):
 
 
 def test_dumped_grid_header_records_the_dumped_pump(tmp_path):
-    # green_grid.jsonl holds G at the sweep's middle point; poles.csv
+    # green_grid.jsonl holds the exact G at the sweep's middle point, the
+    # rows at and below the bath line Im z = -eps included; poles.csv
     # keeps the unpumped config
     assert main(["poles", "--output-dir", str(tmp_path), "--set", "y_points=3",
                  "--set", "site_count=101", "--set", "atom_number=1010",
@@ -492,9 +474,16 @@ def test_dumped_grid_header_records_the_dumped_pump(tmp_path):
     y_values = np.linspace(0.70, 0.84, 3) * critical_coupling(p)
     with open(tmp_path / "green_grid.jsonl", encoding="utf-8") as fh:
         header = json.loads(fh.readline()[1:])
+        records = [json.loads(line) for line in fh]
     assert header["params"]["y"] == y_values[len(y_values) // 2]
     meta, _, _ = read_table(tmp_path / "poles.csv")
     assert meta["params"]["y"] == 0.0
+    z = np.array([r["re_z"] + 1j * r["im_z"] for r in records])
+    dumped = np.array([r["re_G"] + 1j * r["im_G"] for r in records])
+    exact = response.build_response(
+        p.with_pump(header["params"]["y"])).green(z)
+    assert len(z) == 2048 * 256 and z.imag.min() < -p.phonon_damping
+    assert np.max(np.abs(dumped - exact) / np.abs(exact)) <= 1e-12
 
 
 # -- the command-line contract of the sweep commands --------------------------

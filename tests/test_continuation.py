@@ -17,9 +17,8 @@ from cavitybec import (
     DiagonalizationError, continuation,
 )
 from cavitybec.continuation import (
-    MeromorphicModel, _secular_roots, companion_pole_candidates,
-    continue_green, find_poles, march_cauchy_riemann, pole_sweep,
-    reconstruct_meromorphic,
+    ComplexGrid, MeromorphicModel, _secular_roots, companion_pole_candidates,
+    find_poles, march_cauchy_riemann, pole_sweep, reconstruct_meromorphic,
 )
 from cavitybec.params import critical_coupling, default_params
 from cavitybec.bath import build_bath_spectrum
@@ -338,22 +337,13 @@ def test_fit_at_benchmark_size_solves_under_half_the_comb(monkeypatch):
     assert max(columns) < n / 2
 
 
-def test_continue_green_keeps_real_axis_row_verbatim():
-    model = _toy_model()
-    omega = np.arange(0.2, 1.6, 0.002)
-    data = model.green(omega)
-    grid, _fit = continue_green(omega, data, model.eps, nu_max=0.05, n_nu=16)
-    np.testing.assert_array_equal(grid.values[0], data)
-    assert grid.nu[0] == 0.0
-
-
 def _cauchy_riemann_residual(grid):
     """Pointwise analyticity certificate |df/dnu + i df/domega| (4th order).
 
     For f(omega, nu) = F(omega - i nu) analytic the residual vanishes; the
     map is normalized by the local gradient magnitude so it is
     dimensionless.  The two rows and columns at each edge, which the
-    five-point stencils do not reach (the verbatim data row among them),
+    five-point stencils do not reach (the real-axis row among them),
     are NaN.
     """
     f = grid.values
@@ -372,8 +362,10 @@ def _cauchy_riemann_residual(grid):
 def test_cauchy_riemann_certificate_on_analytic_continuation():
     model = _toy_model()
     omega = np.arange(0.2, 1.6, 0.002)
-    grid, _fit = continue_green(omega, model.green(omega), model.eps,
-                                nu_max=0.005, n_nu=24)
+    nu = np.linspace(0.0, 0.005, 24)
+    fit = reconstruct_meromorphic(omega, model.green(omega), model.eps)
+    grid = ComplexGrid(omega=omega, nu=nu,
+                       values=fit.green(omega[None, :] - 1j * nu[:, None]))
     res = _cauchy_riemann_residual(grid)
     # certify analyticity away from the pole line's neighbourhood, where
     # the finite-difference stencils resolve the function

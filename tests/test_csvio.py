@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from cavitybec.csvio import read_table, write_json_lines, write_table
 
 
@@ -44,3 +46,16 @@ def test_json_lines_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert json.loads(lines[0][1:]) == {"cmd": "poles"}
     assert json.loads(lines[1]) == {"re_z": 1.0, "im_z": -0.1}
+
+
+def test_numpy_values_in_the_header_are_written_as_python_ones(tmp_path):
+    # np.float64 is a float; the other numpy scalars and arrays are
+    # converted, inside dicts, lists and tuples alike
+    path = tmp_path / "out.csv"
+    meta = {"f64": np.float64(0.1) + np.float64(0.2), "i64": np.int64(7),
+            "f32": np.float32(1.1), "arr": np.array([[1.5, 2.0], [-0.0, 3.0]]),
+            "tup": (1, np.float64(2.5), [np.int32(3)])}
+    write_table(path, ["x"], [[1.0]], meta)
+    assert path.read_text().splitlines()[0] == (
+        '#{"arr": [[1.5, 2.0], [-0.0, 3.0]], "f32": 1.100000023841858, '
+        '"f64": 0.30000000000000004, "i64": 7, "tup": [1, 2.5, [3]]}')

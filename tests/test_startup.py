@@ -1,6 +1,6 @@
-"""What a fresh process loads: import, the plain sweeps and the pole sweep
-stay off scipy.optimize and scipy.sparse (each costs start-up time and
-memory); only the NNLS comb fit loads them."""
+"""What a fresh process loads: import, the plain sweeps, the pole sweep and
+the poles command's grid dump stay off scipy.optimize and scipy.sparse
+(each costs start-up time and memory); only the NNLS comb fit loads them."""
 
 import json
 import os
@@ -53,6 +53,35 @@ p = default_params(site_count=101, atom_number=1010)
 ys = [f * critical_coupling(p) for f in (0.72, 0.8, 1.2)]
 assert solve_steady_state(p.with_pump(ys[2])).gamma > 0.0  # ordered
 assert len(pole_sweep(p, ys)) == 3
+""") == []
+
+
+def test_poles_grid_dump_loads_neither_and_writes_the_exact_g(tmp_path):
+    # 101 sites at 1.462 y_crit: the bath band 1.355-1.705 leaves the
+    # window (0.5, 1.6) that omega_max = 0.1 gives, and the grid reaches
+    # below the bath line Im z = -eps
+    settings = {"cavity_detuning": -1962.43, "u": 4.786, "g_coll": 0.0744,
+                "temperature": 0.1741, "phonon_damping": 0.005662,
+                "site_count": 101, "atom_number": 1010, "y_frac_min": 1.462,
+                "y_frac_max": 1.462, "y_points": 1, "omega_max": 0.1,
+                "dump_grid": 1}
+    args = ["poles", "--output-dir", str(tmp_path)]
+    for key, value in settings.items():
+        args += ["--set", f"{key}={value}"]
+    assert _heavy_modules_after(f"""
+import json
+import numpy as np
+from cavitybec import build_response, default_params
+from cavitybec.cli import main
+assert main({args!r}) == 0
+with open({str(tmp_path / "green_grid.jsonl")!r}, encoding="utf-8") as fh:
+    p = default_params(**json.loads(fh.readline()[1:])["params"])
+    records = [json.loads(line) for line in fh]
+z = np.array([r["re_z"] + 1j * r["im_z"] for r in records])
+dumped = np.array([r["re_G"] + 1j * r["im_G"] for r in records])
+exact = build_response(p).green(z)
+assert len(z) == 2048 * 256 and z.imag.min() < -p.phonon_damping
+assert np.max(np.abs(dumped - exact) / np.abs(exact)) <= 1e-12
 """) == []
 
 
