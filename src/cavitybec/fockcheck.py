@@ -1,26 +1,32 @@
 """Independent truncated-Fock-space oracle for the fluctuation expansion.
 
-Builds the grand-canonical Hamiltonian as a sparse operator on a small
-Hilbert space (modes {a, b0, c0} plus one +-q phonon triple, occupation
-cutoff 2) directly from the operator expression with displaced condensate
-modes A = sqrt(N) alpha + a etc., and compares exact commutators
-[v, K] against the matrices and tensors produced by the polynomial
-expansion.  The term enumeration here is written independently of
-hamiltonian.py on purpose.
+Builds the grand-canonical Hamiltonian as a dense matrix on the occupation
+states of modes {a, b0, c0} plus one +-q phonon triple that hold at most
+three quanta in total (C(12, 3) = 220 states), directly from the operator
+expression with displaced condensate modes A = sqrt(N) alpha + a etc., and
+compares exact commutators [v, K] against the matrices and tensors
+produced by the polynomial expansion.  The term enumeration here is
+written independently of hamiltonian.py on purpose.
 
-Why the truncation is exact: every Hamiltonian term is normal-ordered mode
-by mode, and all compared matrix elements involve bra/ket states with at
-most two quanta, which a normal-ordered string of at most four operators
-connects without ever passing through occupation > 2.  The s0 mode is
-omitted: the mean field has no s0 amplitude and every term containing an
-s0 operator has a strictly positive s0 power on at least one side, so its
-matrix elements between s0-vacuum states vanish identically.
+Why the truncation is exact: every Hamiltonian term is a sum of strings
+normal-ordered across all modes (the a-mode factors of the pump and
+shift terms are written on the sides they commute to), and such a string
+connects a ket to a bra without passing through a state with more quanta
+than the larger of the two.  So K is the exact block of the operator on
+the states with at most three quanta.  All compared matrix elements
+involve bra/ket states with at most two quanta, and each commutator or
+vacuum element reads K only between states with at most three.  The s0
+mode is omitted: the mean field has no s0 amplitude and every term
+containing an s0 operator has a strictly positive s0 power on at least
+one side, so its matrix elements between s0-vacuum states vanish
+identically.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -30,39 +36,41 @@ from .hamiltonian import ModelExpansion
 from .bogoliubov import diagonalize_symplectic, soft_mode
 from .coupling import landau_beliaev_couplings, vertex_coefficients
 
-CUTOFF = 3  # occupations 0, 1, 2
+QUANTA = 3  # the most quanta, summed over the modes, of a basis state
 MODES = ("a", "b0", "c0", "bq", "bm", "cq", "cm", "sq", "sm")
 
 
-@lru_cache(maxsize=4)
-def _mode_ops():
-    """Sparse annihilation operator per mode on the product space."""
-    import scipy.sparse as sp  # only the oracle needs it: kept off import
+@lru_cache(maxsize=1)
+def _basis() -> dict:
+    """Index of each occupation tuple over MODES with at most QUANTA."""
+    states = [tuple(modes.count(i) for i in range(len(MODES)))
+              for total in range(QUANTA + 1)
+              for modes in combinations_with_replacement(range(len(MODES)),
+                                                         total)]
+    return {n: i for i, n in enumerate(states)}
 
-    n = len(MODES)
-    local = sp.diags(np.sqrt(np.arange(1, CUTOFF)), offsets=1, format="csr")
-    eye = sp.identity(CUTOFF, format="csr")
+
+@lru_cache(maxsize=1)
+def _mode_ops():
+    """Real annihilation operator per mode on the _basis states."""
+    index = _basis()
     ops = {}
     for i, name in enumerate(MODES):
-        mats = [local if j == i else eye for j in range(n)]
-        full = mats[0]
-        for m in mats[1:]:
-            full = sp.kron(full, m, format="csr")
-        ops[name] = full
+        op = np.zeros((len(index), len(index)))
+        for n, col in index.items():
+            if n[i]:
+                lowered = n[:i] + (n[i] - 1,) + n[i + 1:]
+                op[index[lowered], col] = math.sqrt(n[i])
+        ops[name] = op
     return ops
 
 
 def _state_index(occupations: dict) -> int:
-    idx = 0
-    for i, name in enumerate(MODES):
-        idx = idx * CUTOFF + occupations.get(name, 0)
-    return idx
+    return _basis()[tuple(occupations.get(name, 0) for name in MODES)]
 
 
 def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
-    """K as a sparse matrix, from the operator expression term by term."""
-    import scipy.sparse as sp
-
+    """K as a dense matrix, from the operator expression term by term."""
     n_atoms = float(p.atom_number)
     root_n = math.sqrt(n_atoms)
     eta = p.y / math.sqrt(2.0 * n_atoms)
@@ -70,8 +78,7 @@ def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
     g_half = p.g_coll / (2.0 * n_atoms)
 
     ops = _mode_ops()
-    dim = CUTOFF ** len(MODES)
-    ident = sp.identity(dim, format="csr")
+    ident = np.eye(len(_basis()))
 
     def displaced(name, amp):
         return (ops[name] + root_n * amp * ident,
@@ -92,38 +99,28 @@ def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
         annih[band][-1] = ops[minus]
         dag[band][-1] = ops[minus].conj().T
 
-    # K is summed like a binary counter: partial sums of 1, 2, 4, ... terms
-    # merge when their counts match, so an entry is copied about log2(182)
-    # times rather than once per later term, and at most that many partial
-    # sums are alive at once
-    sums = []                    # (term count, partial sum), counts falling
-
-    def add(term):
-        count = 1
-        while sums and sums[-1][0] == count:
-            prev_count, prev = sums.pop()
-            term, count = prev + term, count + prev_count
-        sums.append((count, term))
-
-    add(-p.cavity_detuning * (a_dag @ a_op))
+    k = np.zeros(ident.shape, dtype=complex)
+    k += -p.cavity_detuning * (a_dag @ a_op)
 
     momenta = {0: 0.0, +1: q, -1: -q}
     for lab, qv in momenta.items():
         b, bd = annih["b"][lab], dag["b"][lab]
         c, cd = annih["c"][lab], dag["c"][lab]
         s, sd = annih["s"][lab], dag["s"][lab]
-        add((qv * qv - mf.mu) * (bd @ b))
-        add((1.0 + qv * qv - mf.mu) * (cd @ c))
+        k += (qv * qv - mf.mu) * (bd @ b)
+        k += (1.0 + qv * qv - mf.mu) * (cd @ c)
         if s is not None:
-            add((1.0 + qv * qv - mf.mu) * (sd @ s))
-            add(2.0j * qv * (sd @ c))
-            add(-2.0j * qv * (cd @ s))
+            k += (1.0 + qv * qv - mf.mu) * (sd @ s)
+            k += 2.0j * qv * (sd @ c)
+            k += -2.0j * qv * (cd @ s)
         pump = bd @ c + cd @ b
-        add((math.sqrt(2.0) / 2.0) * eta * ((a_dag + a_op) @ pump))
+        # a's factors stand where they commute to, so every string is
+        # normal-ordered
+        k += (math.sqrt(2.0) / 2.0) * eta * (a_dag @ pump + pump @ a_op)
         shift = 2.0 * (bd @ b) + 3.0 * (cd @ c)
         if s is not None:
             shift = shift + sd @ s
-        add(0.25 * u0 * (a_dag @ a_op @ shift))
+        k += 0.25 * u0 * (a_dag @ shift @ a_op)
 
     channels = (
         ("b", "b", "b", "b", 1.0), ("c", "c", "c", "c", 1.5),
@@ -146,10 +143,7 @@ def build_hamiltonian(p: ThermoParams, mf: MeanField, q: float):
                         f3, f4 = annih[x3][n3], annih[x4][n4]
                         if any(f is None for f in (f1, f2, f3, f4)):
                             continue
-                        add(weight * g_half * (f1 @ f2 @ f3 @ f4))
-    k = sums.pop()[1]
-    while sums:
-        k = sums.pop()[1] + k
+                        k += weight * g_half * (f1 @ f2 @ f3 @ f4)
     return k
 
 

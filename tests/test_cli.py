@@ -11,7 +11,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from cavitybec import fockcheck, meanfield, response, verify
+from cavitybec import bath, fockcheck, meanfield, response, verify
 from cavitybec.cli import main
 from cavitybec.csvio import read_table
 from cavitybec.hamiltonian import ModelExpansion
@@ -352,9 +352,23 @@ def test_verify_checks_the_bath_of_the_given_dos_mode(tmp_path, capsys,
     assert all("  PASS  " in line for line in lines)
 
 
+def test_verify_checks_the_landau_rate_at_t0_at_any_temperature(
+        monkeypatch):
+    # occupations at T = 0 taken from T = 0.05 plant a Landau weight there;
+    # verify used to pass the check unevaluated whenever T > 0
+    occupation = bath.thermal_occupation
+    monkeypatch.setattr(bath, "thermal_occupation",
+                        lambda omega, t: occupation(omega, t or 0.05))
+    results = verify.run_verification(default_params(
+        temperature=0.05, site_count=101, atom_number=1010))
+    [(ok, detail)] = [(ok, detail) for name, ok, detail in results
+                      if name == "landau-zero-at-t0"]
+    assert not ok, detail
+
+
 def test_verify_builds_one_fock_hamiltonian(monkeypatch):
-    # the Fock oracle's two checks share one K, the 3^9-state sparse
-    # operator that is most of their cost
+    # the Fock oracle's two checks share one K, the dense matrix on the
+    # 220 states with at most three quanta that is most of their cost
     built = []
     build_hamiltonian = fockcheck.build_hamiltonian
 

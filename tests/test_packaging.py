@@ -20,11 +20,12 @@ ROOT = Path(__file__).resolve().parents[1]
 FIRST_PARTY = {"cavitybec"}
 
 
-def _third_party_imports(*dirs):
-    """Top-level names of the absolute imports in the .py files under dirs
-    that are neither the standard library nor this package."""
+def _third_party_imports(*patterns):
+    """Top-level names of the absolute imports in the files that the glob
+    patterns match under the root that are neither the standard library
+    nor this package."""
     found = set()
-    for path in (f for d in dirs for f in (ROOT / d).rglob("*.py")):
+    for path in (f for pattern in patterns for f in ROOT.glob(pattern)):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -46,7 +47,17 @@ def test_declared_dependencies_match_the_imports():
         encoding="utf-8"))["project"]
     runtime = _declared(project["dependencies"])
     dev = _declared(project["optional-dependencies"]["dev"])
-    assert _third_party_imports("src") == runtime == {"numpy", "scipy"}
-    checks = _third_party_imports("tests", "demos")
+    assert _third_party_imports("src/**/*.py") == runtime == {"numpy",
+                                                              "scipy"}
+    checks = _third_party_imports("tests/**/*.py", "demos/**/*.py")
     assert checks <= runtime | dev
     assert checks - runtime == dev == {"pytest", "hypothesis", "mpmath"}
+
+
+def test_only_the_comb_fit_imports_scipy():
+    # the Fock oracle is plain numpy; continuation._nnls is the one scipy
+    # call site left in src/
+    assert _third_party_imports("src/cavitybec/fockcheck.py") == {"numpy"}
+    assert [path.name for path in sorted(ROOT.glob("src/**/*.py"))
+            if "scipy" in _third_party_imports(
+                str(path.relative_to(ROOT)))] == ["continuation.py"]

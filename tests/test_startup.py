@@ -1,6 +1,7 @@
-"""What a fresh process loads: import, the plain sweeps, the pole sweep and
-the poles command's grid dump stay off scipy.optimize and scipy.sparse
-(each costs start-up time and memory); only the NNLS comb fit loads them."""
+"""What a fresh process loads: import, the plain sweeps, the pole sweep,
+the poles command's grid dump and the Fock oracle stay off scipy.optimize
+and scipy.sparse (each costs start-up time and memory); only the NNLS comb
+fit loads them."""
 
 import json
 import os
@@ -82,6 +83,18 @@ dumped = np.array([r["re_G"] + 1j * r["im_G"] for r in records])
 exact = build_response(p).green(z)
 assert len(z) == 2048 * 256 and z.imag.min() < -p.phonon_damping
 assert np.max(np.abs(dumped - exact) / np.abs(exact)) <= 1e-12
+""") == []
+
+
+def test_fock_oracle_loads_neither():
+    assert _heavy_modules_after("""
+from cavitybec import critical_coupling, default_params, solve_steady_state
+from cavitybec.fockcheck import coupling_residuals, oracle_residuals
+p = default_params()
+pp = p.with_pump(1.2 * critical_coupling(p))
+mf = solve_steady_state(pp)
+assert max(oracle_residuals(pp, mf, 0.3).values()) < 1e-10
+assert max(coupling_residuals(pp, mf, 0.35).values()) < 1e-10
 """) == []
 
 
